@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Lattice text format: first non-comment line is the element count n, every
+Lattice text format: first non-comment line is the element count n (at
+most MAX_ELEMENTS), every
 further non-empty non-# line is "i j" meaning i < j (0-indexed; the cover
 relation is recomputed, so the pairs need not be covers).
 """
@@ -36,6 +37,10 @@ from .poset import CycleError, canonical_relabel, find_embedding, poset_from_cov
 
 _ORACLE_MAX = 10
 
+# Largest element count a lattice file may declare, checked before anything
+# is allocated: twice the scale the bitmask posets are meant for.
+MAX_ELEMENTS = 64
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int):
@@ -57,6 +62,8 @@ def parse_lattice_text(text: str) -> Lattice:
                 raise ParseError(f"expected element count, got {line!r}", lineno)
             if n < 0:
                 raise ParseError("element count must be nonnegative", lineno)
+            if n > MAX_ELEMENTS:
+                raise ParseError(f"element count {n} above the limit {MAX_ELEMENTS}", lineno)
             continue
         parts = line.split()
         if len(parts) != 2:

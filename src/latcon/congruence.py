@@ -2,10 +2,14 @@
 
 The counting path goes through the quasiorder on join-irreducible
 elements: p is below q when the principal congruence collapsing p with
-its lower cover refines the one collapsing q with its lower cover.
-Hereditary subsets of that quasiorder are in bijection with congruences,
-so counting them is counting downsets of the quotient poset.  The
-brute-force partition oracle provides the independent second route.
+its lower cover refines the one collapsing q with its lower cover.  That
+quasiorder is the reflexive-transitive closure of the dependency
+relation p D q (some x has p <= q v x but not p <= q_* v x), which is
+read off the join table with bitmasks, without computing any
+congruence.  Hereditary subsets of the quasiorder are in bijection with
+congruences, so counting them is counting downsets of the quotient
+poset.  The brute-force partition oracle provides the independent
+second route.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import Lattice, SizeError, irreducibles
-from .poset import Poset, count_downsets, iter_downset_masks, quotient_of_quasiorder
+from .poset import Poset, _bits, count_downsets, iter_downset_masks, quotient_of_quasiorder
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -143,22 +147,33 @@ def is_congruence(l: Lattice, blocks) -> bool:
 
 
 def jir_quasiorder(l: Lattice) -> JirQuasiorder:
+    """Join-irreducibles quasi-ordered by refinement of con(p_*, p).
+
+    Built from the dependency relation p D q (p != q, and some x has
+    p <= q v x but not p <= q_* v x): its reflexive-transitive closure
+    holds at (p, q) exactly when con(p_*, p) refines con(q_*, q)
+    (Freese, Jezek, Nation, Free Lattices, Thm 2.35 / Lemma 2.36).
+    """
     irr = irreducibles(l)
     jir = tuple(sorted(irr.jir))
     m = len(jir)
-    cons = [principal_congruence(l, irr.lower_cover[p], p) for p in jir]
-    idxs = [c.block_index() for c in cons]
-
-    def leq_con(a: int, b: int) -> bool:
-        # con_a refines con_b
-        ib = idxs[b]
-        return all(len({ib[x] for x in block}) == 1 for block in cons[a].blocks)
-
-    rel = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if leq_con(a, b):
-                rel[a] |= 1 << b
+    index = {p: i for i, p in enumerate(jir)}
+    jmask = sum(1 << p for p in jir)
+    down = l.poset.down
+    join = l.join
+    rel = [1 << i for i in range(m)]
+    for b, q in enumerate(jir):
+        jq, js = join[q], join[irr.lower_cover[q]]
+        dep = 0
+        for x in range(l.n):
+            dep |= down[jq[x]] & ~down[js[x]]
+        for p in _bits(dep & jmask):
+            rel[index[p]] |= 1 << b
+    for k in range(m):
+        row_k, bit_k = rel[k], 1 << k
+        for i in range(m):
+            if rel[i] & bit_k:
+                rel[i] |= row_k
     qu, block = quotient_of_quasiorder(m, rel)
     return JirQuasiorder(
         jir_list=jir,
@@ -193,7 +208,11 @@ def con_enumerate(l: Lattice, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Congru
         ]
         out.append(_close(l, pairs))
     out.sort(key=lambda c: c.blocks)
-    assert len({c.blocks for c in out}) == len(out) == total
+    distinct = len({c.blocks for c in out})
+    if not distinct == len(out) == total:
+        raise RuntimeError(
+            f"congruence enumeration gave {distinct} distinct of {len(out)}, expected {total}"
+        )
     return out
 
 
@@ -247,16 +266,18 @@ def con_count_oracle(l: Lattice) -> int:
     return count
 
 
-def has_many_congruences(l: Lattice) -> bool:
-    """|Con(L)| strictly above 2^(n-5).
+def exceeds_threshold(n: int, con: int) -> bool:
+    """con strictly above 2^(n-5), the paper's bound for n elements.
 
-    For n < 5 the threshold is a fraction below 1, so any lattice
+    For n < 5 the threshold is a fraction below 1, so any count
     qualifies; the comparison stays in exact integer arithmetic.
     """
-    n = l.n
-    if n < 5:
-        return True
-    return con_count(l) > 1 << (n - 5)
+    return n < 5 or con > 1 << (n - 5)
+
+
+def has_many_congruences(l: Lattice) -> bool:
+    """|Con(L)| strictly above 2^(n-5)."""
+    return exceeds_threshold(l.n, con_count(l))
 
 
 @dataclass(frozen=True)

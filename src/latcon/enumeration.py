@@ -14,23 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .congruence import con_count
+from .congruence import con_count, exceeds_threshold
 from .lattice import Lattice, SizeError, validate_lattice
 from .planarity import is_dismantlable, is_planar_kr
-from .poset import Poset, canonical_form, canonical_relabel, _poset_from_up
+from .poset import Poset, _bits, _encode, _poset_from_up, canonical_form, canonical_relabel
 
 DEFAULT_MAX_N = 9
 HARD_MAX_N = 12
 
 _semis_cache: dict[int, list[Poset]] = {}
 _lattice_cache: dict[int, list[Lattice]] = {}
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def _iter_upsets(p: Poset):
@@ -119,7 +112,7 @@ def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
             full = (1 << n) - 1
             rows = [full] + [row << 1 for row in s.up]
             posets.append(_poset_from_up(rows))
-        canon = sorted((canonical_relabel(q)[0] for q in posets), key=canonical_form)
+        canon = sorted((canonical_relabel(q)[0] for q in posets), key=_encode)
         reps = [validate_lattice(q) for q in canon]
     _lattice_cache[n] = reps
     return reps
@@ -247,14 +240,13 @@ class TheoremReport:
 
 def analyze_class(l: Lattice) -> ClassRecord:
     con = con_count(l)
-    many = True if l.n < 5 else con > 1 << (l.n - 5)
     return ClassRecord(
         covers=l.poset.covers,
         n=l.n,
         con=con,
         planar=is_planar_kr(l).planar,
         dismantlable=is_dismantlable(l),
-        many=many,
+        many=exceeds_threshold(l.n, con),
     )
 
 

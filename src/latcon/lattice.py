@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import Poset, dual, poset_from_covers, subposet
+from .poset import Poset, dual, poset_from_covers
 
 
 class NotLatticeError(ValueError):
@@ -133,11 +133,6 @@ def dual_lattice(l: Lattice) -> Lattice:
         bottom=l.top,
         top=l.bottom,
     )
-
-
-def sublattice_on(l: Lattice, elements) -> Lattice:
-    """Induced lattice on a join/meet closed element set, revalidated."""
-    return validate_lattice(subposet(l.poset, sorted(elements)))
 
 
 def irreducibles(l: Lattice) -> IrreducibleSets:

@@ -28,11 +28,11 @@ from .lattice import Lattice, irreducibles, validate_lattice
 from .poset import (
     Embedding,
     Poset,
+    _bits,
     dual,
     find_embedding,
     is_isomorphic,
     poset_from_covers,
-    subposet,
 )
 
 
@@ -42,12 +42,15 @@ class CatalogValidationError(ValueError):
 
 @dataclass(frozen=True)
 class KRCatalogEntry:
-    """One forbidden lattice: family tag, index within the family, poset."""
+    """One forbidden lattice: family tag, index within the family, poset,
+    and its numbers of join- and meet-reducible elements."""
 
     name: str
     family: str
     index: int
     poset: Poset
+    jred: int
+    mred: int
 
     @property
     def size(self) -> int:
@@ -70,19 +73,19 @@ class PlanarityVerdict:
 _SPORADIC = ("B", "C", "D")
 
 
-def kr_families() -> tuple[str, ...]:
-    return ("A", "B", "C", "D", "E", "F", "G", "H")
-
-
 def _entry(family: str, index: int, n: int, covers) -> KRCatalogEntry:
     name = family if family in _SPORADIC else f"{family}_{index}"
+    poset = poset_from_covers(n, covers)
+    jred, mred = _validate_entry(name, family, poset)
     return KRCatalogEntry(
-        name=name, family=family, index=index, poset=poset_from_covers(n, covers)
+        name=name, family=family, index=index, poset=poset, jred=jred, mred=mred
     )
 
 
-def _validate_entry(entry: KRCatalogEntry) -> None:
+def _validate_entry(name: str, family: str, poset: Poset) -> tuple[int, int]:
     """Structural invariants; violations would mean a transcription error.
+
+    Returns the entry's |Jred| and |Mred|.
 
     The source characterization suggests every member apart from E_0 and
     F_0 has at least four join-reducible or four meet-reducible elements;
@@ -91,25 +94,26 @@ def _validate_entry(entry: KRCatalogEntry) -> None:
     exception rather than a validation failure.
     """
     try:
-        l = validate_lattice(entry.poset)
+        l = validate_lattice(poset)
     except Exception as exc:
-        raise CatalogValidationError(f"{entry.name}: not a lattice ({exc})") from exc
+        raise CatalogValidationError(f"{name}: not a lattice ({exc})") from exc
     if is_planar_graph_oracle(l):
-        raise CatalogValidationError(f"{entry.name}: planar, cannot be an obstruction")
+        raise CatalogValidationError(f"{name}: planar, cannot be an obstruction")
     irr = irreducibles(l)
     njred, nmred = len(irr.jred), len(irr.mred)
-    if entry.name in REDUCIBLE_33_ENTRIES:
+    if name in REDUCIBLE_33_ENTRIES:
         if njred != 3 or nmred != 3:
             raise CatalogValidationError(
-                f"{entry.name}: expected |Jred| = |Mred| = 3, got {njred}, {nmred}"
+                f"{name}: expected |Jred| = |Mred| = 3, got {njred}, {nmred}"
             )
     elif njred < 4 and nmred < 4:
         raise CatalogValidationError(
-            f"{entry.name}: expected |Jred| >= 4 or |Mred| >= 4, got {njred}, {nmred}"
+            f"{name}: expected |Jred| >= 4 or |Mred| >= 4, got {njred}, {nmred}"
         )
-    if entry.family == "A":
-        if not is_isomorphic(entry.poset, dual(entry.poset)):
-            raise CatalogValidationError(f"{entry.name}: not self-dual")
+    if family == "A":
+        if not is_isomorphic(poset, dual(poset)):
+            raise CatalogValidationError(f"{name}: not self-dual")
+    return njred, nmred
 
 
 @lru_cache(maxsize=None)
@@ -117,13 +121,8 @@ def kr_catalog(max_size: int) -> tuple[KRCatalogEntry, ...]:
     """All catalog members with at most max_size elements, validated."""
     if max_size < 1:
         raise ValueError("max_size must be positive")
-    entries = []
-    for family in kr_families():
-        for entry in _family_members(family, max_size):
-            entries.append(entry)
+    entries = [e for family in _FAMILY_BUILDERS for e in _family_members(family, max_size)]
     entries.sort(key=lambda e: (e.size, e.name))
-    for entry in entries:
-        _validate_entry(entry)
     return tuple(entries)
 
 
@@ -148,16 +147,27 @@ def _family_members(family: str, max_size: int):
 # ---------------------------------------------------------------------------
 
 def is_planar_kr(l: Lattice) -> PlanarityVerdict:
-    """Forbidden-subposet planarity test with an explicit witness."""
-    entries = kr_catalog(l.n) if l.n >= SMALLEST_MEMBER else ()
+    """Forbidden-subposet planarity test with an explicit witness.
+
+    An entry K is searched for only where it can embed: by Lemma 3.1(c)
+    of the source paper, a lattice embedded as a subposet has no more
+    join-reducible and no more meet-reducible elements than its host,
+    and the two counts swap on the dual side.
+    """
+    if l.n < SMALLEST_MEMBER:
+        return PlanarityVerdict(planar=True, witness=None)
+    irr = irreducibles(l)
+    jred, mred = len(irr.jred), len(irr.mred)
     d = dual(l.poset)
-    for entry in entries:
-        emb = find_embedding(entry.poset, l.poset)
-        if emb is not None:
-            return PlanarityVerdict(planar=False, witness=(entry.name, emb, False))
-        emb = find_embedding(entry.poset, d)
-        if emb is not None:
-            return PlanarityVerdict(planar=False, witness=(entry.name, emb, True))
+    for entry in kr_catalog(l.n):
+        if entry.jred <= jred and entry.mred <= mred:
+            emb = find_embedding(entry.poset, l.poset)
+            if emb is not None:
+                return PlanarityVerdict(planar=False, witness=(entry.name, emb, False))
+        if entry.jred <= mred and entry.mred <= jred:
+            emb = find_embedding(entry.poset, d)
+            if emb is not None:
+                return PlanarityVerdict(planar=False, witness=(entry.name, emb, True))
     return PlanarityVerdict(planar=True, witness=None)
 
 
@@ -234,22 +244,29 @@ def is_planar_graph_bruteforce(l: Lattice) -> bool:
 # Dismantlability
 # ---------------------------------------------------------------------------
 
-def _removable(l: Lattice) -> list[int]:
-    """Elements whose deletion leaves a sublattice: not a proper join or meet."""
-    irr = irreducibles(l)
-    ok = ({l.bottom} | set(irr.jir)) & ({l.top} | set(irr.mir))
-    return sorted(ok)
-
-
 def is_dismantlable(l: Lattice) -> bool:
-    """Greedy removal of doubly irreducible elements down to a point."""
-    cur = l
-    remaining = list(range(l.n))
-    while cur.n > 1:
-        picks = _removable(cur)
-        if not picks:
+    """Greedy removal of doubly irreducible elements down to a point.
+
+    The elements still present form the bitmask ``left``; each step
+    removes the lowest-index element with at most one lower and at most
+    one upper cover inside it.  Such a removal leaves a sublattice, so
+    nothing is revalidated.
+    """
+    up, down = l.poset.up, l.poset.down
+    left = l.poset.full_mask
+    while left & (left - 1):
+        for x in _bits(left):
+            bit = 1 << x
+            if _empty_or_greatest(down[x] & left & ~bit, down) and _empty_or_greatest(
+                up[x] & left & ~bit, up
+            ):
+                left &= ~bit
+                break
+        else:
             return False
-        x = picks[0]
-        remaining = [v for i, v in enumerate(remaining) if i != x]
-        cur = validate_lattice(subposet(l.poset, remaining))
     return True
+
+
+def _empty_or_greatest(mask: int, down: tuple[int, ...]) -> bool:
+    """mask is empty or has a greatest element; given up-sets, a least one."""
+    return not mask or any(mask & ~down[y] == 0 for y in _bits(mask))

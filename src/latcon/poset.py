@@ -8,6 +8,7 @@ it keeps every Poset hashable and immutable.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -96,6 +97,14 @@ class Poset:
                     break
         return tuple(order)
 
+    @cached_property
+    def sizes(self) -> array:
+        """Down-set size of element i at position 2i, up-set size at 2i + 1."""
+        return array(
+            "H",
+            (bin(row).count("1") for i in range(self.n) for row in (self.down[i], self.up[i])),
+        )
+
     def leq_matrix(self) -> list[list[bool]]:
         return [[bool(self.up[i] >> j & 1) for j in range(self.n)] for i in range(self.n)]
 
@@ -132,30 +141,6 @@ def poset_from_covers(n: int, pairs: Sequence[tuple[int, int]]) -> Poset:
         for i in range(n):
             if up[i] & bit_k:
                 up[i] |= row_k
-    for i in range(n):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                raise CycleError(f"elements {i} and {j} are mutually related")
-    return _poset_from_up(up)
-
-
-def poset_from_leq(n: int, leq: Sequence[Sequence[bool]]) -> Poset:
-    """Build from an explicit boolean matrix, validating the poset axioms."""
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j]:
-                up[i] |= 1 << j
-    for i in range(n):
-        if not up[i] >> i & 1:
-            raise NotQuasiorderError(f"relation not reflexive at {i}")
-    for i in range(n):
-        rest = up[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if up[j] & ~up[i]:
-                raise NotQuasiorderError(f"relation not transitive through ({i}, {j})")
     for i in range(n):
         for j in range(i + 1, n):
             if up[i] >> j & 1 and up[j] >> i & 1:
@@ -304,13 +289,17 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
     return relabel(p, inverse), tuple(inverse)
 
 
+def _encode(p: Poset) -> bytes:
+    """Byte string of p's relation rows as labelled; canonical_form encodes the representative."""
+    body = bytearray([min(p.n, 255)])
+    for row in p.up:
+        body += row.to_bytes((p.n + 7) // 8 or 1, "little")
+    return bytes(body)
+
+
 def canonical_form(p: Poset) -> bytes:
     """Canonical byte string: equal iff order-isomorphic."""
-    rep, _ = canonical_relabel(p)
-    body = bytearray([min(p.n, 255)])
-    for i in range(rep.n):
-        body += rep.up[i].to_bytes((rep.n + 7) // 8 or 1, "little")
-    return bytes(body)
+    return _encode(canonical_relabel(p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +318,19 @@ def find_embedding(k: Poset, l: Poset) -> Optional[Embedding]:
     if k.n > l.n:
         return None
 
-    def sizes(p: Poset, i: int) -> tuple[int, int, int]:
-        d = bin(p.down[i]).count("1")
-        u = bin(p.up[i]).count("1")
-        return d, u, p.n - d - u + 1
-
-    lsig = [sizes(l, v) for v in range(l.n)]
+    # l-element v can take k-element x only if its down-set, up-set and
+    # incomparable set are at least as large as x's.
+    ls, ks = l.sizes, k.sizes
+    lsig = list(enumerate(zip(ls[::2], ls[1::2])))
+    slack = l.n - k.n
     cand = []
     for x in range(k.n):
-        dk, uk, ik = sizes(k, x)
-        cand.append(
-            [v for v in range(l.n) if lsig[v][0] >= dk and lsig[v][1] >= uk and lsig[v][2] >= ik]
-        )
-    if any(not c for c in cand):
-        return None
+        dk, uk = ks[2 * x], ks[2 * x + 1]
+        hi = dk + uk + slack
+        c = [v for v, (d, u) in lsig if d >= dk and u >= uk and d + u <= hi]
+        if not c:
+            return None
+        cand.append(c)
 
     order = k._linear_extension
     assigned = [-1] * k.n

@@ -134,6 +134,29 @@ def test_criterion_5_planarity_oracle_equivalence():
     _ok(5, f"Kelly-Rival verdict equals covering-graph oracle on {checked} lattices")
 
 
+def _unpruned_witness(l: Lattice):
+    """First catalog entry embedding into l, then into its dual, with no prefilter."""
+    d = dual(l.poset)
+    for entry in kr_catalog(l.n):
+        for target, into_dual in ((l.poset, False), (d, True)):
+            emb = find_embedding(entry.poset, target)
+            if emb is not None:
+                return entry.name, emb, into_dual
+    return None
+
+
+def test_kr_prefilter_keeps_witnesses():
+    """Skipping entries by Lemma 3.1(c) leaves every witness unchanged."""
+    lattices = [l for n in range(1, 9) for l in enumerate_lattices(n)]
+    lattices += constructed_families()
+    lattices += [make_l_family(13), dual_lattice(make_l_family(13))]
+    # entries with |Jred| != |Mred| are found on the dual side of their duals
+    entries = [validate_lattice(e.poset) for e in kr_catalog(13)]
+    lattices += entries + [dual_lattice(k) for k in entries]
+    for l in lattices:
+        assert is_planar_kr(l).witness == _unpruned_witness(l)
+
+
 def test_criterion_6_enumeration_counts():
     expect = [1, 1, 1, 2, 5, 15, 53]
     got = [enumerate_lattices_oracle(n) for n in range(1, 8)]

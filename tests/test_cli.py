@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from latcon.cli import (
+    MAX_ELEMENTS,
     ParseError,
     build_parser,
     emit_dot,
@@ -52,6 +53,18 @@ def test_parse_errors():
         parse_lattice_text("2\n0\n")
     with pytest.raises(ParseError):
         parse_lattice_text("2\n0 5\n")
+
+
+def test_parse_rejects_oversized_count():
+    # a header alone must be refused before any n-sized structure is built
+    for header in (f"{MAX_ELEMENTS + 1}\n", "1000000\n"):
+        with pytest.raises(ParseError, match="above the limit"):
+            parse_lattice_text(header)
+
+
+def test_parse_accepts_count_at_limit():
+    text = f"{MAX_ELEMENTS}\n" + "".join(f"{i} {i + 1}\n" for i in range(MAX_ELEMENTS - 1))
+    assert parse_lattice_text(text).n == MAX_ELEMENTS
 
 
 def test_parse_accepts_comments_and_crlf():

@@ -14,10 +14,11 @@ from latcon.congruence import (
     principal_congruence,
     refines,
 )
-from latcon.enumeration import enumerate_lattices
+from latcon.enumeration import enumerate_lattices, sample_lattices
 from latcon.lattice import (
     SizeError,
     dual_lattice,
+    irreducibles,
     lattice_from_covers,
     make_boolean,
     make_chain,
@@ -80,6 +81,23 @@ def test_jir_quasiorder_n5():
     assert q.block_of[3] != q.block_of[1] != q.block_of[2]
 
 
+def _rel_by_refinement(l):
+    """Row a has bit b iff con(p_a*, p_a) refines con(p_b*, p_b), jir in index order."""
+    irr = irreducibles(l)
+    cons = [principal_congruence(l, irr.lower_cover[p], p) for p in sorted(irr.jir)]
+    return tuple(sum(1 << b for b, cb in enumerate(cons) if refines(ca, cb)) for ca in cons)
+
+
+def test_jir_quasiorder_matches_refinement():
+    """The dependency-relation route gives the refinement quasiorder, row for row."""
+    lattices = [l for n in range(1, 8) for l in enumerate_lattices(n)]
+    for n in (8, 9, 10):
+        lattices += sample_lattices(n, 60, seed=2024, max_n=10)
+    lattices += [N5, make_l_family(11), dual_lattice(make_l_family(11))]
+    for l in lattices:
+        assert jir_quasiorder(l).rel == _rel_by_refinement(l)
+
+
 def test_jir_quasiorder_m3():
     q = jir_quasiorder(make_mk(3))
     assert q.qu_poset.n == 1
@@ -127,6 +145,15 @@ def test_con_enumerate_closed_under_join():
 def test_con_enumerate_cap():
     with pytest.raises(CapExceededError):
         con_enumerate(make_chain(8), cap=100)
+
+
+def test_con_enumerate_rejects_inconsistent_result(monkeypatch):
+    import latcon.congruence as congruence
+
+    identity = Congruence(tuple((x,) for x in range(N5.n)))
+    monkeypatch.setattr(congruence, "_close", lambda l, pairs: identity)
+    with pytest.raises(RuntimeError, match="expected 5"):
+        con_enumerate(N5)
 
 
 def test_oracle_known_values():
