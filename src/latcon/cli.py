@@ -9,6 +9,7 @@ relation is recomputed, so the pairs need not be covers).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .congruence import con_count, con_count_oracle, has_many_congruences, jir_quasiorder
@@ -220,7 +221,8 @@ def _render_verify(rep: TheoremReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    rep = verify_theorem(args.n, max_n=max(args.n, DEFAULT_MAX_N), jobs=args.jobs)
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    rep = verify_theorem(args.n, max_n=max(args.n, DEFAULT_MAX_N), jobs=jobs)
     sys.stdout.write(_render_verify(rep))
     return 0 if not rep.violations else 1
 
@@ -245,6 +247,16 @@ def _cmd_dot(args) -> int:
     l = parse_lattice_text(_read_text(args.file))
     sys.stdout.write(emit_dot(l))
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the many-congruences-implies-planar sweep")
     p.add_argument("n", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes, at most the number of CPUs (more are clamped)",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("embed", help="search K as induced subposet of L")

@@ -3,10 +3,22 @@
 The generator grows join-semilattices one new minimal element at a time
 and appends a fresh bottom at the end.  Removing the bottom of a lattice
 leaves a join-semilattice, and removing a minimal element of a
-join-semilattice leaves a join-semilattice, so breadth-first growth with
-canonical-form rejection reaches every isomorphism class exactly once.
-Correctness is anchored by agreement with the independent labeled-poset
-oracle below, not by a structure theorem.
+join-semilattice leaves a join-semilattice, so every class is reached
+from the class of one of its one-smaller semilattices.
+
+Growth is depth-first canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).  Each child C = P + x is
+accepted only when x is the canonical deletion of C: x must maximise a
+cheap invariant over the minimal elements of C, and where several
+elements tie, C minus the tied element of least canonical position must
+be isomorphic to the parent.  Acceptance then depends only on the class
+of C, and the parent of an accepted C is isomorphic to C minus its
+canonical deletion, so each class is accepted under one parent only; a
+set of seen children per parent removes the copies that the parent's
+automorphisms make, so no set of the canonical forms of all classes is
+kept.  Correctness is
+also anchored by agreement with the independent labeled-poset oracle
+below.
 """
 
 from __future__ import annotations
@@ -17,12 +29,19 @@ from dataclasses import dataclass
 from .congruence import con_count, exceeds_threshold
 from .lattice import Lattice, SizeError, validate_lattice
 from .planarity import is_dismantlable, is_planar_kr
-from .poset import Poset, _bits, _encode, _poset_from_up, canonical_form, canonical_relabel
+from .poset import (
+    Poset,
+    _bits,
+    _encode,
+    _poset_from_up,
+    canonical_form,
+    canonical_relabel,
+    subposet,
+)
 
 DEFAULT_MAX_N = 9
 HARD_MAX_N = 12
 
-_semis_cache: dict[int, list[Poset]] = {}
 _lattice_cache: dict[int, list[Lattice]] = {}
 
 
@@ -44,11 +63,10 @@ def _iter_upsets(p: Poset):
     yield from rec(0, 0)
 
 
-def _extend_semilattice(p: Poset) -> list[Poset]:
-    """All ways of adding a new minimal element keeping joins total.
+def _extend_semilattice(p: Poset) -> list[int]:
+    """Up-sets U such that adding a new minimal element below U keeps joins total.
 
-    The new element gets an up-closed set U of strict upper bounds; the
-    join of the new element with any y outside U must be the least
+    The join of the new element with any y outside U must be the least
     element of U intersected with up(y), so that set needs a minimum.
     """
     n = p.n
@@ -67,28 +85,56 @@ def _extend_semilattice(p: Poset) -> list[Poset]:
             if not ok:
                 break
         if ok:
-            rows = list(p.up) + [upset | 1 << n]
-            out.append(_poset_from_up(rows))
+            out.append(upset)
     return out
 
 
-def _semilattices(m: int) -> list[Poset]:
-    """Join-semilattices with m elements, one per isomorphism class."""
-    if m in _semis_cache:
-        return _semis_cache[m]
-    if m == 1:
-        reps = [_poset_from_up([1])]
-    else:
-        reps = []
-        seen = set()
-        for s in _semilattices(m - 1):
-            for child in _extend_semilattice(s):
-                form = canonical_form(child)
-                if form not in seen:
-                    seen.add(form)
-                    reps.append(child)
-    _semis_cache[m] = reps
-    return reps
+def _grow(p: Poset, m: int, out: list[Poset]) -> None:
+    """Append to out one canonical (m+1)-element lattice per class grown from p.
+
+    p is a canonical semilattice representative with fewer than m
+    elements, so its encoding is its canonical form.  A child C = p + x
+    is kept only if x is C's canonical deletion (see the module
+    docstring).  Children with m elements get a bottom and are
+    canonicalised as lattices; smaller children are grown further.
+    """
+    k = p.n
+    last = k + 1 == m
+    # Invariant of a minimal element y: |up(y)| and the sum of |up(j)| over
+    # j in up(y).  Adding x below U changes neither for elements of p.
+    size = [row.bit_count() for row in p.up]
+    weight = [sum(size[j] for j in _bits(row)) for row in p.up]
+    minimal = [i for i in range(k) if p.down[i] == 1 << i]
+    parent_form = _encode(p)
+    seen: set[bytes] = set()
+    for upset in _extend_semilattice(p):
+        fx = (upset.bit_count() + 1, upset.bit_count() + 1 + sum(size[j] for j in _bits(upset)))
+        rivals = [i for i in minimal if not upset >> i & 1 and (size[i], weight[i]) >= fx]
+        if any((size[i], weight[i]) > fx for i in rivals):
+            continue
+        rows = list(p.up) + [upset | 1 << k]
+        if last:
+            # C + bottom: the bottom is element 0 and C's element i is i + 1.
+            lattice_rows = [(1 << k + 2) - 1] + [row << 1 for row in rows]
+            rep, perm = canonical_relabel(_poset_from_up(lattice_rows))
+            position = perm[1:]
+        else:
+            rep, perm = canonical_relabel(_poset_from_up(rows))
+            position = perm
+        form = _encode(rep)
+        if form in seen:
+            continue
+        seen.add(form)
+        if rivals:
+            star = min(rivals + [k], key=position.__getitem__)
+            if star != k:
+                rest = [i for i in range(k + 1) if i != star]
+                if canonical_form(subposet(_poset_from_up(rows), rest)) != parent_form:
+                    continue
+        if last:
+            out.append(rep)
+        else:
+            _grow(rep, m, out)
 
 
 def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
@@ -104,16 +150,15 @@ def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
         raise SizeError(f"n={n} beyond configured maximum {min(max_n, HARD_MAX_N)}")
     if n in _lattice_cache:
         return _lattice_cache[n]
-    if n == 1:
-        reps = [validate_lattice(_poset_from_up([1]))]
+    if n <= 2:
+        # The one- and two-element chains, already canonical; growth
+        # starts from the one-element semilattice and needs n >= 3.
+        canon = [_poset_from_up([1] if n == 1 else [3, 2])]
     else:
-        posets = []
-        for s in _semilattices(n - 1):
-            full = (1 << n) - 1
-            rows = [full] + [row << 1 for row in s.up]
-            posets.append(_poset_from_up(rows))
-        canon = sorted((canonical_relabel(q)[0] for q in posets), key=_encode)
-        reps = [validate_lattice(q) for q in canon]
+        canon = []
+        _grow(_poset_from_up([1]), n - 1, canon)
+        canon.sort(key=_encode)
+    reps = [validate_lattice(q) for q in canon]
     _lattice_cache[n] = reps
     return reps
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poset import Poset, dual, poset_from_covers
 
@@ -95,22 +96,26 @@ def validate_lattice(p: Poset) -> Lattice:
             f"no lub for ({maxs[0]}, {maxs[1]})", (maxs[0], maxs[1])
         )
 
+    # A pair has a lub exactly when its common up-set is some element's
+    # up-set, and a glb exactly when its common down-set is some element's
+    # down-set.
+    up, down = p.up, p.down
+    by_up = {row: i for i, row in enumerate(up)}
+    by_down = {row: i for i, row in enumerate(down)}
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
         join[i][i] = i
         meet[i][i] = i
         for j in range(i + 1, n):
-            common_up = p.up[i] & p.up[j]
-            ups = _minimal_of(common_up, p.down)
-            if len(ups) != 1:
+            lub = by_up.get(up[i] & up[j])
+            if lub is None:
                 raise NotLatticeError(f"no lub for ({i}, {j})", (i, j))
-            common_down = p.down[i] & p.down[j]
-            downs = _minimal_of(common_down, p.up)
-            if len(downs) != 1:
+            glb = by_down.get(down[i] & down[j])
+            if glb is None:
                 raise NotLatticeError(f"no glb for ({i}, {j})", (i, j))
-            join[i][j] = join[j][i] = ups[0]
-            meet[i][j] = meet[j][i] = downs[0]
+            join[i][j] = join[j][i] = lub
+            meet[i][j] = meet[j][i] = glb
 
     return Lattice(
         poset=p,
@@ -135,7 +140,15 @@ def dual_lattice(l: Lattice) -> Lattice:
     )
 
 
+@lru_cache(maxsize=1)
 def irreducibles(l: Lattice) -> IrreducibleSets:
+    """Join/meet (ir)reducible classification.
+
+    The last result is kept, so the congruence count and the planarity
+    test of one class share a single computation; keeping one per
+    lattice would hold a few kilobytes for every enumerated class.  The
+    result is shared between callers and must not be mutated.
+    """
     n = l.n
     lower: dict[int, list[int]] = {i: [] for i in range(n)}
     upper: dict[int, list[int]] = {i: [] for i in range(n)}

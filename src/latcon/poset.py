@@ -45,12 +45,12 @@ class Poset:
     def down(self) -> tuple[int, ...]:
         """down[j] has bit i set iff i <= j."""
         down = [1 << j for j in range(self.n)]
-        for i in range(self.n):
-            row = self.up[i]
+        for i, row in enumerate(self.up):
             bit = 1 << i
-            for j in range(self.n):
-                if row >> j & 1:
-                    down[j] |= bit
+            while row:
+                low = row & -row
+                down[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(down)
 
     @cached_property
@@ -149,8 +149,14 @@ def poset_from_covers(n: int, pairs: Sequence[tuple[int, int]]) -> Poset:
 
 
 def dual(p: Poset) -> Poset:
-    """Transpose the order; an involution."""
-    return _poset_from_up(p.down)
+    """Transpose the order; an involution.
+
+    The dual's down-sets are p's up-sets, so they are stored in its
+    ``down`` cache rather than recomputed.
+    """
+    d = _poset_from_up(p.down)
+    vars(d)["down"] = p.up
+    return d
 
 
 def subposet(p: Poset, elements: Sequence[int]) -> Poset:

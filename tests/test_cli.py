@@ -174,6 +174,39 @@ def test_verify_jobs_identical(capsys):
     assert serial == parallel
 
 
+def test_verify_rejects_jobs_below_one(capsys):
+    proc = run_cli(["verify", "5", "--jobs", "0"])
+    assert proc.returncode == 2
+    assert "--jobs: must be at least 1, got 0" in proc.stderr
+    assert proc.stdout == ""
+    for bad in ("-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "5", "--jobs", bad])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    """Worker counts above os.cpu_count() are cut down before any pool starts."""
+    from latcon import cli
+    from latcon.enumeration import verify_theorem
+
+    asked = []
+
+    def serial_verify(n, max_n, jobs):
+        asked.append(jobs)
+        return verify_theorem(n, max_n=max_n)
+
+    monkeypatch.setattr(cli, "verify_theorem", serial_verify)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert main(["verify", "5", "--jobs", "64"]) == 0
+    assert main(["verify", "5", "--jobs", "2"]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(["verify", "5", "--jobs", "8"]) == 0
+    assert asked == [3, 2, 1]
+    capsys.readouterr()
+
+
 def test_spectrum_output(capsys):
     rc = main(["spectrum", "6"])
     out = capsys.readouterr().out

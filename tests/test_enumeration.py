@@ -1,5 +1,6 @@
 import pytest
 
+from latcon import enumeration
 from latcon.congruence import con_count
 from latcon.enumeration import (
     enumerate_lattices,
@@ -9,9 +10,58 @@ from latcon.enumeration import (
     verify_theorem,
 )
 from latcon.lattice import SizeError, validate_lattice
-from latcon.poset import canonical_form
+from latcon.poset import _bits, _encode, _poset_from_up, canonical_form, canonical_relabel
 
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
+# OEIS A006966: unlabeled lattices on n nodes.
+KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
+
+
+def _global_seen_growth(max_n):
+    """Canonical lattice posets for n = 1..max_n by breadth-first growth.
+
+    The generator that canonical augmentation replaced, kept as an
+    oracle: every semilattice child of every kept semilattice is
+    canonicalised and checked against one set of all forms of its size,
+    and each lattice is relabelled canonically at the end.
+    """
+
+    def children(s):
+        n = s.n
+        order = list(reversed(s._linear_extension))
+        upsets = [0]
+        for x in order:
+            upsets += [u | 1 << x for u in upsets if s.up[x] & ~(u | 1 << x) == 0]
+        for upset in upsets:
+            if not upset:
+                continue
+            joins_total = all(
+                upset >> y & 1
+                or any(upset & s.up[y] & ~s.up[w] == 0 for w in _bits(upset & s.up[y]))
+                for y in range(n)
+            )
+            if joins_total:
+                yield _poset_from_up(list(s.up) + [upset | 1 << n])
+
+    semis = {1: [_poset_from_up([1])]}
+    for m in range(2, max_n):
+        seen, reps = set(), []
+        for s in semis[m - 1]:
+            for child in children(s):
+                form = canonical_form(child)
+                if form not in seen:
+                    seen.add(form)
+                    reps.append(child)
+        semis[m] = reps
+    out = {1: semis[1]}
+    for n in range(2, max_n + 1):
+        posets = [_poset_from_up([(1 << n) - 1] + [row << 1 for row in s.up]) for s in semis[n - 1]]
+        out[n] = sorted((canonical_relabel(q)[0] for q in posets), key=_encode)
+    return out
+
+
+@pytest.fixture(scope="module")
+def old_growth():
+    return _global_seen_growth(9)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -22,6 +72,33 @@ def test_generator_matches_oracle(n):
 def test_counts_extend():
     assert len(enumerate_lattices(8)) == KNOWN_COUNTS[8]
     assert len(enumerate_lattices(9)) == KNOWN_COUNTS[9]
+    assert len(enumerate_lattices(10, max_n=10)) == KNOWN_COUNTS[10]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_matches_global_seen_growth(n, old_growth):
+    """Same canonical representatives in the same order as the old generator."""
+    assert [l.poset.covers for l in enumerate_lattices(n)] == [q.covers for q in old_growth[n]]
+
+
+def test_tied_deletions_yield_each_class_once(monkeypatch):
+    """Children whose new element ties with another minimal element on the
+    cheap invariant, and is not the tied element of least canonical
+    position, are settled by comparing C minus that element with the
+    parent; the generator calls canonical_form for nothing else."""
+    checks = []
+
+    def counting_form(p):
+        checks.append(p.n)
+        return canonical_form(p)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counting_form)
+    monkeypatch.setattr(enumeration, "_lattice_cache", {})
+    for n in range(4, 9):
+        before = len(checks)
+        forms = [canonical_form(l.poset) for l in enumerate_lattices(n)]
+        assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
+        assert len(checks) > before, f"no tied deletion at n={n}"
 
 
 def test_oracle_guard():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from latcon.lattice import (
@@ -18,6 +20,7 @@ from latcon.lattice import (
     transposes_up,
     validate_lattice,
 )
+from latcon.planarity import kr_catalog
 from latcon.poset import canonical_form, dual, poset_from_covers
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
@@ -43,6 +46,68 @@ def test_validate_no_lub_witness():
     p = poset_from_covers(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     with pytest.raises(NotLatticeError):
         validate_lattice(p)
+
+
+def _validate_by_minimal_bounds(p):
+    """Join and meet tables from the minimal common upper (maximal common
+    lower) bounds of each pair; (pair, message) of the first failure."""
+
+    def minimal_of(mask, down):
+        return [i for i in range(p.n) if mask >> i & 1 and down[i] & mask == 1 << i]
+
+    join = [[i] * p.n for i in range(p.n)]
+    meet = [[i] * p.n for i in range(p.n)]
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            ups = minimal_of(p.up[i] & p.up[j], p.down)
+            if len(ups) != 1:
+                return (i, j), f"no lub for ({i}, {j})"
+            downs = minimal_of(p.down[i] & p.down[j], p.up)
+            if len(downs) != 1:
+                return (i, j), f"no glb for ({i}, {j})"
+            join[i][j] = join[j][i] = ups[0]
+            meet[i][j] = meet[j][i] = downs[0]
+    return join, meet
+
+
+def test_validate_matches_minimal_bounds_route():
+    """Random bounded posets, about a quarter of them not lattices: the same first
+    failing pair and message, or the same tables."""
+    rng = random.Random(5)
+    failures = {"lub": 0, "glb": 0}
+    for _ in range(600):
+        m = rng.randrange(2, 9)
+        # inner elements 1..m in random layers, related across adjacent
+        # layers at random; bottom 0 and top m + 1 around them
+        layer = {v: rng.randrange(3) for v in range(1, m + 1)}
+        pairs = [(u, v) for u in layer for v in layer if layer[v] == layer[u] + 1 and rng.random() < 0.7]
+        pairs += [(0, v) for v in layer] + [(v, m + 1) for v in layer]
+        p = poset_from_covers(m + 2, pairs)
+        expected = _validate_by_minimal_bounds(p)
+        if isinstance(expected[1], str):
+            with pytest.raises(NotLatticeError) as exc:
+                validate_lattice(p)
+            assert exc.value.witness == expected[0]
+            assert str(exc.value) == expected[1]
+            failures[expected[1][3:6]] += 1
+        else:
+            l = validate_lattice(p)
+            assert [list(r) for r in l.join] == expected[0]
+            assert [list(r) for r in l.meet] == expected[1]
+    assert failures["lub"] > 50 and failures["glb"] > 50
+
+
+def test_irreducibles_computed_once_per_class():
+    """The congruence count and the planarity test of a class share one result."""
+    from latcon.enumeration import analyze_class
+
+    l = make_l_family(9)
+    kr_catalog(l.n)
+    irreducibles.cache_clear()
+    analyze_class(l)
+    info = irreducibles.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+    assert irreducibles(l) is irreducibles(l)
 
 
 def test_n5_tables():

@@ -115,6 +115,23 @@ def test_dual_involution():
         assert dual(dual(p)).up == p.up
 
 
+def test_dual_down_sets_are_up_sets():
+    """dual() stores p's up-sets as its down-sets; they match a fresh computation."""
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        perm = rng.sample(range(n), n)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        p = poset_from_covers(n, pairs)
+        d = dual(p)
+        assert d.down == p.up
+        assert Poset(n, d.up).down == p.up
+        assert dual(d) == p
+        assert p.down == tuple(
+            sum(1 << i for i in range(n) if p.up[i] >> j & 1) for j in range(n)
+        )
+
+
 def test_canonical_relabeling_invariance():
     p = chain(3)
     q = relabel(p, [2, 0, 1])
