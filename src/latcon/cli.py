@@ -23,6 +23,7 @@ from .enumeration import (
 from .lattice import (
     Lattice,
     NotLatticeError,
+    SizeError,
     dual_lattice,
     irreducibles,
     make_boolean,
@@ -158,28 +159,56 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+class ConstructError(ValueError):
+    """A construct parameter that is missing, not an integer or too large."""
+
+
+# Builder of each sized family and the largest size whose lattice has at
+# most MAX_ELEMENTS elements: chain n and lfamily n have n, mk k has
+# k + 2, boolean k has 2**k.
+_SIZED_FAMILIES = {
+    "chain": (make_chain, MAX_ELEMENTS),
+    "boolean": (make_boolean, MAX_ELEMENTS.bit_length() - 1),
+    "mk": (make_mk, MAX_ELEMENTS - 2),
+    "lfamily": (make_l_family, MAX_ELEMENTS),
+}
+# Families built from lattice files, with the number of files each takes.
+_FILE_FAMILIES = {"ordsum": 2, "product": 2, "dual": 1}
+
+
+def _construct_size(fam: str, params: list[str]) -> int:
+    """The family's size parameter, checked before anything is built."""
+    if len(params) != 1:
+        raise ConstructError(f"{fam} takes one size, got {len(params)} parameters")
+    try:
+        value = int(params[0])
+    except ValueError:
+        raise ConstructError(f"{fam} size must be an integer, got {params[0]!r}")
+    limit = _SIZED_FAMILIES[fam][1]
+    if value > limit:
+        raise ConstructError(
+            f"{fam} size {value} above the limit {limit}: lattices have at most {MAX_ELEMENTS} elements"
+        )
+    return value
+
+
 def _construct(args) -> Lattice:
     fam = args.family
     params = args.params
-    if fam == "chain":
-        return make_chain(int(params[0]))
-    if fam == "boolean":
-        return make_boolean(int(params[0]))
-    if fam == "mk":
-        return make_mk(int(params[0]))
-    if fam == "lfamily":
-        return make_l_family(int(params[0]))
-    if fam == "ordsum":
-        l1 = parse_lattice_text(_read_text(params[0]))
-        l2 = parse_lattice_text(_read_text(params[1]))
-        return make_ordinal_sum(l1, l2)
-    if fam == "product":
-        l1 = parse_lattice_text(_read_text(params[0]))
-        l2 = parse_lattice_text(_read_text(params[1]))
-        return make_product(l1, l2)
+    if fam in _SIZED_FAMILIES:
+        return _SIZED_FAMILIES[fam][0](_construct_size(fam, params))
+    if fam not in _FILE_FAMILIES:
+        raise ConstructError(f"unknown family {fam!r}")
+    if len(params) != _FILE_FAMILIES[fam]:
+        raise ConstructError(f"{fam} takes {_FILE_FAMILIES[fam]} lattice files, got {len(params)}")
+    lattices = [parse_lattice_text(_read_text(path)) for path in params]
     if fam == "dual":
-        return dual_lattice(parse_lattice_text(_read_text(params[0])))
-    raise ValueError(f"unknown family {fam!r}")
+        return dual_lattice(lattices[0])
+    l1, l2 = lattices
+    size = l1.n * l2.n if fam == "product" else l1.n + l2.n
+    if size > MAX_ELEMENTS:
+        raise ConstructError(f"{fam} would have {size} elements, above the limit {MAX_ELEMENTS}")
+    return make_product(l1, l2) if fam == "product" else make_ordinal_sum(l1, l2)
 
 
 def _cmd_construct(args) -> int:
@@ -271,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("construct", help="build a named lattice")
-    p.add_argument("family", choices=["chain", "boolean", "mk", "lfamily", "ordsum", "product", "dual"])
+    p.add_argument("family", choices=[*_SIZED_FAMILIES, *_FILE_FAMILIES])
     p.add_argument("params", nargs="+")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_construct)
@@ -306,13 +335,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Errors that mean the input was bad; anything else is a bug and propagates.
+_INPUT_ERRORS = (
+    ParseError,
+    CycleError,
+    NotLatticeError,
+    SizeError,
+    ConstructError,
+    UnicodeDecodeError,
+    OSError,
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover - downstream closed the pipe
         return 0
-    except (ParseError, CycleError, NotLatticeError, ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -19,12 +19,22 @@ automorphisms make, so no set of the canonical forms of all classes is
 kept.  Correctness is
 also anchored by agreement with the independent labeled-poset oracle
 below.
+
+Because acceptance needs nothing outside a parent's own subtree, the
+sweeps split the growth tree at the canonical semilattices with
+max(1, n - 4) elements and run each subtree end to end: growth,
+validation and the per-class function.  Only (encoding, result) pairs
+leave a subtree, so the theorem sweep and the spectrum never hold a
+list of lattices, the subtrees can run in worker processes, and sorting
+the pairs by encoding gives the same report for any number of workers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, TypeVar
 
 from .congruence import con_count, exceeds_threshold
 from .lattice import Lattice, SizeError, validate_lattice
@@ -43,6 +53,8 @@ DEFAULT_MAX_N = 9
 HARD_MAX_N = 12
 
 _lattice_cache: dict[int, list[Lattice]] = {}
+
+T = TypeVar("T")
 
 
 def _iter_upsets(p: Poset):
@@ -89,17 +101,19 @@ def _extend_semilattice(p: Poset) -> list[int]:
     return out
 
 
-def _grow(p: Poset, m: int, out: list[Poset]) -> None:
-    """Append to out one canonical (m+1)-element lattice per class grown from p.
+def _grow(p: Poset, m: int, emit: Callable[[Poset], None], bottom: bool = True) -> None:
+    """Call emit once per class grown from p, with its canonical representative.
 
     p is a canonical semilattice representative with fewer than m
     elements, so its encoding is its canonical form.  A child C = p + x
     is kept only if x is C's canonical deletion (see the module
-    docstring).  Children with m elements get a bottom and are
-    canonicalised as lattices; smaller children are grown further.
+    docstring).  Children with m elements are emitted: with a bottom
+    added and canonicalised as (m+1)-element lattices, or as they are
+    when bottom is False.  Smaller children are grown further.
     """
     k = p.n
     last = k + 1 == m
+    lattice = last and bottom
     # Invariant of a minimal element y: |up(y)| and the sum of |up(j)| over
     # j in up(y).  Adding x below U changes neither for elements of p.
     size = [row.bit_count() for row in p.up]
@@ -113,7 +127,7 @@ def _grow(p: Poset, m: int, out: list[Poset]) -> None:
         if any((size[i], weight[i]) > fx for i in rivals):
             continue
         rows = list(p.up) + [upset | 1 << k]
-        if last:
+        if lattice:
             # C + bottom: the bottom is element 0 and C's element i is i + 1.
             lattice_rows = [(1 << k + 2) - 1] + [row << 1 for row in rows]
             rep, perm = canonical_relabel(_poset_from_up(lattice_rows))
@@ -132,9 +146,68 @@ def _grow(p: Poset, m: int, out: list[Poset]) -> None:
                 if canonical_form(subposet(_poset_from_up(rows), rest)) != parent_form:
                     continue
         if last:
-            out.append(rep)
+            emit(rep)
         else:
-            _grow(rep, m, out)
+            _grow(rep, m, emit, bottom)
+
+
+def _check_size(n: int, max_n: int) -> None:
+    if n < 1:
+        raise SizeError("lattices need n >= 1")
+    if n > max_n or n > HARD_MAX_N:
+        raise SizeError(f"n={n} beyond configured maximum {min(max_n, HARD_MAX_N)}")
+
+
+def _parents(n: int) -> list[Poset]:
+    """The roots of the sweep's subtrees: canonical max(1, n-4)-element semilattices.
+
+    Every class of n-element lattices (n >= 3) is grown from exactly one
+    of them, so their subtrees can run independently.
+    """
+    root = _poset_from_up([1])
+    k = max(1, n - 4)
+    if k == 1:
+        return [root]
+    out: list[Poset] = []
+    _grow(root, k, out.append, bottom=False)
+    return out
+
+
+def _subtree(task: tuple[tuple[int, ...], int, Callable[[Poset], T]]) -> list[tuple[bytes, T]]:
+    """(_encode(rep), per_class(rep)) for every n-element lattice grown from one parent."""
+    parent_up, n, per_class = task
+    out: list[tuple[bytes, T]] = []
+    _grow(_poset_from_up(parent_up), n - 1, lambda rep: out.append((_encode(rep), per_class(rep))))
+    return out
+
+
+def _sweep(n: int, max_n: int, per_class: Callable[[Poset], T], jobs: int = 1) -> list[tuple[bytes, T]]:
+    """(_encode(rep), per_class(rep)) for every class of n-element lattices.
+
+    rep is the class's canonical representative, and the pairs are sorted
+    by its encoding.  The growth tree is split at the parents of
+    _parents(n); each subtree runs end to end, in this process or, with
+    jobs > 1, in a pool of worker processes (per_class must then be a
+    module-level function).  Only the pairs are kept, so the merged
+    result does not depend on jobs.
+    """
+    _check_size(n, max_n)
+    if n <= 2:
+        # The one- and two-element chains, already canonical; growth
+        # starts from the one-element semilattice and needs n >= 3.
+        rep = _poset_from_up([1] if n == 1 else [3, 2])
+        return [(_encode(rep), per_class(rep))]
+    tasks = [(p.up, n, per_class) for p in _parents(n)]
+    if jobs > 1 and len(tasks) > 1:
+        # Imported here: multiprocessing adds to every command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            pairs = [pair for part in pool.map(_subtree, tasks, chunksize=1) for pair in part]
+    else:
+        pairs = [pair for part in map(_subtree, tasks) for pair in part]
+    pairs.sort(key=itemgetter(0))
+    return pairs
 
 
 def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
@@ -143,24 +216,12 @@ def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
     Deterministic order (sorted by canonical form).  Raises SizeError
     beyond the requested maximum; max_n above HARD_MAX_N is rejected
     because per-class cost dominates long before generation does.
+    The result is cached per n; the sweeps below do not use it.
     """
-    if n < 1:
-        raise SizeError("lattices need n >= 1")
-    if n > max_n or n > HARD_MAX_N:
-        raise SizeError(f"n={n} beyond configured maximum {min(max_n, HARD_MAX_N)}")
-    if n in _lattice_cache:
-        return _lattice_cache[n]
-    if n <= 2:
-        # The one- and two-element chains, already canonical; growth
-        # starts from the one-element semilattice and needs n >= 3.
-        canon = [_poset_from_up([1] if n == 1 else [3, 2])]
-    else:
-        canon = []
-        _grow(_poset_from_up([1]), n - 1, canon)
-        canon.sort(key=_encode)
-    reps = [validate_lattice(q) for q in canon]
-    _lattice_cache[n] = reps
-    return reps
+    _check_size(n, max_n)
+    if n not in _lattice_cache:
+        _lattice_cache[n] = [l for _, l in _sweep(n, max_n, validate_lattice)]
+    return _lattice_cache[n]
 
 
 def sample_lattices(n: int, count: int, seed: int, max_n: int = 10) -> list[Lattice]:
@@ -283,10 +344,16 @@ class TheoremReport:
     records: tuple[ClassRecord, ...]
 
 
+# One tuple object per (lower, upper) pair, shared by the cover lists of
+# all records: a sweep keeps one record per class, and without sharing
+# the pair tuples were about 70 % of a record's memory.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 def analyze_class(l: Lattice) -> ClassRecord:
     con = con_count(l)
     return ClassRecord(
-        covers=l.poset.covers,
+        covers=tuple([_PAIRS.setdefault(pair, pair) for pair in l.poset.covers]),
         n=l.n,
         con=con,
         planar=is_planar_kr(l).planar,
@@ -295,11 +362,18 @@ def analyze_class(l: Lattice) -> ClassRecord:
     )
 
 
+def _class_record(rep: Poset) -> ClassRecord:
+    return analyze_class(validate_lattice(rep))
+
+
+def _class_con(rep: Poset) -> int:
+    return con_count(validate_lattice(rep))
+
+
 def spectrum(n: int, max_n: int = DEFAULT_MAX_N) -> SpectrumReport:
     counts: dict[int, int] = {}
     total = 0
-    for l in enumerate_lattices(n, max_n=max_n):
-        c = con_count(l)
+    for _, c in _sweep(n, max_n, _class_con):
         counts[c] = counts.get(c, 0) + 1
         total += 1
     values = tuple(sorted(counts, reverse=True))
@@ -307,12 +381,12 @@ def spectrum(n: int, max_n: int = DEFAULT_MAX_N) -> SpectrumReport:
 
 
 def verify_theorem(n: int, max_n: int = DEFAULT_MAX_N, jobs: int = 1) -> TheoremReport:
-    """Sweep all classes; violations are many-congruence non-planar classes."""
-    lattices = enumerate_lattices(n, max_n=max_n)
-    if jobs > 1:
-        records = _analyze_parallel(lattices, jobs)
-    else:
-        records = [analyze_class(l) for l in lattices]
+    """Sweep all classes; violations are many-congruence non-planar classes.
+
+    With jobs > 1 the enumeration subtrees run in that many worker
+    processes; the report is the same.
+    """
+    records = [r for _, r in _sweep(n, max_n, _class_record, jobs)]
     many = sum(1 for r in records if r.many)
     violations = tuple(r for r in records if r.many and not r.planar)
     return TheoremReport(
@@ -322,18 +396,3 @@ def verify_theorem(n: int, max_n: int = DEFAULT_MAX_N, jobs: int = 1) -> Theorem
         violations=violations,
         records=tuple(records),
     )
-
-
-def _analyze_cover_list(args: tuple[int, tuple[tuple[int, int], ...]]) -> ClassRecord:
-    from .poset import poset_from_covers
-
-    n, covers = args
-    return analyze_class(validate_lattice(poset_from_covers(n, covers)))
-
-
-def _analyze_parallel(lattices: list[Lattice], jobs: int) -> list[ClassRecord]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    payload = [(l.n, l.poset.covers) for l in lattices]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_analyze_cover_list, payload, chunksize=16))

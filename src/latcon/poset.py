@@ -189,15 +189,18 @@ def relabel(p: Poset, perm: Sequence[int]) -> Poset:
 def _refined_colors(p: Poset) -> list[int]:
     """Iterated iso-invariant vertex colouring (up/down multiset refinement)."""
     n = p.n
-    col = [(bin(p.down[i]).count("1"), bin(p.up[i]).count("1")) for i in range(n)]
+    # Strict neighbours as index lists, built once: the rows never change.
+    above = [list(_bits(p.up[i] & ~(1 << i))) for i in range(n)]
+    below = [list(_bits(p.down[i] & ~(1 << i))) for i in range(n)]
+    col = [(len(below[i]) + 1, len(above[i]) + 1) for i in range(n)]
     ranks = {c: r for r, c in enumerate(sorted(set(col)))}
     cur = [ranks[c] for c in col]
     for _ in range(n):
-        sig = []
-        for i in range(n):
-            above = sorted(cur[j] for j in _bits(p.up[i] & ~(1 << i)))
-            below = sorted(cur[j] for j in _bits(p.down[i] & ~(1 << i)))
-            sig.append((cur[i], tuple(above), tuple(below)))
+        color = cur.__getitem__
+        sig = [
+            (cur[i], tuple(sorted(map(color, above[i]))), tuple(sorted(map(color, below[i]))))
+            for i in range(n)
+        ]
         ranks = {c: r for r, c in enumerate(sorted(set(sig)))}
         nxt = [ranks[c] for c in sig]
         if nxt == cur:

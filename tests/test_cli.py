@@ -270,3 +270,93 @@ def test_parser_builds():
     ap = build_parser()
     args = ap.parse_args(["verify", "7", "--jobs", "3"])
     assert args.n == 7 and args.jobs == 3
+
+
+@pytest.mark.parametrize(
+    "family,size",
+    [
+        ("boolean", "1000000"),
+        ("boolean", "7"),
+        ("chain", "1000000000"),
+        ("chain", "65"),
+        ("mk", "63"),
+        ("lfamily", "65"),
+        ("lfamily", "1000000000"),
+    ],
+)
+def test_construct_rejects_oversized_before_building(family, size, monkeypatch, capsys):
+    from latcon import cli
+
+    def never(k):
+        raise AssertionError(f"{family} {k} was built")
+
+    monkeypatch.setitem(cli._SIZED_FAMILIES, family, (never, cli._SIZED_FAMILIES[family][1]))
+    assert main(["construct", family, size, "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConstructError:") and "above the limit" in captured.err
+
+
+def test_construct_oversized_exits_at_once():
+    for args in (["boolean", "1000000"], ["chain", str(10**9)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "latcon.cli", "construct", *args],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "above the limit" in proc.stderr
+
+
+def test_construct_largest_sizes_read_back(capsys):
+    for family, size, n in (("chain", "64", 64), ("boolean", "6", 64), ("mk", "62", 64), ("lfamily", "64", 64)):
+        assert main(["construct", family, size, "-o", "-"]) == 0
+        assert parse_lattice_text(capsys.readouterr().out).n == n
+
+
+def test_construct_bad_parameters_exit_2(tmp_path, capsys):
+    c9 = tmp_path / "c9.lat"
+    c9.write_text(serialize_lattice(make_chain(9)))
+    c40 = tmp_path / "c40.lat"
+    c40.write_text(serialize_lattice(make_chain(40)))
+    for args in (
+        ["chain", "10**9"],
+        ["chain", "five"],
+        ["chain", "3", "4"],
+        ["chain", "0"],
+        ["product", str(c9)],
+        ["dual", str(c9), str(c9)],
+        ["product", str(c9), str(c9)],
+        ["ordsum", str(c40), str(c40)],
+    ):
+        assert main(["construct", *args, "-o", "-"]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), args
+    assert main(["construct", "product", str(c9), str(tmp_path / "missing.lat")]) == 2
+    assert "FileNotFoundError" in capsys.readouterr().err
+
+
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.lat"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: UnicodeDecodeError:")
+
+
+def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch, capsys):
+    """Only input errors exit 2; a ValueError from inside the program is a bug and propagates."""
+    from latcon import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    n5 = tmp_path / "n5.lat"
+    n5.write_text(N5_TEXT)
+    monkeypatch.setattr(cli, "con_count", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["analyze", str(n5)])
+    monkeypatch.setattr(cli, "verify_theorem", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["verify", "5"])
+    assert capsys.readouterr().err == ""

@@ -181,9 +181,41 @@ def test_verify_records_match_direct_computation():
 
 
 def test_verify_parallel_identical():
-    serial = verify_theorem(6, jobs=1)
-    parallel = verify_theorem(6, jobs=2)
-    assert serial == parallel
+    for n in (6, 8):
+        assert verify_theorem(n, jobs=2) == verify_theorem(n, jobs=1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sweep_from_the_root(n):
+    """Up to n = 5 the split point is the one-element semilattice (n >= 3)
+    or no growth at all (n <= 2); every route still sees every class."""
+    assert [p.up for p in enumeration._parents(n)] == [(1,)]
+    assert verify_theorem(n, jobs=2) == verify_theorem(n)
+    assert verify_theorem(n).classes_checked == spectrum(n).total_classes == KNOWN_COUNTS[n]
+    assert len(enumerate_lattices(n)) == KNOWN_COUNTS[n]
+
+
+def test_parents_are_the_smaller_semilattice_classes():
+    """The parents of n are the canonical (n-4)-element semilattices, one
+    per class of (n-3)-element lattices."""
+    for n in range(6, 13):
+        parents = enumeration._parents(n)
+        assert all(p.n == n - 4 for p in parents)
+        assert len({_encode(p) for p in parents}) == len(parents) == KNOWN_COUNTS[n - 3]
+        assert all(canonical_relabel(p)[0] == p for p in parents)
+
+
+def test_sweeps_keep_no_lattices(monkeypatch):
+    """verify_theorem and spectrum run their own walk, not enumerate_lattices,
+    so its cache stays empty; enumerate_lattices still fills it."""
+    cache = {}
+    monkeypatch.setattr(enumeration, "_lattice_cache", cache)
+    assert verify_theorem(7, jobs=2).classes_checked == 53
+    assert verify_theorem(7).classes_checked == 53
+    assert spectrum(7).total_classes == 53
+    assert cache == {}
+    assert len(enumerate_lattices(7)) == 53
+    assert list(cache) == [7]
 
 
 def test_verify_eight_reports_sharp_class_without_violation():
@@ -202,3 +234,11 @@ def test_verify_eight_reports_sharp_class_without_violation():
     assert len(hits) == 1
     rec = hits[0]
     assert rec.con == 8 and not rec.planar and not rec.many and not rec.dismantlable
+
+
+def test_records_share_cover_pairs():
+    """A sweep keeps one record per class; equal cover pairs are one object."""
+    first = {}
+    for r in verify_theorem(7).records:
+        for pair in r.covers:
+            assert first.setdefault(pair, pair) is pair

@@ -7,6 +7,7 @@ from latcon.poset import (
     CycleError,
     NotQuasiorderError,
     Poset,
+    _bits,
     canonical_form,
     canonical_relabel,
     count_downsets,
@@ -319,3 +320,49 @@ def test_subposet_induced():
     p = poset_from_covers(5, N5_COVERS)
     s = subposet(p, [0, 1, 3])
     assert s.covers == ((0, 1), (1, 2))
+
+
+def _refined_colors_per_round_walk(p):
+    """The colour refinement that re-walked every row through _bits each
+    round, kept as an oracle for the one that builds index lists once."""
+    n = p.n
+    col = [(bin(p.down[i]).count("1"), bin(p.up[i]).count("1")) for i in range(n)]
+    ranks = {c: r for r, c in enumerate(sorted(set(col)))}
+    cur = [ranks[c] for c in col]
+    for _ in range(n):
+        sig = []
+        for i in range(n):
+            above = sorted(cur[j] for j in _bits(p.up[i] & ~(1 << i)))
+            below = sorted(cur[j] for j in _bits(p.down[i] & ~(1 << i)))
+            sig.append((cur[i], tuple(above), tuple(below)))
+        ranks = {c: r for r, c in enumerate(sorted(set(sig)))}
+        nxt = [ranks[c] for c in sig]
+        if nxt == cur:
+            break
+        cur = nxt
+    return cur
+
+
+def test_refined_colors_match_per_round_walk(monkeypatch):
+    """Same colours, and so the same canonical permutation, as the old
+    refinement: on every lattice class n <= 8 relabelled at random, and
+    on random posets up to 12 elements."""
+    from latcon import poset as poset_mod
+    from latcon.enumeration import enumerate_lattices
+
+    rng = random.Random(29)
+    posets = []
+    for n in range(1, 9):
+        for l in enumerate_lattices(n):
+            posets.append(relabel(l.poset, rng.sample(range(n), n)))
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        perm = rng.sample(range(n), n)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        posets.append(poset_from_covers(n, pairs))
+    new = [canonical_relabel(p)[1] for p in posets]
+    assert [poset_mod._refined_colors(p) for p in posets] == [
+        _refined_colors_per_round_walk(p) for p in posets
+    ]
+    monkeypatch.setattr(poset_mod, "_refined_colors", _refined_colors_per_round_walk)
+    assert [canonical_relabel(p)[1] for p in posets] == new
