@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Iterator
 
 from .congruence import con_count, con_count_oracle, has_many_congruences, jir_quasiorder
 from .enumeration import (
@@ -233,26 +234,24 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _render_verify(rep: TheoremReport) -> str:
-    lines = [
-        f"verify n={rep.n}",
-        f"classes={rep.classes_checked}",
-        f"many={rep.many_congruence_classes}",
-        f"violations={len(rep.violations)}",
-        "covers;con;planar;dismantlable;many",
-    ]
+def _render_verify(rep: TheoremReport) -> Iterator[str]:
+    """The verify report, one newline-terminated line at a time."""
+    yield f"verify n={rep.n}\n"
+    yield f"classes={rep.classes_checked}\n"
+    yield f"many={rep.many_congruence_classes}\n"
+    yield f"violations={len(rep.violations)}\n"
+    yield "covers;con;planar;dismantlable;many\n"
     for r in rep.records:
-        lines.append(
+        yield (
             f"{_fmt_covers(r.covers)};{r.con};{_fmt_bool(r.planar)};"
-            f"{_fmt_bool(r.dismantlable)};{_fmt_bool(r.many)}"
+            f"{_fmt_bool(r.dismantlable)};{_fmt_bool(r.many)}\n"
         )
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args) -> int:
     jobs = min(args.jobs, os.cpu_count() or 1)
     rep = verify_theorem(args.n, max_n=max(args.n, DEFAULT_MAX_N), jobs=jobs)
-    sys.stdout.write(_render_verify(rep))
+    sys.stdout.writelines(_render_verify(rep))
     return 0 if not rep.violations else 1
 
 

@@ -101,8 +101,8 @@ def _extend_semilattice(p: Poset) -> list[int]:
     return out
 
 
-def _grow(p: Poset, m: int, emit: Callable[[Poset], None], bottom: bool = True) -> None:
-    """Call emit once per class grown from p, with its canonical representative.
+def _grow(p: Poset, m: int, emit: Callable[[Poset, bytes], None], bottom: bool = True) -> None:
+    """Call emit once per class grown from p, with its canonical representative and its encoding.
 
     p is a canonical semilattice representative with fewer than m
     elements, so its encoding is its canonical form.  A child C = p + x
@@ -127,14 +127,18 @@ def _grow(p: Poset, m: int, emit: Callable[[Poset], None], bottom: bool = True) 
         if any((size[i], weight[i]) > fx for i in rivals):
             continue
         rows = list(p.up) + [upset | 1 << k]
+        # C's down-sets are p's, with x added below U, plus x's own.
+        downs = [row | 1 << k if upset >> j & 1 else row for j, row in enumerate(p.down)]
+        downs.append(1 << k)
         if lattice:
             # C + bottom: the bottom is element 0 and C's element i is i + 1.
-            lattice_rows = [(1 << k + 2) - 1] + [row << 1 for row in rows]
-            rep, perm = canonical_relabel(_poset_from_up(lattice_rows))
-            position = perm[1:]
+            child = _poset_from_up([(1 << k + 2) - 1] + [row << 1 for row in rows])
+            downs = [1] + [row << 1 | 1 for row in downs]
         else:
-            rep, perm = canonical_relabel(_poset_from_up(rows))
-            position = perm
+            child = _poset_from_up(rows)
+        vars(child)["down"] = tuple(downs)
+        rep, perm = canonical_relabel(child)
+        position = perm[1:] if lattice else perm
         form = _encode(rep)
         if form in seen:
             continue
@@ -146,7 +150,7 @@ def _grow(p: Poset, m: int, emit: Callable[[Poset], None], bottom: bool = True) 
                 if canonical_form(subposet(_poset_from_up(rows), rest)) != parent_form:
                     continue
         if last:
-            emit(rep)
+            emit(rep, form)
         else:
             _grow(rep, m, emit, bottom)
 
@@ -169,7 +173,7 @@ def _parents(n: int) -> list[Poset]:
     if k == 1:
         return [root]
     out: list[Poset] = []
-    _grow(root, k, out.append, bottom=False)
+    _grow(root, k, lambda rep, form: out.append(rep), bottom=False)
     return out
 
 
@@ -177,7 +181,7 @@ def _subtree(task: tuple[tuple[int, ...], int, Callable[[Poset], T]]) -> list[tu
     """(_encode(rep), per_class(rep)) for every n-element lattice grown from one parent."""
     parent_up, n, per_class = task
     out: list[tuple[bytes, T]] = []
-    _grow(_poset_from_up(parent_up), n - 1, lambda rep: out.append((_encode(rep), per_class(rep))))
+    _grow(_poset_from_up(parent_up), n - 1, lambda rep, form: out.append((form, per_class(rep))))
     return out
 
 

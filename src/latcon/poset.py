@@ -4,6 +4,14 @@ Relation rows are Python ints used as bitsets: bit j of ``up[i]`` says
 i <= j.  At the intended scale (n up to roughly 32) this makes closure,
 duality, ideal counting and embedding search cheap word operations, and
 it keeps every Poset hashable and immutable.
+
+Canonical labelling refines a vertex colouring by the colours above and
+below each vertex, then searches over the orders that sort the colour
+classes (as in nauty: McKay and Piperno, "Practical graph isomorphism,
+II", 2014).  When refinement leaves every class a single vertex or a
+single group of twins, every such order gives the same relation matrix,
+so the search is skipped and the vertices are ordered by colour, then
+by index.  In the enumeration's lattices this is the common case.
 """
 
 from __future__ import annotations
@@ -173,12 +181,13 @@ def subposet(p: Poset, elements: Sequence[int]) -> Poset:
 def relabel(p: Poset, perm: Sequence[int]) -> Poset:
     """Relabelled copy: old element i becomes perm[i]."""
     up = [0] * p.n
-    for i in range(p.n):
-        row = 0
-        for j in range(p.n):
-            if p.up[i] >> j & 1:
-                row |= 1 << perm[j]
-        up[perm[i]] = row
+    for i, row in enumerate(p.up):
+        out = 0
+        while row:
+            low = row & -row
+            out |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        up[perm[i]] = out
     return _poset_from_up(up)
 
 
@@ -187,25 +196,60 @@ def relabel(p: Poset, perm: Sequence[int]) -> Poset:
 # ---------------------------------------------------------------------------
 
 def _refined_colors(p: Poset) -> list[int]:
-    """Iterated iso-invariant vertex colouring (up/down multiset refinement)."""
+    """Iterated iso-invariant vertex colouring (up/down multiset refinement).
+
+    Colours start as the dense ranks of (|down|, |up|).  Each round gives
+    every vertex the signature (colour, sorted colours strictly above,
+    sorted colours strictly below) and recolours by the dense rank of the
+    signature, until no colour class splits.  Every signature begins with
+    the old colour, so that rank is the number of distinct signatures in
+    the classes of smaller colour plus the rank within the vertex's own
+    class: signatures are built only for classes of two or more vertices.
+    """
     n = p.n
-    # Strict neighbours as index lists, built once: the rows never change.
-    above = [list(_bits(p.up[i] & ~(1 << i))) for i in range(n)]
-    below = [list(_bits(p.down[i] & ~(1 << i))) for i in range(n)]
-    col = [(len(below[i]) + 1, len(above[i]) + 1) for i in range(n)]
+    up, down = p.up, p.down
+    col = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
     ranks = {c: r for r, c in enumerate(sorted(set(col)))}
     cur = [ranks[c] for c in col]
-    for _ in range(n):
+    cells: list[list[int]] = [[] for _ in ranks]
+    for i in range(n):
+        cells[cur[i]].append(i)
+    # Strict neighbours as index lists, built once: the rows never change.
+    above = {}
+    below = {}
+    for cell in cells:
+        if len(cell) > 1:
+            for i in cell:
+                above[i] = list(_bits(up[i] & ~(1 << i)))
+                below[i] = list(_bits(down[i] & ~(1 << i)))
+    split = len(cells) < n
+    while split:
+        split = False
         color = cur.__getitem__
-        sig = [
-            (cur[i], tuple(sorted(map(color, above[i]))), tuple(sorted(map(color, below[i]))))
-            for i in range(n)
-        ]
-        ranks = {c: r for r, c in enumerate(sorted(set(sig)))}
-        nxt = [ranks[c] for c in sig]
-        if nxt == cur:
-            break
-        cur = nxt
+        nxt = [0] * n
+        new_cells: list[list[int]] = []
+        for cell in cells:
+            offset = len(new_cells)
+            if len(cell) > 1:
+                sig = [
+                    (tuple(sorted(map(color, above[i]))), tuple(sorted(map(color, below[i]))))
+                    for i in cell
+                ]
+                distinct = sorted(set(sig))
+                if len(distinct) > 1:
+                    split = True
+                    rank = {s: r for r, s in enumerate(distinct)}
+                    parts: list[list[int]] = [[] for _ in distinct]
+                    for i, s in zip(cell, sig):
+                        r = rank[s]
+                        parts[r].append(i)
+                        nxt[i] = offset + r
+                    new_cells += parts
+                    continue
+            for i in cell:
+                nxt[i] = offset
+            new_cells.append(cell)
+        cur, cells = nxt, new_cells
     return cur
 
 
@@ -237,18 +281,13 @@ def _twin_groups(p: Poset, colors: list[int]) -> list[int]:
     return group
 
 
-def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
-    """Canonical representative and the permutation sending p onto it.
+def _search(p: Poset, colors: list[int]) -> list[int]:
+    """The vertices in canonical order, by search over the colour classes.
 
-    The representative minimizes the relation matrix over all labelings
-    that sort the refined colour classes, so two posets get the same
-    representative iff they are order-isomorphic.  Twin groups are never
-    branched over, which keeps highly symmetric posets cheap.
+    Among the orders that sort the vertices by colour, finds the one whose
+    relation matrix is least, never branching within a twin group.
     """
     n = p.n
-    if n == 0:
-        return p, ()
-    colors = _refined_colors(p)
     group = _twin_groups(p, colors)
     class_of_pos = sorted(colors)
     up = p.up
@@ -292,8 +331,43 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
             del flat[base:]
 
     search(0, True)
+    return best_perm
+
+
+def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
+    """Canonical representative and the permutation sending p onto it.
+
+    The representative minimizes the relation matrix over all labelings
+    that sort the refined colour classes, so two posets get the same
+    representative iff they are order-isomorphic.  Twin groups are never
+    branched over, which keeps highly symmetric posets cheap.
+
+    When every colour class is a single vertex or a single twin group,
+    all those labelings give the same matrix and the search would follow
+    one path, so no search runs: the vertices are ordered by colour, then
+    by index, exactly as the search would place them.
+    """
+    n = p.n
+    if n == 0:
+        return p, ()
+    colors = _refined_colors(p)
+    # A twin group is pairwise incomparable, with equal up rows and equal
+    # down rows outside the group; comparing up rows suffices.  Vertices
+    # of one class are incomparable, as u < v would give u the larger
+    # up-set.  If every class passes, down rows agree too: refinement
+    # leaves two vertices of one class with as many vertices of each
+    # other class X below them, and X lies wholly below or wholly not
+    # below each of them.
+    masks = [0] * n
+    for v, c in enumerate(colors):
+        masks[c] |= 1 << v
+    rows = {(c, p.up[v] & ~masks[c]) for v, c in enumerate(colors)}
+    if len(rows) == max(colors) + 1:
+        order = sorted(range(n), key=colors.__getitem__)
+    else:
+        order = _search(p, colors)
     inverse = [0] * n
-    for pos, v in enumerate(best_perm):
+    for pos, v in enumerate(order):
         inverse[v] = pos
     return relabel(p, inverse), tuple(inverse)
 

@@ -242,3 +242,22 @@ def test_records_share_cover_pairs():
     for r in verify_theorem(7).records:
         for pair in r.covers:
             assert first.setdefault(pair, pair) is pair
+
+
+def test_children_get_their_down_sets_from_the_parent(monkeypatch):
+    """Every poset _grow canonicalises carries down-sets equal to the ones
+    computed from its rows, at the inner levels and at the last, where the
+    bottom is added; each emitted encoding is the representative's."""
+    children = []
+
+    def record(p):
+        children.append((p, vars(p).get("down")))
+        return canonical_relabel(p)
+
+    monkeypatch.setattr(enumeration, "canonical_relabel", record)
+    pairs = enumeration._sweep(8, 8, lambda rep: rep)
+    assert len(pairs) == KNOWN_COUNTS[8]
+    assert all(form == _encode(rep) for form, rep in pairs)
+    assert {p.n for p, _ in children} == {2, 3, 4, 5, 6, 8}
+    for p, down in children:
+        assert down == _poset_from_up(p.up).down

@@ -366,3 +366,126 @@ def test_refined_colors_match_per_round_walk(monkeypatch):
     ]
     monkeypatch.setattr(poset_mod, "_refined_colors", _refined_colors_per_round_walk)
     assert [canonical_relabel(p)[1] for p in posets] == new
+
+
+def _twin_groups_pairwise(p, colors):
+    """Twin groups by comparing every pair of vertices, as the search does."""
+    group = list(range(p.n))
+    for u in range(p.n):
+        for v in range(u + 1, p.n):
+            if colors[u] != colors[v] or group[v] != v:
+                continue
+            if p.up[u] >> v & 1 or p.up[v] >> u & 1:
+                continue
+            pair = (1 << u) | (1 << v)
+            if p.up[u] & ~pair == p.up[v] & ~pair and p.down[u] & ~pair == p.down[v] & ~pair:
+                group[v] = group[u]
+    return group
+
+
+def _canonical_relabel_full_search(p):
+    """canonical_relabel as it was before the one-path case: always a
+    search over the colour classes, never branching within a twin group,
+    on colours from the globally sorted refinement above.  It prunes
+    against the current best leaf, which _search does only along prefixes
+    equal to an earlier best; both return the first least leaf in the
+    same order of branches."""
+    n = p.n
+    if n == 0:
+        return p, ()
+    colors = _refined_colors_per_round_walk(p)
+    group = _twin_groups_pairwise(p, colors)
+    class_of_pos = sorted(colors)
+    best = []
+
+    def search(placed, flat):
+        pos = len(placed)
+        if pos == n:
+            if not best or flat < best[0]:
+                best[:] = [flat, placed]
+            return
+        seen_groups = set()
+        for v in range(n):
+            if v in placed or colors[v] != class_of_pos[pos] or group[v] in seen_groups:
+                continue
+            seen_groups.add(group[v])
+            chunk = [(p.up[u] >> v & 1) << 1 | (p.up[v] >> u & 1) for u in placed]
+            # Prune a branch whose matrix prefix already exceeds the best.
+            if best and flat + chunk > best[0][: len(flat) + len(chunk)]:
+                continue
+            search(placed + [v], flat + chunk)
+
+    search([], [])
+    inverse = [0] * n
+    for pos, v in enumerate(best[1]):
+        inverse[v] = pos
+    return relabel(p, inverse), tuple(inverse)
+
+
+def _crown(k):
+    """Minimal elements 0..k-1, maximal k..2k-1, each maximal element above
+    two cyclically adjacent minimal ones: every class of the refinement
+    is an antichain but none is a twin group."""
+    return poset_from_covers(2 * k, [(i, k + j) for j in range(k) for i in (j, (j + 1) % k)])
+
+
+def test_canonical_relabel_matches_full_search(monkeypatch):
+    """Same colours, permutation and representative as the full search on
+    every input, whether or not the search still runs."""
+    from latcon import poset as poset_mod
+    from latcon.enumeration import enumerate_lattices
+    from latcon.lattice import make_boolean, make_mk
+
+    rng = random.Random(61)
+
+    def shuffled(q):
+        return relabel(q, rng.sample(range(q.n), q.n))
+
+    posets = [shuffled(l.poset) for n in range(1, 9) for l in enumerate_lattices(n)]
+    posets += all_posets_upto(6)
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        perm = rng.sample(range(n), n)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        posets.append(poset_from_covers(n, pairs))
+    posets += [shuffled(make_mk(k).poset) for k in range(1, 9)]
+    posets += [shuffled(make_boolean(k).poset) for k in range(1, 4)]
+    posets += [antichain(n) for n in range(1, 9)]
+    non_twin = [_crown(3), _crown(4), poset_from_covers(4, [(0, 1), (2, 3)])]
+    posets += [shuffled(q) for q in non_twin]
+
+    searched = []
+    search = poset_mod._search
+    monkeypatch.setattr(poset_mod, "_search", lambda p, colors: searched.append(p) or search(p, colors))
+    for p in posets:
+        colors = poset_mod._refined_colors(p)
+        assert colors == _refined_colors_per_round_walk(p)
+        rep, perm = canonical_relabel(p)
+        old_rep, old_perm = _canonical_relabel_full_search(p)
+        assert perm == old_perm and rep == old_rep
+        if not searched or searched[-1] is not p:
+            # The one-path case: each colour class is one twin group.
+            assert len(set(_twin_groups_pairwise(p, colors))) == len(set(colors))
+    assert all(any(s is p for s in searched) for p in posets[-len(non_twin):])
+    assert 0 < len(searched) < len(posets) // 4
+
+
+def test_search_runs_for_a_minority_of_classes(monkeypatch):
+    from latcon import enumeration
+    from latcon import poset as poset_mod
+
+    calls = {"relabel": 0, "search": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "canonical_relabel", counted("relabel", canonical_relabel))
+    monkeypatch.setattr(poset_mod, "_search", counted("search", poset_mod._search))
+    classes = enumeration._sweep(8, 8, lambda rep: None)
+    assert len(classes) == 222
+    assert calls["relabel"] >= len(classes)
+    assert 0 < calls["search"] < len(classes) // 2
