@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Iterator
 
-from .congruence import con_count, con_count_oracle, has_many_congruences, jir_quasiorder
+from .congruence import con_count, con_count_oracle, exceeds_threshold, jir_quasiorder
 from .enumeration import (
     DEFAULT_MAX_N,
     TheoremReport,
@@ -156,7 +156,7 @@ def _cmd_analyze(args) -> int:
         print(f"witness={name} {side} {mapping}")
     print(f"planar_graph={_fmt_bool(graph)}")
     print(f"dismantlable={_fmt_bool(is_dismantlable(l))}")
-    print(f"verdict={'many' if has_many_congruences(l) else 'few'}")
+    print(f"verdict={'many' if exceeds_threshold(l.n, con) else 'few'}")
     return 0
 
 

@@ -126,24 +126,37 @@ def refines(c1: Congruence, c2: Congruence) -> bool:
     return all(len({idx2[x] for x in block}) == 1 for block in c1.blocks)
 
 
+def _row_pairs(l: Lattice) -> list[tuple[int, int, list[tuple[int, int, int, int]]]]:
+    """(x, y, [(x v z, y v z, x ^ z, y ^ z) for each z]) for every x < y."""
+    join, meet = l.join, l.meet
+    return [
+        (x, y, list(zip(join[x], join[y], meet[x], meet[y])))
+        for x in range(l.n)
+        for y in range(x + 1, l.n)
+    ]
+
+
+def _compatible(pairs, code) -> bool:
+    """Whether the partition with block index code[x] for each x respects join and meet.
+
+    pairs is _row_pairs(l): when x and y share a block, x v z and y v z
+    must share one, and so must x ^ z and y ^ z.
+    """
+    for x, y, rows in pairs:
+        if code[x] == code[y]:
+            for a, b, c, d in rows:
+                if code[a] != code[b] or code[c] != code[d]:
+                    return False
+    return True
+
+
 def is_congruence(l: Lattice, blocks) -> bool:
     """Compatibility of an arbitrary partition with join and meet."""
-    n = l.n
-    idx = [0] * n
+    idx = [0] * l.n
     for b, block in enumerate(blocks):
         for x in block:
             idx[x] = b
-    join = l.join
-    meet = l.meet
-    for block in blocks:
-        for i, x in enumerate(block):
-            for y in block[i + 1 :]:
-                jx, jy = join[x], join[y]
-                mx, my = meet[x], meet[y]
-                for z in range(n):
-                    if idx[jx[z]] != idx[jy[z]] or idx[mx[z]] != idx[my[z]]:
-                        return False
-    return True
+    return _compatible(_row_pairs(l), idx)
 
 
 def jir_quasiorder(l: Lattice) -> JirQuasiorder:
@@ -239,31 +252,8 @@ def con_count_oracle(l: Lattice) -> int:
     n = l.n
     if n > _BELL_GUARD:
         raise SizeError(f"partition oracle capped at n = {_BELL_GUARD}")
-    join = [list(r) for r in l.join]
-    meet = [list(r) for r in l.meet]
-    count = 0
-    for code in _iter_partitions(n):
-        ok = True
-        for x in range(n):
-            cx = code[x]
-            jx = join[x]
-            mx = meet[x]
-            for y in range(x + 1, n):
-                if code[y] != cx:
-                    continue
-                jy = join[y]
-                my = meet[y]
-                for z in range(n):
-                    if code[jx[z]] != code[jy[z]] or code[mx[z]] != code[my[z]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    pairs = _row_pairs(l)
+    return sum(_compatible(pairs, code) for code in _iter_partitions(n))
 
 
 def exceeds_threshold(n: int, con: int) -> bool:
@@ -290,19 +280,16 @@ class FewCriteria:
 
 
 def few_criteria(l: Lattice) -> FewCriteria:
+    """The criteria; jir_collision is the least pair p < q of join-irreducibles
+    with con(p_*, p) = con(q_*, q), that is, in one block of the quasiorder."""
     irr = irreducibles(l)
-    jir = sorted(irr.jir)
-    collision = None
-    cons = {p: principal_congruence(l, irr.lower_cover[p], p) for p in jir}
-    for i, p in enumerate(jir):
-        for q in jir[i + 1 :]:
-            if cons[p].blocks == cons[q].blocks:
-                collision = (p, q)
-                break
-        if collision:
-            break
+    q = jir_quasiorder(l)
+    members: dict[int, list[int]] = {}
+    for p in q.jir_list:
+        members.setdefault(q.block_of[p], []).append(p)
+    pairs = [(m[0], m[1]) for m in members.values() if len(m) > 1]
     return FewCriteria(
         jred_ge4=len(irr.jred) >= 4,
         mred_ge4=len(irr.mred) >= 4,
-        jir_collision=collision,
+        jir_collision=min(pairs, default=None),
     )

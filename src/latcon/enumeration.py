@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, TypeVar
 
@@ -42,6 +43,7 @@ from .planarity import is_dismantlable, is_planar_kr
 from .poset import (
     Poset,
     _bits,
+    _closed_masks,
     _encode,
     _poset_from_up,
     canonical_form,
@@ -57,24 +59,6 @@ _lattice_cache: dict[int, list[Lattice]] = {}
 T = TypeVar("T")
 
 
-def _iter_upsets(p: Poset):
-    """All nonempty up-closed subsets as bitmasks."""
-    n = p.n
-    order = list(reversed(p._linear_extension))
-
-    def rec(idx: int, cur: int):
-        if idx == n:
-            if cur:
-                yield cur
-            return
-        x = order[idx]
-        yield from rec(idx + 1, cur)
-        if p.up[x] & ~cur == 1 << x:
-            yield from rec(idx + 1, cur | 1 << x)
-
-    yield from rec(0, 0)
-
-
 def _extend_semilattice(p: Poset) -> list[int]:
     """Up-sets U such that adding a new minimal element below U keeps joins total.
 
@@ -83,7 +67,8 @@ def _extend_semilattice(p: Poset) -> list[int]:
     """
     n = p.n
     out = []
-    for upset in _iter_upsets(p):
+    # The nonempty up-sets; the first mask is the empty set.
+    for upset in islice(_closed_masks(p.up, p._linear_extension[::-1]), 1, None):
         ok = True
         for y in range(n):
             if upset >> y & 1:

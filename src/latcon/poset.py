@@ -7,11 +7,13 @@ it keeps every Poset hashable and immutable.
 
 Canonical labelling refines a vertex colouring by the colours above and
 below each vertex, then searches over the orders that sort the colour
-classes (as in nauty: McKay and Piperno, "Practical graph isomorphism,
-II", 2014).  When refinement leaves every class a single vertex or a
-single group of twins, every such order gives the same relation matrix,
-so the search is skipped and the vertices are ordered by colour, then
-by index.  In the enumeration's lattices this is the common case.
+classes, cutting every branch whose relation matrix already exceeds the
+best leaf found so far (as in nauty: McKay and Piperno, "Practical graph
+isomorphism, II", 2014).  Twin groups, found once per call, are never
+branched over.  When refinement leaves every class a single twin group,
+every such order gives the same relation matrix, so the search is
+skipped and the vertices are ordered by colour, then by index.  In the
+enumeration's lattices this is the common case.
 """
 
 from __future__ import annotations
@@ -261,76 +263,83 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _twin_groups(p: Poset, colors: list[int]) -> list[int]:
-    """Group id per vertex; twins (swappable by an automorphism) share one.
+    """Group id per vertex, the least vertex of its group; twins share one.
 
     u and v are twins when they are incomparable and relate identically to
     every other element.  Any ordering inside a twin group yields the same
     relation matrix, so canonical search never branches within a group.
+    Twins share a colour, and vertices of one colour class are
+    incomparable (u < v would give u the larger up-set), so u and v are
+    twins exactly when their up rows and their down rows agree outside
+    their class: one dict lookup per vertex.
     """
-    n = p.n
-    group = list(range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if colors[u] != colors[v] or group[v] != v:
-                continue
-            if p.up[u] >> v & 1 or p.up[v] >> u & 1:
-                continue
-            pair = (1 << u) | (1 << v)
-            if p.up[u] & ~pair == p.up[v] & ~pair and p.down[u] & ~pair == p.down[v] & ~pair:
-                group[v] = group[u]
-    return group
+    masks = [0] * p.n
+    for v, c in enumerate(colors):
+        masks[c] |= 1 << v
+    first: dict[tuple[int, int, int], int] = {}
+    return [
+        first.setdefault((c, p.up[v] & ~masks[c], p.down[v] & ~masks[c]), v)
+        for v, c in enumerate(colors)
+    ]
 
 
-def _search(p: Poset, colors: list[int]) -> list[int]:
+def _search(p: Poset, colors: list[int], group: list[int]) -> list[int]:
     """The vertices in canonical order, by search over the colour classes.
 
-    Among the orders that sort the vertices by colour, finds the one whose
-    relation matrix is least, never branching within a twin group.
+    Among the orders that sort the vertices by colour, finds the first
+    whose relation matrix is least, never branching within a twin group.
+    A branch is cut as soon as its matrix prefix exceeds the best leaf
+    found so far.
     """
     n = p.n
-    group = _twin_groups(p, colors)
     class_of_pos = sorted(colors)
     up = p.up
 
-    best_flat: Optional[list[int]] = None
+    best_flat: list[int] = []
     best_perm: list[int] = []
     placed: list[int] = []
     in_place = [False] * n
     flat: list[int] = []
 
-    def search(pos: int, equal_so_far: bool) -> None:
-        nonlocal best_flat
+    def search(pos: int, equal: bool) -> bool:
+        """Whether a new best leaf lies below; equal says flat is the best's prefix.
+
+        Otherwise there is no best yet, or flat is below the best's prefix,
+        so the first leaf reached is a new best.
+        """
         if pos == n:
-            if best_flat is None or flat < best_flat:
-                best_flat = flat.copy()
+            if not equal:
+                best_flat[:] = flat
                 best_perm[:] = placed
-            return
+            return not equal
         want = class_of_pos[pos]
         seen_groups = set()
         base = len(flat)
+        found = False
         for v in range(n):
             if in_place[v] or colors[v] != want or group[v] in seen_groups:
                 continue
             seen_groups.add(group[v])
             chunk = [(up[u] >> v & 1) << 1 | (up[v] >> u & 1) for u in placed]
-            if best_flat is None:
-                now_equal = False
-            elif equal_so_far:
+            now_equal = False
+            if equal:
                 ref = best_flat[base : base + pos]
                 if chunk > ref:
                     continue
                 now_equal = chunk == ref
-            else:
-                now_equal = False
             flat.extend(chunk)
             placed.append(v)
             in_place[v] = True
-            search(pos + 1, now_equal)
+            if search(pos + 1, now_equal):
+                # The new best leaf starts with flat, so the branches
+                # after this one are compared against it.
+                found = equal = True
             in_place[v] = False
             placed.pop()
             del flat[base:]
+        return found
 
-    search(0, True)
+    search(0, False)
     return best_perm
 
 
@@ -342,30 +351,20 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
     representative iff they are order-isomorphic.  Twin groups are never
     branched over, which keeps highly symmetric posets cheap.
 
-    When every colour class is a single vertex or a single twin group,
-    all those labelings give the same matrix and the search would follow
-    one path, so no search runs: the vertices are ordered by colour, then
-    by index, exactly as the search would place them.
+    When every colour class is a single twin group (a single vertex
+    included), all those labelings give the same matrix and the search
+    would follow one path, so no search runs: the vertices are ordered by
+    colour, then by index, exactly as the search would place them.
     """
     n = p.n
     if n == 0:
         return p, ()
     colors = _refined_colors(p)
-    # A twin group is pairwise incomparable, with equal up rows and equal
-    # down rows outside the group; comparing up rows suffices.  Vertices
-    # of one class are incomparable, as u < v would give u the larger
-    # up-set.  If every class passes, down rows agree too: refinement
-    # leaves two vertices of one class with as many vertices of each
-    # other class X below them, and X lies wholly below or wholly not
-    # below each of them.
-    masks = [0] * n
-    for v, c in enumerate(colors):
-        masks[c] |= 1 << v
-    rows = {(c, p.up[v] & ~masks[c]) for v, c in enumerate(colors)}
-    if len(rows) == max(colors) + 1:
+    group = _twin_groups(p, colors)
+    if len(set(group)) == max(colors) + 1:
         order = sorted(range(n), key=colors.__getitem__)
     else:
-        order = _search(p, colors)
+        order = _search(p, colors, group)
     inverse = [0] * n
     for pos, v in enumerate(order):
         inverse[v] = pos
@@ -502,22 +501,30 @@ def count_downsets(p: Poset) -> int:
     return rec(p.full_mask)
 
 
-def iter_downset_masks(p: Poset) -> Iterator[int]:
-    """All hereditary subsets as bitmasks, in increasing mask order."""
-    n = p.n
-    ext = p._linear_extension
-    down = p.down
+def _closed_masks(rows: Sequence[int], order: Sequence[int]) -> Iterator[int]:
+    """Every set S with rows[x] inside S for each x in S, as bitmasks.
+
+    The elements of order decide in turn, leaving x out before taking it
+    in, so the empty set comes first.  order must put every element after
+    the rest of its row: x can then join when the rest of its row has.
+    """
+    n = len(order)
 
     def rec(idx: int, cur: int) -> Iterator[int]:
         if idx == n:
             yield cur
             return
-        x = ext[idx]
+        x = order[idx]
         yield from rec(idx + 1, cur)
-        if down[x] & ~cur == 1 << x:
+        if rows[x] & ~cur == 1 << x:
             yield from rec(idx + 1, cur | 1 << x)
 
-    yield from sorted(rec(0, 0))
+    return rec(0, 0)
+
+
+def iter_downset_masks(p: Poset) -> Iterator[int]:
+    """All hereditary subsets as bitmasks, in increasing mask order."""
+    return iter(sorted(_closed_masks(p.down, p._linear_extension)))
 
 
 def quotient_of_quasiorder(n: int, rel_rows: Sequence[int]) -> tuple[Poset, list[int]]:

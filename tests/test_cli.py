@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -219,6 +220,22 @@ def test_enumerate_output(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert rc == 0
     assert len(out) == 2
+
+
+# sha256 of the stdout of each command at n = 9: a change to the
+# canonical labels, the enumeration order or the report shows here.
+GOLDEN_STDOUT_9 = {
+    "enumerate": "783dc41959180a6784e35e02d1ef36a061a1a0047dc63ba69c0dafa316e74f12",
+    "spectrum": "cd9d2adc9e0446c28c04f1db03d7f486cd400133a272688b553635c1cdbc2db1",
+    "verify": "8894277134be7e0f31756dea48fe68a13c6d6b39f780b61762dfdad6014800fb",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_9))
+def test_stdout_at_9_matches_golden_hash(command, capsys):
+    assert main([command, "9"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_9[command]
 
 
 def test_embed_command(tmp_path, capsys):

@@ -173,6 +173,19 @@ def test_oracle_equivalence_small():
             assert con_count(l) == con_count_oracle(l)
 
 
+def test_is_congruence_accepts_exactly_the_congruences():
+    """Among all partitions, is_congruence accepts con_count of them."""
+    from latcon.congruence import _iter_partitions
+
+    for n in range(1, 6):
+        for l in enumerate_lattices(n):
+            accepted = 0
+            for code in _iter_partitions(n):
+                blocks = [[x for x in range(n) if code[x] == b] for b in range(max(code) + 1)]
+                accepted += is_congruence(l, blocks)
+            assert accepted == con_count(l)
+
+
 def test_has_many_congruences():
     assert has_many_congruences(make_chain(5))  # 16 > 1
     assert not has_many_congruences(make_l_family(8))  # 8 = threshold exactly
@@ -196,6 +209,36 @@ def test_few_criteria_m3_collision():
     crit = few_criteria(make_mk(3))
     assert crit.jir_collision == (1, 2)
     assert not crit.jred_ge4
+
+
+def _jir_collision_by_principal_congruences(l):
+    """The least pair p < q of join-irreducibles with equal con(p_*, p)
+    and con(q_*, q), one principal congruence per join-irreducible."""
+    irr = irreducibles(l)
+    jir = sorted(irr.jir)
+    cons = {p: principal_congruence(l, irr.lower_cover[p], p).blocks for p in jir}
+    for i, p in enumerate(jir):
+        for q in jir[i + 1 :]:
+            if cons[p] == cons[q]:
+                return (p, q)
+    return None
+
+
+def test_few_criteria_collision_matches_principal_congruences():
+    """The collision read off the quasiorder's blocks is the one found by
+    comparing principal congruences, on every class with n <= 8, and on a
+    9-element lattice whose blocks {1, 5} and {2, 3} make the least pair
+    differ from the first repeated block."""
+    lattices = [l for n in range(1, 9) for l in enumerate_lattices(n)]
+    assert len(lattices) == 300
+    found = [few_criteria(l).jir_collision for l in lattices]
+    assert found == [_jir_collision_by_principal_congruences(l) for l in lattices]
+    assert sum(c is not None for c in found) == 194
+    l9 = lattice_from_covers(
+        9,
+        [(0, 1), (0, 2), (0, 3), (1, 7), (2, 4), (3, 4), (4, 5), (4, 6), (4, 7), (5, 8), (6, 8), (7, 8)],
+    )
+    assert few_criteria(l9).jir_collision == _jir_collision_by_principal_congruences(l9) == (1, 5)
 
 
 def test_refines_direction():

@@ -8,6 +8,7 @@ from latcon.poset import (
     NotQuasiorderError,
     Poset,
     _bits,
+    _closed_masks,
     canonical_form,
     canonical_relabel,
     count_downsets,
@@ -260,6 +261,32 @@ def test_downset_masks_are_downsets():
                 assert p.down[j] & ~mask == 0
 
 
+def _iter_upsets_recursion(p):
+    """The nonempty up-sets in the order of the recursion the enumeration
+    used before it shared _closed_masks with iter_downset_masks."""
+    order = list(reversed(p._linear_extension))
+
+    def rec(idx, cur):
+        if idx == p.n:
+            if cur:
+                yield cur
+            return
+        x = order[idx]
+        yield from rec(idx + 1, cur)
+        if p.up[x] & ~cur == 1 << x:
+            yield from rec(idx + 1, cur | 1 << x)
+
+    return list(rec(0, 0))
+
+
+def test_closed_masks_keep_the_upset_order():
+    """On up rows in reverse linear-extension order, _closed_masks gives
+    the empty set, then the up-sets in the old recursion's order."""
+    for p in all_posets_upto(6):
+        masks = list(_closed_masks(p.up, p._linear_extension[::-1]))
+        assert masks == [0] + _iter_upsets_recursion(p)
+
+
 def test_hereditary_quasi_identity():
     rel = [[i == j for j in range(3)] for i in range(3)]
     assert count_hereditary_quasi(3, rel) == 8
@@ -386,10 +413,10 @@ def _twin_groups_pairwise(p, colors):
 def _canonical_relabel_full_search(p):
     """canonical_relabel as it was before the one-path case: always a
     search over the colour classes, never branching within a twin group,
-    on colours from the globally sorted refinement above.  It prunes
-    against the current best leaf, which _search does only along prefixes
-    equal to an earlier best; both return the first least leaf in the
-    same order of branches."""
+    on colours from the globally sorted refinement above, with the
+    pairwise twin groups.  It prunes against the current best leaf and
+    returns the first least leaf in the same order of branches as
+    _search."""
     n = p.n
     if n == 0:
         return p, ()
@@ -449,17 +476,20 @@ def test_canonical_relabel_matches_full_search(monkeypatch):
         pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
         posets.append(poset_from_covers(n, pairs))
     posets += [shuffled(make_mk(k).poset) for k in range(1, 9)]
-    posets += [shuffled(make_boolean(k).poset) for k in range(1, 4)]
+    posets += [shuffled(make_boolean(k).poset) for k in range(1, 5)]
     posets += [antichain(n) for n in range(1, 9)]
     non_twin = [_crown(3), _crown(4), poset_from_covers(4, [(0, 1), (2, 3)])]
     posets += [shuffled(q) for q in non_twin]
 
     searched = []
     search = poset_mod._search
-    monkeypatch.setattr(poset_mod, "_search", lambda p, colors: searched.append(p) or search(p, colors))
+    monkeypatch.setattr(
+        poset_mod, "_search", lambda p, colors, group: searched.append(p) or search(p, colors, group)
+    )
     for p in posets:
         colors = poset_mod._refined_colors(p)
         assert colors == _refined_colors_per_round_walk(p)
+        assert poset_mod._twin_groups(p, colors) == _twin_groups_pairwise(p, colors)
         rep, perm = canonical_relabel(p)
         old_rep, old_perm = _canonical_relabel_full_search(p)
         assert perm == old_perm and rep == old_rep
