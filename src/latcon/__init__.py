@@ -52,6 +52,8 @@ from .planarity import (
     is_planar_graph_oracle,
     is_planar_kr,
     kr_catalog,
+    planar_realizer,
+    realizer_is_valid,
 )
 from .poset import (
     CycleError,

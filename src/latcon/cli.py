@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Iterator
 
-from .congruence import con_count, con_count_oracle, exceeds_threshold, jir_quasiorder
+from .congruence import con_count_oracle, exceeds_threshold, jir_quasiorder
 from .enumeration import (
     DEFAULT_MAX_N,
     TheoremReport,
@@ -35,8 +35,8 @@ from .lattice import (
     make_product,
     validate_lattice,
 )
-from .planarity import is_dismantlable, is_planar_graph_oracle, is_planar_kr
-from .poset import CycleError, canonical_relabel, find_embedding, poset_from_covers
+from .planarity import is_dismantlable, is_planar_kr, planar_realizer
+from .poset import CycleError, canonical_relabel, count_downsets, find_embedding, poset_from_covers
 
 _ORACLE_MAX = 10
 
@@ -136,17 +136,18 @@ def _cmd_analyze(args) -> int:
     print(f"Mir={len(irr.mir)}")
     print(f"Jred={len(irr.jred)}")
     print(f"Mred={len(irr.mred)}")
-    con = con_count(l)
+    # |Con| as con_count computes it, with the quasiorder built only once.
+    qu = jir_quasiorder(l).qu_poset if l.n >= 2 else None
+    con = count_downsets(qu) if qu is not None else 1
     print(f"Con={con}")
     if l.n <= _ORACLE_MAX:
         print(f"Con_oracle={con_count_oracle(l)}")
-    if l.n >= 2:
-        qu = jir_quasiorder(l).qu_poset
+    if qu is not None:
         canon, _ = canonical_relabel(qu)
         print(f"Qu_n={qu.n}")
         print(f"Qu_covers={_fmt_covers(canon.covers)}")
     kr = is_planar_kr(l)
-    graph = is_planar_graph_oracle(l)
+    graph = planar_realizer(l) is not None
     print(f"planar={_fmt_bool(kr.planar)}")
     print(f"planar_kr={_fmt_bool(kr.planar)}")
     if kr.witness is not None:

@@ -4,32 +4,35 @@ Two independent routes:
 
 * the forbidden-subposet criterion: a finite lattice is planar exactly
   when no member of the Kelly-Rival catalog embeds as a subposet into it
-  or into its dual;
-* the covering-graph route: the lattice is planar exactly when its cover
-  graph plus a bottom-to-top edge is a planar graph.
+  or into its dual; a non-planar verdict carries the embedding, checked
+  before it is returned;
+* the dimension route: a finite lattice is planar exactly when its order
+  dimension is at most 2 (Baker, Fishburn and Roberts 1971), and then
+  :func:`planar_realizer` returns two linear extensions whose
+  intersection is the order, checked by :func:`realizer_is_valid`.
 
 The catalog below is generated family by family. The cover lists were
 recovered by exhaustive computation (every minimal non-planar lattice
-through thirteen elements, modulo duality, against the graph route) and
-every release is gated by cross-checking the two routes over the full
-enumerated universe of small lattices plus the constructor families.
+through thirteen elements, modulo duality, against graph planarity of
+the cover graph) and every entry is proven non-planar by the dimension
+route when it is built.  The covering-graph route,
+:func:`is_planar_graph_oracle`, needs networkx and serves the tests as a
+third, external cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-
-import networkx as nx
 
 from ._kr_data import _FAMILY_BUILDERS, REDUCIBLE_33_ENTRIES, SMALLEST_MEMBER
-from .lattice import Lattice, irreducibles, validate_lattice
+from .lattice import Lattice, NotLatticeError, irreducibles, validate_lattice
 from .poset import (
     Embedding,
     Poset,
     _bits,
     dual,
+    embedding_is_valid,
     find_embedding,
     is_isomorphic,
     poset_from_covers,
@@ -95,9 +98,9 @@ def _validate_entry(name: str, family: str, poset: Poset) -> tuple[int, int]:
     """
     try:
         l = validate_lattice(poset)
-    except Exception as exc:
+    except NotLatticeError as exc:
         raise CatalogValidationError(f"{name}: not a lattice ({exc})") from exc
-    if is_planar_graph_oracle(l):
+    if planar_realizer(l) is not None:
         raise CatalogValidationError(f"{name}: planar, cannot be an obstruction")
     irr = irreducibles(l)
     njred, nmred = len(irr.jred), len(irr.mred)
@@ -161,14 +164,24 @@ def is_planar_kr(l: Lattice) -> PlanarityVerdict:
     d = dual(l.poset)
     for entry in kr_catalog(l.n):
         if entry.jred <= jred and entry.mred <= mred:
-            emb = find_embedding(entry.poset, l.poset)
-            if emb is not None:
-                return PlanarityVerdict(planar=False, witness=(entry.name, emb, False))
+            verdict = _witnessed(entry, l.poset, False)
+            if verdict is not None:
+                return verdict
         if entry.jred <= mred and entry.mred <= jred:
-            emb = find_embedding(entry.poset, d)
-            if emb is not None:
-                return PlanarityVerdict(planar=False, witness=(entry.name, emb, True))
+            verdict = _witnessed(entry, d, True)
+            if verdict is not None:
+                return verdict
     return PlanarityVerdict(planar=True, witness=None)
+
+
+def _witnessed(entry: KRCatalogEntry, host: Poset, into_dual: bool) -> PlanarityVerdict | None:
+    """The non-planar verdict for an embedding of entry into host, checked."""
+    emb = find_embedding(entry.poset, host)
+    if emb is None:
+        return None
+    if not embedding_is_valid(entry.poset, host, emb):
+        raise RuntimeError(f"{entry.name}: find_embedding returned an invalid embedding")
+    return PlanarityVerdict(planar=False, witness=(entry.name, emb, into_dual))
 
 
 def cover_graph_edges(l: Lattice) -> list[tuple[int, int]]:
@@ -181,6 +194,10 @@ def cover_graph_edges(l: Lattice) -> list[tuple[int, int]]:
 
 def is_planar_graph_oracle(l: Lattice) -> bool:
     """Graph planarity of the cover graph with the bottom-top edge added."""
+    # Imported here: networkx is only a test dependency, and importing it
+    # would slow down the start-up of every command.
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(l.n))
     g.add_edges_from(cover_graph_edges(l))
@@ -188,56 +205,106 @@ def is_planar_graph_oracle(l: Lattice) -> bool:
     return ok
 
 
-def _paths_exist(adj: list[int], pairs: list[tuple[int, int]], free: int) -> bool:
-    """Pack internally disjoint paths for all pairs using free vertices."""
-    if not pairs:
-        return True
-    a, b = pairs[0]
+# ---------------------------------------------------------------------------
+# Order dimension at most 2
+# ---------------------------------------------------------------------------
 
-    def walk(v: int, used: int) -> bool:
-        if adj[v] >> b & 1:
-            return _paths_exist(adj, pairs[1:], free & ~used)
-        rest = adj[v] & free & ~used
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if walk(w, used | 1 << w):
-                return True
+Realizer = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def planar_realizer(l: Lattice) -> Realizer | None:
+    """Two linear extensions whose intersection is the order, or None.
+
+    A finite lattice is planar exactly when its order dimension is at
+    most 2 (Baker, Fishburn and Roberts 1971).  An order has a 2-realizer
+    exactly when its incomparability graph has a transitive orientation
+    T (Dushnik and Miller 1941), and then P + T and P + T^-1 are one.
+    Each linear extension is given as up-rows, like ``Poset.up``: bit j
+    of row i says i <= j.  None means the dimension is above 2.
+    """
+    p = l.poset
+    incomparable = [p.full_mask & ~(p.up[x] | p.down[x]) for x in range(p.n)]
+    t = _transitive_orientation(incomparable)
+    if t is None:
+        return None
+    # T^-1 holds the incomparable pairs that T does not.
+    realizer = (
+        tuple(u | r for u, r in zip(p.up, t)),
+        tuple(u | (i & ~r) for u, i, r in zip(p.up, incomparable, t)),
+    )
+    if not realizer_is_valid(p, *realizer):
+        raise RuntimeError("transitive orientation gave an invalid 2-realizer")
+    return realizer
+
+
+def _transitive_orientation(adj: list[int]) -> list[int] | None:
+    """Rows of a transitive orientation of the graph, or None if it has none.
+
+    Golumbic's TRO (Algorithmic Graph Theory and Perfect Graphs, ch. 5):
+    take an edge a -> b of the remaining graph and grow its implication
+    class there by Gamma-forcing (a -> b forces a -> c when c is a
+    neighbour of a but not of b, and c -> b when c is a neighbour of b
+    but not of a), then orient the class and remove its edges.  A class
+    holding an edge in both directions means no transitive orientation
+    exists.  ``adj[v]`` is the neighbourhood of v; bit y of row x of the
+    result says x -> y.
+    """
+    n = len(adj)
+    adj = list(adj)
+    out = [0] * n
+    for a in range(n):
+        while adj[a]:
+            b = (adj[a] & -adj[a]).bit_length() - 1
+            fwd = [0] * n  # the class: bit y of fwd[x] says x -> y
+            bwd = [0] * n  # its transpose
+            fwd[a], bwd[b] = 1 << b, 1 << a
+            stack = [(a, b)]
+            while stack:
+                x, y = stack.pop()
+                heads = adj[x] & ~adj[y] & ~(1 << y) & ~fwd[x]
+                tails = adj[y] & ~adj[x] & ~(1 << x) & ~bwd[y]
+                if heads & bwd[x] or tails & fwd[y]:
+                    return None
+                fwd[x] |= heads
+                bwd[y] |= tails
+                for z in _bits(heads):
+                    bwd[z] |= 1 << x
+                    stack.append((x, z))
+                for z in _bits(tails):
+                    fwd[z] |= 1 << y
+                    stack.append((z, y))
+            for x in range(n):
+                out[x] |= fwd[x]
+                adj[x] &= ~(fwd[x] | bwd[x])
+    return out
+
+
+def realizer_is_valid(p: Poset, l1: tuple[int, ...], l2: tuple[int, ...]) -> bool:
+    """l1 and l2 are linear orders on p's elements meeting in exactly p.
+
+    O(n) row operations of n bits each.
+    """
+    return (
+        _is_linear_order(l1, p.n)
+        and _is_linear_order(l2, p.n)
+        and all(a & b == u for a, b, u in zip(l1, l2, p.up))
+    )
+
+
+def _is_linear_order(rows: tuple[int, ...], n: int) -> bool:
+    """rows are the up-rows of a linear order on range(n).
+
+    Sorted by row size, the k-th smallest row must be exactly the k
+    elements it holds so far: the top alone, then the top two, and so on.
+    """
+    if len(rows) != n:
         return False
-
-    return walk(a, 0)
-
-
-def has_kuratowski_subdivision(n: int, edges: list[tuple[int, int]]) -> bool:
-    """Exhaustive K5/K33 subdivision search; intended for n <= 12."""
-    adj = [0] * n
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    deg = [bin(m).count("1") for m in adj]
-    full = (1 << n) - 1
-
-    for branch in combinations([v for v in range(n) if deg[v] >= 4], 5):
-        free = full & ~sum(1 << v for v in branch)
-        pairs = list(combinations(branch, 2))
-        if _paths_exist(adj, pairs, free):
-            return True
-    cand3 = [v for v in range(n) if deg[v] >= 3]
-    for six in combinations(cand3, 6):
-        for left in combinations(six, 3):
-            if six[0] not in left:
-                continue
-            right = tuple(v for v in six if v not in left)
-            free = full & ~sum(1 << v for v in six)
-            pairs = [(a, b) for a in left for b in right]
-            if _paths_exist(adj, pairs, free):
-                return True
-    return False
-
-
-def is_planar_graph_bruteforce(l: Lattice) -> bool:
-    """Kuratowski-subdivision fallback used to validate the fast oracle."""
-    return not has_kuratowski_subdivision(l.n, cover_graph_edges(l))
+    above = 0
+    for x in sorted(range(n), key=lambda x: bin(rows[x]).count("1")):
+        above |= 1 << x
+        if rows[x] != above:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

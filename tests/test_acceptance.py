@@ -36,12 +36,14 @@ from latcon.lattice import (
 )
 from latcon.planarity import (
     is_dismantlable,
-    is_planar_graph_bruteforce,
     is_planar_graph_oracle,
     is_planar_kr,
     kr_catalog,
+    planar_realizer,
+    realizer_is_valid,
 )
 from latcon.poset import dual, embedding_is_valid, find_embedding
+from oracles import is_planar_graph_bruteforce
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -125,13 +127,18 @@ def test_criterion_5_planarity_oracle_equivalence():
     checked = 0
     for n in range(1, 11):
         for l in enumerate_lattices(n, max_n=10):
-            assert is_planar_kr(l).planar == is_planar_graph_oracle(l)
+            graph = is_planar_graph_oracle(l)
+            assert is_planar_kr(l).planar == graph
+            realizer = planar_realizer(l)
+            assert (realizer is not None) == graph
+            assert realizer is None or realizer_is_valid(l.poset, *realizer)
             checked += 1
     for l in constructed_families():
         assert is_planar_kr(l).planar == is_planar_graph_oracle(l)
         assert is_planar_graph_oracle(l) == is_planar_graph_bruteforce(l)
         checked += 1
-    _ok(5, f"Kelly-Rival verdict equals covering-graph oracle on {checked} lattices")
+    _ok(5, f"Kelly-Rival verdict equals covering-graph oracle on {checked} lattices, "
+           "and the 2-realizer route on every class n <= 10")
 
 
 def _unpruned_witness(l: Lattice):

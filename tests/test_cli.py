@@ -276,6 +276,60 @@ def test_cli_subprocess_analyze():
     assert "Con=5" in proc.stdout
 
 
+# Runs one latcon command in a fresh interpreter.  In "block" mode
+# importing networkx fails; otherwise the run exits 3 if the command
+# imported it.
+_WITHOUT_NETWORKX = """
+import sys
+block = sys.argv[1] == "block"
+if block:
+    sys.modules["networkx"] = None
+from latcon.cli import main
+rc = main(sys.argv[2:])
+sys.stdout.flush()
+sys.exit(3 if not block and "networkx" in sys.modules else rc)
+"""
+
+
+def test_commands_do_not_need_networkx(tmp_path):
+    n5 = tmp_path / "n5.lat"
+    n5.write_text(N5_TEXT)
+    b3 = tmp_path / "b3.lat"
+    b3.write_text(serialize_lattice(make_boolean(3)))
+    for args in (["analyze", str(n5)], ["analyze", str(b3)], ["verify", "8"], ["spectrum", "8"]):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", _WITHOUT_NETWORKX, mode, *args],
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+            for mode in ("import", "block")
+        ]
+        assert [r.returncode for r in runs] == [0, 0], (args, [r.stderr for r in runs])
+        assert runs[0].stdout == runs[1].stdout != "", args
+
+
+def test_analyze_builds_quasiorder_once(monkeypatch, capsys):
+    import io
+
+    from latcon import cli, congruence
+
+    calls = []
+    real = congruence.jir_quasiorder
+
+    def counted(l):
+        calls.append(l.n)
+        return real(l)
+
+    monkeypatch.setattr(cli, "jir_quasiorder", counted)
+    monkeypatch.setattr(congruence, "jir_quasiorder", counted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(N5_TEXT))
+    assert main(["analyze", "-"]) == 0
+    assert calls == [5]
+    assert "Con=5\n" in capsys.readouterr().out
+
+
 def test_not_lattice_error_exit(tmp_path):
     bad = tmp_path / "anti.lat"
     bad.write_text("2\n")
@@ -370,7 +424,7 @@ def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch, capsys):
 
     n5 = tmp_path / "n5.lat"
     n5.write_text(N5_TEXT)
-    monkeypatch.setattr(cli, "con_count", broken)
+    monkeypatch.setattr(cli, "count_downsets", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["analyze", str(n5)])
     monkeypatch.setattr(cli, "verify_theorem", broken)

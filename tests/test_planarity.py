@@ -14,12 +14,14 @@ from latcon.lattice import (
 from latcon.planarity import (
     cover_graph_edges,
     is_dismantlable,
-    is_planar_graph_bruteforce,
     is_planar_graph_oracle,
     is_planar_kr,
     kr_catalog,
+    planar_realizer,
+    realizer_is_valid,
 )
 from latcon.poset import canonical_form, dual, embedding_is_valid, find_embedding, subposet
+from oracles import is_planar_graph_bruteforce
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -77,10 +79,17 @@ def test_kr_witness_valid_everywhere():
                 assert embedding_is_valid(entry.poset, target, emb)
 
 
+def _realizer_route(l):
+    """The dimension route's verdict, after checking the realizer it returns."""
+    r = planar_realizer(l)
+    assert r is None or realizer_is_valid(l.poset, *r)
+    return r is not None
+
+
 def test_cross_oracle_agreement_small():
     for n in range(1, 10):
         for l in enumerate_lattices(n):
-            assert is_planar_kr(l).planar == is_planar_graph_oracle(l)
+            assert is_planar_kr(l).planar == is_planar_graph_oracle(l) == _realizer_route(l)
 
 
 def test_cross_oracle_constructed_families():
@@ -90,9 +99,79 @@ def test_cross_oracle_constructed_families():
             make_ordinal_sum(make_boolean(3), make_mk(3)),
             make_product(make_chain(3), make_chain(4)),
             make_product(make_mk(3), make_chain(2)),
-            make_product(make_boolean(2), make_chain(3))]
+            make_product(make_boolean(2), make_chain(3)),
+            make_boolean(4), make_boolean(5)]
     for l in fams:
-        assert is_planar_kr(l).planar == is_planar_graph_oracle(l)
+        assert is_planar_kr(l).planar == is_planar_graph_oracle(l) == _realizer_route(l)
+
+
+def _rows(sequence):
+    """Up-rows of the linear order listing sequence from bottom to top."""
+    rows = [0] * len(sequence)
+    above = 0
+    for x in reversed(sequence):
+        above |= 1 << x
+        rows[x] = above
+    return tuple(rows)
+
+
+def _sequence(rows):
+    """The elements of a linear order, given as up-rows, from bottom to top."""
+    return sorted(range(len(rows)), key=lambda x: -bin(rows[x]).count("1"))
+
+
+def test_realizer_checker_rejects_tampering():
+    l = make_product(make_chain(3), make_chain(4))
+    l1, l2 = planar_realizer(l)
+    p = l.poset
+    assert realizer_is_valid(p, l1, l2)
+    order = _sequence(l1)
+    for k in range(l.n - 1):
+        swapped = order[:k] + [order[k + 1], order[k]] + order[k + 2:]
+        assert not realizer_is_valid(p, _rows(swapped), l2)
+    bottom, top = order[0], order[-1]
+    broken = list(l1)
+    broken[bottom] &= ~(1 << top)
+    assert not realizer_is_valid(p, tuple(broken), l2)
+    assert not realizer_is_valid(p, l1, l1)
+    assert not realizer_is_valid(p, l1[:-1], l2)
+
+
+def test_invalid_realizer_raises(monkeypatch):
+    from latcon import planarity
+
+    monkeypatch.setattr(planarity, "_transitive_orientation", lambda adj: [0] * len(adj))
+    assert planar_realizer(make_chain(4)) is not None
+    with pytest.raises(RuntimeError):
+        planar_realizer(N5)
+
+
+def test_invalid_witness_raises(monkeypatch):
+    from latcon import planarity
+    from latcon.poset import Embedding
+
+    def bogus(k, host):
+        return Embedding(tuple(range(k.n)))
+
+    monkeypatch.setattr(planarity, "find_embedding", bogus)
+    with pytest.raises(RuntimeError):
+        is_planar_kr(make_l_family(9))
+
+
+def test_validate_entry_reports_only_non_lattices(monkeypatch):
+    from latcon import planarity
+    from latcon.poset import poset_from_covers
+
+    antichain = poset_from_covers(2, [])
+    with pytest.raises(planarity.CatalogValidationError):
+        planarity._validate_entry("X", "X", antichain)
+
+    def broken(p):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(planarity, "validate_lattice", broken)
+    with pytest.raises(KeyError):
+        planarity._validate_entry("X", "X", antichain)
 
 
 def test_kr_duality_invariance():
@@ -113,6 +192,7 @@ def test_catalog_entries_validate():
     for e in entries:
         l = validate_lattice(e.poset)
         assert not is_planar_graph_oracle(l)
+        assert planar_realizer(l) is None
         assert e.size <= 12
 
 
