@@ -19,7 +19,6 @@ from .enumeration import (
     SpectrumReport,
     TheoremReport,
     enumerate_lattices,
-    enumerate_lattices_oracle,
     sample_lattices,
     spectrum,
     verify_theorem,
@@ -58,11 +57,9 @@ from .planarity import (
 from .poset import (
     CycleError,
     Embedding,
-    NotQuasiorderError,
     Poset,
     canonical_form,
     count_downsets,
-    count_hereditary_quasi,
     dual,
     find_embedding,
     poset_from_covers,

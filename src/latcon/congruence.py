@@ -8,8 +8,10 @@ relation p D q (some x has p <= q v x but not p <= q_* v x), which is
 read off the join table with bitmasks, without computing any
 congruence.  Hereditary subsets of the quasiorder are in bijection with
 congruences, so counting them is counting downsets of the quotient
-poset.  The brute-force partition oracle provides the independent
-second route.
+poset.  The independent second route is the partition oracle: a
+depth-first search over set partitions that reads only the join and
+meet tables and drops a partial partition at the first compatibility
+implication it breaks.
 """
 
 from __future__ import annotations
@@ -120,45 +122,6 @@ def congruence_join(c1: Congruence, c2: Congruence, l: Lattice) -> Congruence:
     return _close(l, pairs)
 
 
-def refines(c1: Congruence, c2: Congruence) -> bool:
-    """c1 <= c2 in Con(L): every block of c1 lies inside a block of c2."""
-    idx2 = c2.block_index()
-    return all(len({idx2[x] for x in block}) == 1 for block in c1.blocks)
-
-
-def _row_pairs(l: Lattice) -> list[tuple[int, int, list[tuple[int, int, int, int]]]]:
-    """(x, y, [(x v z, y v z, x ^ z, y ^ z) for each z]) for every x < y."""
-    join, meet = l.join, l.meet
-    return [
-        (x, y, list(zip(join[x], join[y], meet[x], meet[y])))
-        for x in range(l.n)
-        for y in range(x + 1, l.n)
-    ]
-
-
-def _compatible(pairs, code) -> bool:
-    """Whether the partition with block index code[x] for each x respects join and meet.
-
-    pairs is _row_pairs(l): when x and y share a block, x v z and y v z
-    must share one, and so must x ^ z and y ^ z.
-    """
-    for x, y, rows in pairs:
-        if code[x] == code[y]:
-            for a, b, c, d in rows:
-                if code[a] != code[b] or code[c] != code[d]:
-                    return False
-    return True
-
-
-def is_congruence(l: Lattice, blocks) -> bool:
-    """Compatibility of an arbitrary partition with join and meet."""
-    idx = [0] * l.n
-    for b, block in enumerate(blocks):
-        for x in block:
-            idx[x] = b
-    return _compatible(_row_pairs(l), idx)
-
-
 def jir_quasiorder(l: Lattice) -> JirQuasiorder:
     """Join-irreducibles quasi-ordered by refinement of con(p_*, p).
 
@@ -205,12 +168,12 @@ def con_count(l: Lattice) -> int:
 
 def con_enumerate(l: Lattice, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Congruence]:
     """One congruence per hereditary subset, as joins of principal ones."""
-    total = con_count(l)
+    q = jir_quasiorder(l) if l.n > 1 else None
+    total = count_downsets(q.qu_poset) if q is not None else 1
     if total > cap:
         raise CapExceededError(f"{total} congruences exceed cap {cap}")
-    if l.n == 1:
+    if q is None:
         return [Congruence(((0,),))]
-    q = jir_quasiorder(l)
     irr = irreducibles(l)
     out = []
     for mask in iter_downset_masks(q.qu_poset):
@@ -229,31 +192,48 @@ def con_enumerate(l: Lattice, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Congru
     return out
 
 
-def _iter_partitions(n: int):
-    """Set partitions of range(n) as restricted-growth block-index lists."""
-    code = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            yield code
-            return
-        for b in range(used + 1):
-            code[i] = b
-            yield from rec(i + 1, used if b < used else used + 1)
-
-    if n == 0:
-        yield []
-        return
-    yield from rec(1, 1)
-
-
 def con_count_oracle(l: Lattice) -> int:
-    """Count congruences by checking every set partition for compatibility."""
+    """Count the set partitions of the elements that respect join and meet.
+
+    Depth-first over restricted-growth strings: element 0 takes block 0,
+    and element k one of the blocks used so far or a new one.  Every
+    implication "x ~ y implies x v z ~ y v z and x ^ z ~ y ^ z" with
+    x < y is checked at the step where the last of its four elements
+    gets a block (sides that are equal, or are x and y again, hold
+    trivially), and a prefix that breaks one is dropped with all its
+    extensions.  The leaves reached are exactly the partitions meeting
+    every implication.  Reads only the join and meet tables, so it is
+    independent of the quasiorder route.
+    """
     n = l.n
     if n > _BELL_GUARD:
         raise SizeError(f"partition oracle capped at n = {_BELL_GUARD}")
-    pairs = _row_pairs(l)
-    return sum(_compatible(pairs, code) for code in _iter_partitions(n))
+    join, meet = l.join, l.meet
+    checks: list[set[tuple[int, int, int, int]]] = [set() for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            for row_x, row_y in ((join[x], join[y]), (meet[x], meet[y])):
+                for a, b in zip(row_x, row_y):
+                    if a > b:
+                        a, b = b, a
+                    if a != b and (a, b) != (x, y):
+                        checks[max(y, b)].add((x, y, a, b))
+    code = [0] * n
+
+    def extend(k: int, used: int) -> int:
+        if k == n:
+            return 1
+        found = 0
+        for block in range(used + 1):
+            code[k] = block
+            for x, y, a, b in checks[k]:
+                if code[x] == code[y] and code[a] != code[b]:
+                    break
+            else:
+                found += extend(k + 1, used + (block == used))
+        return found
+
+    return extend(1, 1)
 
 
 def exceeds_threshold(n: int, con: int) -> bool:

@@ -18,7 +18,7 @@ set of seen children per parent removes the copies that the parent's
 automorphisms make, so no set of the canonical forms of all classes is
 kept.  Correctness is
 also anchored by agreement with the independent labeled-poset oracle
-below.
+in tests/oracles.py.
 
 Because acceptance needs nothing outside a parent's own subtree, the
 sweeps split the growth tree at the canonical semilattices with
@@ -220,84 +220,6 @@ def sample_lattices(n: int, count: int, seed: int, max_n: int = 10) -> list[Latt
         return list(reps)
     rng = random.Random(seed)
     return [reps[i] for i in sorted(rng.sample(range(len(reps)), count))]
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: labeled upper-triangular poset search
-# ---------------------------------------------------------------------------
-
-def enumerate_lattices_oracle(n: int) -> int:
-    """Isomorphism-class count by brute force over naturally labeled posets.
-
-    Chooses for each j in turn a down-closed strict down-set among
-    0..j-1, which reaches every poset whose relation respects the index
-    order; every isomorphism class has such a labeling.  Under this
-    labeling meets never change once both elements exist, so pairs
-    without a glb prune immediately; joins and the unique top are checked
-    at the leaves.  Lattices are deduplicated by canonical form.
-    """
-    if n < 1:
-        raise SizeError("lattices need n >= 1")
-    if n > 7:
-        raise SizeError("oracle capped at n = 7")
-    if n == 1:
-        return 1
-
-    forms: set[bytes] = set()
-    downfull = [1 << i for i in range(n)]
-
-    def downsets_of_prefix(j: int):
-        def rec(k: int, cur: int):
-            if k == j:
-                yield cur
-                return
-            yield from rec(k + 1, cur)
-            if downfull[k] & ~cur == 1 << k:
-                yield from rec(k + 1, cur | 1 << k)
-
-        yield from rec(0, 0)
-
-    def meets_ok(j: int) -> bool:
-        dj = downfull[j]
-        for i in range(j):
-            common = downfull[i] & dj
-            if not common:
-                return False
-            w = common.bit_length() - 1
-            if common & ~downfull[w]:
-                return False
-        return True
-
-    def joins_ok() -> bool:
-        up = [0] * n
-        for i in range(n):
-            for k in _bits(downfull[i]):
-                up[k] |= 1 << i
-        if sum(1 for i in range(n) if downfull[i] == (1 << n) - 1) != 1:
-            return False
-        for i in range(n):
-            for j in range(i + 1, n):
-                common = up[i] & up[j]
-                if not common:
-                    return False
-                w = (common & -common).bit_length() - 1
-                if common & ~up[w]:
-                    return False
-        forms.add(canonical_form(_poset_from_up(up)))
-        return True
-
-    def build(j: int) -> None:
-        if j == n:
-            joins_ok()
-            return
-        for d in downsets_of_prefix(j):
-            downfull[j] = d | 1 << j
-            if meets_ok(j):
-                build(j + 1)
-        downfull[j] = 1 << j
-
-    build(0)
-    return len(forms)
 
 
 # ---------------------------------------------------------------------------

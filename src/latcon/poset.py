@@ -28,10 +28,6 @@ class CycleError(ValueError):
     """The generating relation admits a directed cycle."""
 
 
-class NotQuasiorderError(ValueError):
-    """A relation claimed to be a quasiorder is not reflexive-transitive."""
-
-
 @dataclass(frozen=True)
 class Poset:
     """Immutable finite poset.
@@ -546,23 +542,3 @@ def quotient_of_quasiorder(n: int, rel_rows: Sequence[int]) -> tuple[Poset, list
             if rel_rows[i] >> j & 1:
                 up[a] |= 1 << b
     return _poset_from_up(up), block
-
-
-def count_hereditary_quasi(n: int, rel: Sequence[Sequence[bool]]) -> int:
-    """Hereditary subsets of a quasiorder via its quotient poset."""
-    rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if rel[i][j]:
-                rows[i] |= 1 << j
-    for i in range(n):
-        if not rows[i] >> i & 1:
-            raise NotQuasiorderError(f"relation not reflexive at {i}")
-        rest = rows[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if rows[j] & ~rows[i]:
-                raise NotQuasiorderError(f"relation not transitive through ({i}, {j})")
-    q, _ = quotient_of_quasiorder(n, rows)
-    return count_downsets(q)

@@ -1,9 +1,12 @@
 """Test-only oracles: slow, independent routes the fast code is checked against."""
 
 from itertools import combinations
+from typing import Sequence
 
-from latcon.lattice import Lattice
+from latcon.congruence import Congruence
+from latcon.lattice import Lattice, SizeError
 from latcon.planarity import cover_graph_edges
+from latcon.poset import _bits, _poset_from_up, canonical_form, count_downsets, quotient_of_quasiorder
 
 
 def _paths_exist(adj: list[int], pairs: list[tuple[int, int]], free: int) -> bool:
@@ -56,3 +59,164 @@ def has_kuratowski_subdivision(n: int, edges: list[tuple[int, int]]) -> bool:
 def is_planar_graph_bruteforce(l: Lattice) -> bool:
     """Kuratowski-subdivision search, the check on the networkx graph oracle."""
     return not has_kuratowski_subdivision(l.n, cover_graph_edges(l))
+
+
+def refines(c1: Congruence, c2: Congruence) -> bool:
+    """c1 <= c2 in Con(L): every block of c1 lies inside a block of c2."""
+    idx2 = c2.block_index()
+    return all(len({idx2[x] for x in block}) == 1 for block in c1.blocks)
+
+
+def _row_pairs(l: Lattice) -> list[tuple[int, int, list[tuple[int, int, int, int]]]]:
+    """(x, y, [(x v z, y v z, x ^ z, y ^ z) for each z]) for every x < y."""
+    join, meet = l.join, l.meet
+    return [
+        (x, y, list(zip(join[x], join[y], meet[x], meet[y])))
+        for x in range(l.n)
+        for y in range(x + 1, l.n)
+    ]
+
+
+def _compatible(pairs, code) -> bool:
+    """Whether the partition with block index code[x] for each x respects join and meet.
+
+    pairs is _row_pairs(l): when x and y share a block, x v z and y v z
+    must share one, and so must x ^ z and y ^ z.
+    """
+    for x, y, rows in pairs:
+        if code[x] == code[y]:
+            for a, b, c, d in rows:
+                if code[a] != code[b] or code[c] != code[d]:
+                    return False
+    return True
+
+
+def is_congruence(l: Lattice, blocks) -> bool:
+    """Compatibility of an arbitrary partition with join and meet."""
+    idx = [0] * l.n
+    for b, block in enumerate(blocks):
+        for x in block:
+            idx[x] = b
+    return _compatible(_row_pairs(l), idx)
+
+
+def _iter_partitions(n: int):
+    """Set partitions of range(n) as restricted-growth block-index lists."""
+    code = [0] * n
+
+    def rec(i: int, used: int):
+        if i == n:
+            yield code
+            return
+        for b in range(used + 1):
+            code[i] = b
+            yield from rec(i + 1, used if b < used else used + 1)
+
+    if n == 0:
+        yield []
+        return
+    yield from rec(1, 1)
+
+
+def con_count_bruteforce(l: Lattice) -> int:
+    """Count congruences by checking every set partition for compatibility."""
+    pairs = _row_pairs(l)
+    return sum(_compatible(pairs, code) for code in _iter_partitions(l.n))
+
+
+class NotQuasiorderError(ValueError):
+    """A relation claimed to be a quasiorder is not reflexive-transitive."""
+
+
+def count_hereditary_quasi(n: int, rel: Sequence[Sequence[bool]]) -> int:
+    """Hereditary subsets of a quasiorder via its quotient poset."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if rel[i][j]:
+                rows[i] |= 1 << j
+    for i in range(n):
+        if not rows[i] >> i & 1:
+            raise NotQuasiorderError(f"relation not reflexive at {i}")
+        rest = rows[i]
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if rows[j] & ~rows[i]:
+                raise NotQuasiorderError(f"relation not transitive through ({i}, {j})")
+    q, _ = quotient_of_quasiorder(n, rows)
+    return count_downsets(q)
+
+
+def enumerate_lattices_oracle(n: int) -> int:
+    """Isomorphism-class count by brute force over naturally labeled posets.
+
+    Chooses for each j in turn a down-closed strict down-set among
+    0..j-1, which reaches every poset whose relation respects the index
+    order; every isomorphism class has such a labeling.  Under this
+    labeling meets never change once both elements exist, so pairs
+    without a glb prune immediately; joins and the unique top are checked
+    at the leaves.  Lattices are deduplicated by canonical form.
+    """
+    if n < 1:
+        raise SizeError("lattices need n >= 1")
+    if n > 7:
+        raise SizeError("oracle capped at n = 7")
+    if n == 1:
+        return 1
+
+    forms: set[bytes] = set()
+    downfull = [1 << i for i in range(n)]
+
+    def downsets_of_prefix(j: int):
+        def rec(k: int, cur: int):
+            if k == j:
+                yield cur
+                return
+            yield from rec(k + 1, cur)
+            if downfull[k] & ~cur == 1 << k:
+                yield from rec(k + 1, cur | 1 << k)
+
+        yield from rec(0, 0)
+
+    def meets_ok(j: int) -> bool:
+        dj = downfull[j]
+        for i in range(j):
+            common = downfull[i] & dj
+            if not common:
+                return False
+            w = common.bit_length() - 1
+            if common & ~downfull[w]:
+                return False
+        return True
+
+    def joins_ok() -> bool:
+        up = [0] * n
+        for i in range(n):
+            for k in _bits(downfull[i]):
+                up[k] |= 1 << i
+        if sum(1 for i in range(n) if downfull[i] == (1 << n) - 1) != 1:
+            return False
+        for i in range(n):
+            for j in range(i + 1, n):
+                common = up[i] & up[j]
+                if not common:
+                    return False
+                w = (common & -common).bit_length() - 1
+                if common & ~up[w]:
+                    return False
+        forms.add(canonical_form(_poset_from_up(up)))
+        return True
+
+    def build(j: int) -> None:
+        if j == n:
+            joins_ok()
+            return
+        for d in downsets_of_prefix(j):
+            downfull[j] = d | 1 << j
+            if meets_ok(j):
+                build(j + 1)
+        downfull[j] = 1 << j
+
+    build(0)
+    return len(forms)

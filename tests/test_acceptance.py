@@ -14,7 +14,6 @@ from latcon.congruence import (
 )
 from latcon.enumeration import (
     enumerate_lattices,
-    enumerate_lattices_oracle,
     sample_lattices,
     spectrum,
     verify_theorem,
@@ -43,7 +42,7 @@ from latcon.planarity import (
     realizer_is_valid,
 )
 from latcon.poset import dual, embedding_is_valid, find_embedding
-from oracles import is_planar_graph_bruteforce
+from oracles import enumerate_lattices_oracle, is_planar_graph_bruteforce
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -109,17 +108,17 @@ def test_criterion_3_spectrum_top_five():
 
 def test_criterion_4_congruence_oracle_equivalence():
     checked = 0
-    for n in range(1, 8):
+    for n in range(1, 10):
         for l in enumerate_lattices(n):
             assert con_count(l) == con_count_oracle(l)
             checked += 1
+    assert checked == 1 + 1 + 1 + 2 + 5 + 15 + 53 + 222 + 1078
     sampled = 0
-    for n, take in ((8, 70), (9, 70), (10, 60)):
-        for l in sample_lattices(n, take, seed=2024, max_n=10):
-            assert con_count(l) == con_count_oracle(l)
-            sampled += 1
-    assert sampled >= 200
-    _ok(4, f"FJN count equals partition oracle on {checked} small + {sampled} sampled classes")
+    for l in sample_lattices(10, 60, seed=2024, max_n=10):
+        assert con_count(l) == con_count_oracle(l)
+        sampled += 1
+    assert sampled == 60
+    _ok(4, f"FJN count equals partition oracle on all {checked} classes n <= 9 + {sampled} sampled at n = 10")
 
 
 def test_criterion_5_planarity_oracle_equivalence():

@@ -9,10 +9,8 @@ from latcon.congruence import (
     congruence_join,
     few_criteria,
     has_many_congruences,
-    is_congruence,
     jir_quasiorder,
     principal_congruence,
-    refines,
 )
 from latcon.enumeration import enumerate_lattices, sample_lattices
 from latcon.lattice import (
@@ -24,9 +22,11 @@ from latcon.lattice import (
     make_chain,
     make_l_family,
     make_mk,
+    make_product,
     transposes_up,
 )
 from latcon.poset import canonical_form, poset_from_covers
+from oracles import _iter_partitions, con_count_bruteforce, is_congruence, refines
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -147,6 +147,32 @@ def test_con_enumerate_cap():
         con_enumerate(make_chain(8), cap=100)
 
 
+def test_con_enumerate_checks_cap_before_closing(monkeypatch):
+    import latcon.congruence as congruence
+
+    def no_close(l, pairs):
+        raise AssertionError("_close called before the cap check")
+
+    monkeypatch.setattr(congruence, "_close", no_close)
+    with pytest.raises(CapExceededError):
+        con_enumerate(make_chain(8), cap=100)
+
+
+def test_con_enumerate_builds_quasiorder_once(monkeypatch):
+    import latcon.congruence as congruence
+
+    calls = []
+    real = congruence.jir_quasiorder
+
+    def counted(l):
+        calls.append(l.n)
+        return real(l)
+
+    monkeypatch.setattr(congruence, "jir_quasiorder", counted)
+    assert len(con_enumerate(N5)) == 5
+    assert calls == [5]
+
+
 def test_con_enumerate_rejects_inconsistent_result(monkeypatch):
     import latcon.congruence as congruence
 
@@ -167,6 +193,37 @@ def test_oracle_guard():
         con_count_oracle(make_chain(11))
 
 
+def _oracle_families():
+    """Constructed lattices of at most 10 elements and their duals."""
+    fams = [make_chain(n) for n in range(1, 11)]
+    fams += [make_mk(k) for k in range(3, 9)]
+    fams += [make_boolean(3)]
+    fams += [make_product(make_chain(a), make_chain(b)) for a, b in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3))]
+    return fams + [dual_lattice(l) for l in fams]
+
+
+def test_oracle_matches_bruteforce():
+    """The pruned search counts exactly the partitions the unpruned check accepts."""
+    for n in range(1, 9):
+        for l in enumerate_lattices(n):
+            assert con_count_oracle(l) == con_count_bruteforce(l)
+    for l in _oracle_families():
+        assert con_count_oracle(l) == con_count_bruteforce(l)
+
+
+def test_oracle_reads_only_the_tables(monkeypatch):
+    """The partition oracle stays independent of the quasiorder route."""
+    import latcon.congruence as congruence
+
+    def forbidden(*args):
+        raise AssertionError("the partition oracle used the quasiorder route")
+
+    for name in ("jir_quasiorder", "_close", "count_downsets"):
+        monkeypatch.setattr(congruence, name, forbidden)
+    assert con_count_oracle(N5) == 5
+    assert con_count_oracle(make_boolean(3)) == 8
+
+
 def test_oracle_equivalence_small():
     for n in range(1, 7):
         for l in enumerate_lattices(n):
@@ -175,8 +232,6 @@ def test_oracle_equivalence_small():
 
 def test_is_congruence_accepts_exactly_the_congruences():
     """Among all partitions, is_congruence accepts con_count of them."""
-    from latcon.congruence import _iter_partitions
-
     for n in range(1, 6):
         for l in enumerate_lattices(n):
             accepted = 0

@@ -4,13 +4,13 @@ from latcon import enumeration
 from latcon.congruence import con_count
 from latcon.enumeration import (
     enumerate_lattices,
-    enumerate_lattices_oracle,
     sample_lattices,
     spectrum,
     verify_theorem,
 )
 from latcon.lattice import SizeError, validate_lattice
 from latcon.poset import _bits, _encode, _poset_from_up, canonical_form, canonical_relabel
+from oracles import enumerate_lattices_oracle
 
 # OEIS A006966: unlabeled lattices on n nodes.
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
