@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Iterator
 
-from .congruence import con_count_oracle, exceeds_threshold, jir_quasiorder
+from .congruence import ORACLE_MAX_N, con_count_oracle, exceeds_threshold, jir_quasiorder
 from .enumeration import (
     DEFAULT_MAX_N,
     TheoremReport,
@@ -37,8 +37,6 @@ from .lattice import (
 )
 from .planarity import is_dismantlable, is_planar_kr, planar_realizer
 from .poset import CycleError, canonical_relabel, count_downsets, find_embedding, poset_from_covers
-
-_ORACLE_MAX = 10
 
 # Largest element count a lattice file may declare, checked before anything
 # is allocated: twice the scale the bitmask posets are meant for.
@@ -140,7 +138,7 @@ def _cmd_analyze(args) -> int:
     qu = jir_quasiorder(l).qu_poset if l.n >= 2 else None
     con = count_downsets(qu) if qu is not None else 1
     print(f"Con={con}")
-    if l.n <= _ORACLE_MAX:
+    if l.n <= ORACLE_MAX_N:
         print(f"Con_oracle={con_count_oracle(l)}")
     if qu is not None:
         canon, _ = canonical_relabel(qu)

@@ -5,25 +5,29 @@ elements: p is below q when the principal congruence collapsing p with
 its lower cover refines the one collapsing q with its lower cover.  That
 quasiorder is the reflexive-transitive closure of the dependency
 relation p D q (some x has p <= q v x but not p <= q_* v x), which is
-read off the join table with bitmasks, without computing any
-congruence.  Hereditary subsets of the quasiorder are in bijection with
-congruences, so counting them is counting downsets of the quotient
-poset.  The independent second route is the partition oracle: a
-depth-first search over set partitions that reads only the join and
-meet tables and drops a partial partition at the first compatibility
-implication it breaks.
+read off the order rows with bitmasks, without computing any
+congruence or join table: p is join-irreducible exactly when its strict
+down-set is the down-row of an element, its lower cover p_*, and q v x
+is the element whose up-row is up[q] & up[x].  Hereditary subsets of
+the quasiorder are in bijection with congruences, so counting them is
+counting downsets of the quotient poset.  The independent second route
+is the partition oracle: a depth-first search over set partitions that
+reads only the join and meet tables and drops a partial partition at
+the first compatibility implication it breaks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Lattice, SizeError, irreducibles
+from .lattice import Lattice, SizeError, _single_covers, irreducibles
 from .poset import Poset, _bits, count_downsets, iter_downset_masks, quotient_of_quasiorder
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
-_BELL_GUARD = 10
+# Largest lattice the partition oracle accepts; `latcon analyze` prints
+# its count up to this size.
+ORACLE_MAX_N = 10
 
 
 class CapExceededError(RuntimeError):
@@ -130,19 +134,20 @@ def jir_quasiorder(l: Lattice) -> JirQuasiorder:
     holds at (p, q) exactly when con(p_*, p) refines con(q_*, q)
     (Freese, Jezek, Nation, Free Lattices, Thm 2.35 / Lemma 2.36).
     """
-    irr = irreducibles(l)
-    jir = tuple(sorted(irr.jir))
+    up, down = l.poset.up, l.poset.down
+    lower = _single_covers(down)
+    jir = tuple(lower)
     m = len(jir)
     index = {p: i for i, p in enumerate(jir)}
     jmask = sum(1 << p for p in jir)
-    down = l.poset.down
-    join = l.join
+    # q v x is the element whose up-row is up[q] & up[x].
+    by_up = {row: i for i, row in enumerate(up)}
     rel = [1 << i for i in range(m)]
     for b, q in enumerate(jir):
-        jq, js = join[q], join[irr.lower_cover[q]]
+        uq, us = up[q], up[lower[q]]
         dep = 0
-        for x in range(l.n):
-            dep |= down[jq[x]] & ~down[js[x]]
+        for ux in up:
+            dep |= down[by_up[uq & ux]] & ~down[by_up[us & ux]]
         for p in _bits(dep & jmask):
             rel[index[p]] |= 1 << b
     for k in range(m):
@@ -206,8 +211,8 @@ def con_count_oracle(l: Lattice) -> int:
     independent of the quasiorder route.
     """
     n = l.n
-    if n > _BELL_GUARD:
-        raise SizeError(f"partition oracle capped at n = {_BELL_GUARD}")
+    if n > ORACLE_MAX_N:
+        raise SizeError(f"partition oracle capped at n = {ORACLE_MAX_N}")
     join, meet = l.join, l.meet
     checks: list[set[tuple[int, int, int, int]]] = [set() for _ in range(n)]
     for x in range(n):

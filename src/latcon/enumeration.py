@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import Callable, TypeVar
 
@@ -68,7 +67,7 @@ def _extend_semilattice(p: Poset) -> list[int]:
     n = p.n
     out = []
     # The nonempty up-sets; the first mask is the empty set.
-    for upset in islice(_closed_masks(p.up, p._linear_extension[::-1]), 1, None):
+    for upset in _closed_masks(p.up, p._linear_extension[::-1])[1:]:
         ok = True
         for y in range(n):
             if upset >> y & 1:

@@ -1,9 +1,20 @@
-"""Lattice validation, join/meet tables, irreducibles and constructors."""
+"""Lattice validation, join/meet tables, irreducibles and constructors.
+
+A lattice is kept as its poset's relation rows: the lub of i and j is
+the element whose up-row is ``up[i] & up[j]``, the glb the one whose
+down-row is ``down[i] & down[j]``, and p is join-irreducible with lower
+cover c exactly when its strict down-set is ``down[c]``.  Each is one
+dict lookup, so the per-class layers of a sweep build no n x n table.
+Validation looks up lubs only: a finite poset with a least element in
+which every pair has a lub is a lattice, since the glb of a pair is the
+lub of its common lower bounds.  The join and meet tables are built on
+first use, for the callers that read many entries.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .poset import Poset, dual, poset_from_covers
 
@@ -26,17 +37,28 @@ class IntervalError(ValueError):
 
 @dataclass(frozen=True)
 class Lattice:
-    """A validated lattice: poset plus total join/meet tables."""
+    """A validated lattice: its poset, bottom and top.
+
+    ``join`` and ``meet`` are the total n x n tables, built on first use
+    from the poset's up- and down-rows.  They are not fields, so equality
+    and the hash depend on the poset, bottom and top only.
+    """
 
     poset: Poset
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
 
     @property
     def n(self) -> int:
         return self.poset.n
+
+    @cached_property
+    def join(self) -> tuple[tuple[int, ...], ...]:
+        return _table(self.poset.up)
+
+    @cached_property
+    def meet(self) -> tuple[tuple[int, ...], ...]:
+        return _table(self.poset.down)
 
     def leq(self, i: int, j: int) -> bool:
         return self.poset.leq(i, j)
@@ -74,10 +96,36 @@ def _minimal_of(mask: int, down: tuple[int, ...]) -> list[int]:
     return out
 
 
-def validate_lattice(p: Poset) -> Lattice:
-    """Check unique bottom/top and total lub/glb tables.
+def _table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Entry (i, j) is the element whose row is rows[i] & rows[j].
 
-    Raises NotLatticeError with the first failing pair in index order.
+    On up-rows this is the join table, on down-rows the meet table; the
+    rows must be a lattice's.
+    """
+    index = {row: i for i, row in enumerate(rows)}
+    return tuple(tuple([index[a & b] for b in rows]) for a in rows)
+
+
+def _single_covers(rows: tuple[int, ...]) -> dict[int, int]:
+    """x -> c for every x whose strict row is rows[c].
+
+    On down-rows these are the join-irreducibles with their lower covers,
+    on up-rows the meet-irreducibles with their upper covers.
+    """
+    index = {row: i for i, row in enumerate(rows)}
+    out = {}
+    for x, row in enumerate(rows):
+        c = index.get(row & ~(1 << x))
+        if c is not None:
+            out[x] = c
+    return out
+
+
+def validate_lattice(p: Poset) -> Lattice:
+    """Check a unique bottom and top and a lub for every pair.
+
+    Raises NotLatticeError with the first failing pair in index order,
+    checking its lub before its glb.
     """
     n = p.n
     if n == 0:
@@ -97,33 +145,28 @@ def validate_lattice(p: Poset) -> Lattice:
         )
 
     # A pair has a lub exactly when its common up-set is some element's
-    # up-set, and a glb exactly when its common down-set is some element's
-    # down-set.
-    up, down = p.up, p.down
+    # up-set.  With a bottom, lubs for all pairs make a lattice, so glbs are
+    # looked up only to name the first failing pair.
+    up = p.up
     by_up = {row: i for i, row in enumerate(up)}
-    by_down = {row: i for i, row in enumerate(down)}
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        join[i][i] = i
-        meet[i][i] = i
-        for j in range(i + 1, n):
-            lub = by_up.get(up[i] & up[j])
-            if lub is None:
-                raise NotLatticeError(f"no lub for ({i}, {j})", (i, j))
-            glb = by_down.get(down[i] & down[j])
-            if glb is None:
-                raise NotLatticeError(f"no glb for ({i}, {j})", (i, j))
-            join[i][j] = join[j][i] = lub
-            meet[i][j] = meet[j][i] = glb
+    for i, ui in enumerate(up):
+        for uj in up[i + 1 :]:
+            if ui & uj not in by_up:
+                raise _first_failure(p, by_up)
+    return Lattice(poset=p, bottom=bottoms[0], top=tops[0])
 
-    return Lattice(
-        poset=p,
-        join=tuple(tuple(r) for r in join),
-        meet=tuple(tuple(r) for r in meet),
-        bottom=bottoms[0],
-        top=tops[0],
-    )
+
+def _first_failure(p: Poset, by_up: dict[int, int]) -> NotLatticeError:
+    """The error naming the first pair that misses a lub or a glb; some pair must."""
+    up, down = p.up, p.down
+    by_down = {row: i for i, row in enumerate(down)}
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            if up[i] & up[j] not in by_up:
+                return NotLatticeError(f"no lub for ({i}, {j})", (i, j))
+            if down[i] & down[j] not in by_down:
+                return NotLatticeError(f"no glb for ({i}, {j})", (i, j))
+    raise RuntimeError("a pair without a lub was not found again")
 
 
 def lattice_from_covers(n: int, pairs) -> Lattice:
@@ -131,32 +174,25 @@ def lattice_from_covers(n: int, pairs) -> Lattice:
 
 
 def dual_lattice(l: Lattice) -> Lattice:
-    return Lattice(
-        poset=dual(l.poset),
-        join=l.meet,
-        meet=l.join,
-        bottom=l.top,
-        top=l.bottom,
-    )
+    """The order reversed; its join table is l's meet table and vice versa."""
+    return Lattice(poset=dual(l.poset), bottom=l.top, top=l.bottom)
 
 
 @lru_cache(maxsize=1)
 def irreducibles(l: Lattice) -> IrreducibleSets:
-    """Join/meet (ir)reducible classification.
+    """Join/meet (ir)reducible classification, read off the order rows.
 
-    The last result is kept, so the congruence count and the planarity
-    test of one class share a single computation; keeping one per
-    lattice would hold a few kilobytes for every enumerated class.  The
-    result is shared between callers and must not be mutated.
+    The last result is kept, so the callers that take turns on one
+    lattice (`analyze` prints the counts, then `is_planar_kr` reads
+    them) share a single computation; keeping one per lattice would hold
+    a few kilobytes for every enumerated class.  The result is shared
+    between callers and must not be mutated.
     """
     n = l.n
-    lower: dict[int, list[int]] = {i: [] for i in range(n)}
-    upper: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in l.poset.covers:
-        lower[b].append(a)
-        upper[a].append(b)
-    jir = frozenset(i for i in range(n) if i != l.bottom and len(lower[i]) == 1)
-    mir = frozenset(i for i in range(n) if i != l.top and len(upper[i]) == 1)
+    lower = _single_covers(l.poset.down)
+    upper = _single_covers(l.poset.up)
+    jir = frozenset(lower)
+    mir = frozenset(upper)
     jred = frozenset(range(n)) - {l.bottom} - jir
     mred = frozenset(range(n)) - {l.top} - mir
     return IrreducibleSets(
@@ -165,8 +201,8 @@ def irreducibles(l: Lattice) -> IrreducibleSets:
         dir=jir & mir,
         jred=jred,
         mred=mred,
-        lower_cover={i: lower[i][0] for i in jir},
-        upper_cover={i: upper[i][0] for i in mir},
+        lower_cover=lower,
+        upper_cover=upper,
     )
 
 

@@ -312,28 +312,44 @@ def _is_linear_order(rows: tuple[int, ...], n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def is_dismantlable(l: Lattice) -> bool:
-    """Greedy removal of doubly irreducible elements down to a point.
+    """Removal of doubly irreducible elements, in passes, down to a point.
 
-    The elements still present form the bitmask ``left``; each step
-    removes the lowest-index element with at most one lower and at most
-    one upper cover inside it.  Such a removal leaves a sublattice, so
-    nothing is revalidated.
+    The elements still present form the bitmask ``left``.  Each pass
+    removes, in index order, every element with at most one lower and at
+    most one upper cover inside it, and the passes repeat until one
+    removes nothing.  Such a removal leaves a sublattice, so nothing is
+    revalidated, and it keeps every other doubly irreducible element
+    doubly irreducible (the removed element's one lower or upper cover
+    takes its place), so the verdict is that of removing one element at
+    a time.
     """
     up, down = l.poset.up, l.poset.down
     left = l.poset.full_mask
     while left & (left - 1):
+        before = left
         for x in _bits(left):
             bit = 1 << x
             if _empty_or_greatest(down[x] & left & ~bit, down) and _empty_or_greatest(
                 up[x] & left & ~bit, up
             ):
                 left &= ~bit
-                break
-        else:
+        if left == before:
             return False
     return True
 
 
 def _empty_or_greatest(mask: int, down: tuple[int, ...]) -> bool:
-    """mask is empty or has a greatest element; given up-sets, a least one."""
-    return not mask or any(mask & ~down[y] == 0 for y in _bits(mask))
+    """mask is empty or has a greatest element; given up-sets, a least one.
+
+    About half the masks met while dismantling hold at most one element,
+    and those are settled before any row is read.
+    """
+    if not mask & (mask - 1):
+        return True
+    rest = mask
+    while rest:
+        b = rest & -rest
+        if mask & ~down[b.bit_length() - 1] == 0:
+            return True
+        rest ^= b
+    return False

@@ -497,25 +497,26 @@ def count_downsets(p: Poset) -> int:
     return rec(p.full_mask)
 
 
-def _closed_masks(rows: Sequence[int], order: Sequence[int]) -> Iterator[int]:
+def _closed_masks(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     """Every set S with rows[x] inside S for each x in S, as bitmasks.
 
     The elements of order decide in turn, leaving x out before taking it
     in, so the empty set comes first.  order must put every element after
     the rest of its row: x can then join when the rest of its row has.
+    Built level by level: each element follows every mask with its
+    extension by x, where x may join, so earlier decisions rank first.
     """
-    n = len(order)
-
-    def rec(idx: int, cur: int) -> Iterator[int]:
-        if idx == n:
-            yield cur
-            return
-        x = order[idx]
-        yield from rec(idx + 1, cur)
-        if rows[x] & ~cur == 1 << x:
-            yield from rec(idx + 1, cur | 1 << x)
-
-    return rec(0, 0)
+    masks = [0]
+    for x in order:
+        bit = 1 << x
+        row = rows[x]
+        nxt = []
+        for cur in masks:
+            nxt.append(cur)
+            if row & ~cur == bit:
+                nxt.append(cur | bit)
+        masks = nxt
+    return masks
 
 
 def iter_downset_masks(p: Poset) -> Iterator[int]:

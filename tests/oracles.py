@@ -4,9 +4,74 @@ from itertools import combinations
 from typing import Sequence
 
 from latcon.congruence import Congruence
-from latcon.lattice import Lattice, SizeError
+from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of
 from latcon.planarity import cover_graph_edges
-from latcon.poset import _bits, _poset_from_up, canonical_form, count_downsets, quotient_of_quasiorder
+from latcon.poset import Poset, _bits, _poset_from_up, canonical_form, count_downsets, quotient_of_quasiorder
+
+
+Table = tuple[tuple[int, ...], ...]
+
+
+def validate_lattice_eager(p: Poset) -> tuple[Table, Table, int, int]:
+    """(join, meet, bottom, top) by a full scan that fills both tables.
+
+    Checks a unique bottom and top, then every pair in index order, its
+    lub before its glb, and raises NotLatticeError at the first failure:
+    the scan validate_lattice made before it looked up lubs only.
+    """
+    n = p.n
+    if n == 0:
+        raise NotLatticeError("empty poset is not a lattice")
+    full = p.full_mask
+    bottoms = [i for i in range(n) if p.up[i] == full]
+    tops = [i for i in range(n) if p.down[i] == full]
+    if len(bottoms) != 1 or len(tops) != 1:
+        mins = _minimal_of(full, p.down)
+        if len(mins) >= 2:
+            raise NotLatticeError(f"no glb for ({mins[0]}, {mins[1]})", (mins[0], mins[1]))
+        maxs = _minimal_of(full, p.up)
+        raise NotLatticeError(f"no lub for ({maxs[0]}, {maxs[1]})", (maxs[0], maxs[1]))
+    up, down = p.up, p.down
+    by_up = {row: i for i, row in enumerate(up)}
+    by_down = {row: i for i, row in enumerate(down)}
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for i in range(n):
+        join[i][i] = meet[i][i] = i
+        for j in range(i + 1, n):
+            lub = by_up.get(up[i] & up[j])
+            if lub is None:
+                raise NotLatticeError(f"no lub for ({i}, {j})", (i, j))
+            glb = by_down.get(down[i] & down[j])
+            if glb is None:
+                raise NotLatticeError(f"no glb for ({i}, {j})", (i, j))
+            join[i][j] = join[j][i] = lub
+            meet[i][j] = meet[j][i] = glb
+    return tuple(map(tuple, join)), tuple(map(tuple, meet)), bottoms[0], tops[0]
+
+
+def is_dismantlable_restart(l: Lattice) -> bool:
+    """Remove one doubly irreducible element at a time, each time the
+    lowest-index one, until one element is left or none can go: the loop
+    is_dismantlable ran before it removed elements in passes, with the
+    cover test it ran then."""
+
+    def empty_or_greatest(mask: int, down: tuple[int, ...]) -> bool:
+        return not mask or any(mask & ~down[y] == 0 for y in _bits(mask))
+
+    up, down = l.poset.up, l.poset.down
+    left = l.poset.full_mask
+    while left & (left - 1):
+        for x in _bits(left):
+            bit = 1 << x
+            if empty_or_greatest(down[x] & left & ~bit, down) and empty_or_greatest(
+                up[x] & left & ~bit, up
+            ):
+                left &= ~bit
+                break
+        else:
+            return False
+    return True
 
 
 def _paths_exist(adj: list[int], pairs: list[tuple[int, int]], free: int) -> bool:

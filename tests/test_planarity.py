@@ -2,6 +2,7 @@ import pytest
 
 from latcon.enumeration import enumerate_lattices
 from latcon.lattice import (
+    dual_lattice,
     lattice_from_covers,
     make_boolean,
     make_chain,
@@ -21,7 +22,7 @@ from latcon.planarity import (
     realizer_is_valid,
 )
 from latcon.poset import canonical_form, dual, embedding_is_valid, find_embedding, subposet
-from oracles import is_planar_graph_bruteforce
+from oracles import is_dismantlable_restart, is_planar_graph_bruteforce
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -278,6 +279,23 @@ def test_greedy_dismantling_matches_exhaustive():
 
     for l in sample_lattices(9, 120, seed=31):
         assert is_dismantlable(l) == exhaustive(l)
+
+
+def test_dismantling_in_passes_matches_restart_loop():
+    """Removal in passes and removal one element at a time, restarting at
+    the lowest index, agree on every class up to nine elements, on the
+    duals and on the constructed families."""
+    lattices = [l for n in range(1, 10) for l in enumerate_lattices(n)]
+    lattices += [make_chain(7), make_boolean(3), make_boolean(4), make_mk(5), N5]
+    lattices += [make_l_family(n) for n in range(8, 13)]
+    lattices += [make_product(make_chain(3), make_chain(4)), make_ordinal_sum(N5, make_boolean(3))]
+    verdicts = {True: 0, False: 0}
+    for l in lattices:
+        for host in (l, dual_lattice(l)):
+            verdict = is_dismantlable(host)
+            assert verdict == is_dismantlable_restart(host)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 30, verdicts
 
 
 def test_planar_implies_dismantlable():
