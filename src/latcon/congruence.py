@@ -133,6 +133,16 @@ def jir_quasiorder(l: Lattice) -> JirQuasiorder:
     p <= q v x but not p <= q_* v x): its reflexive-transitive closure
     holds at (p, q) exactly when con(p_*, p) refines con(q_*, q)
     (Freese, Jezek, Nation, Free Lattices, Thm 2.35 / Lemma 2.36).
+
+    Only meet-irreducible witnesses x with x >= q_* and x not >= q are
+    tried, and for them q_* v x = x.  This loses no pair: given any
+    witness x, take x' maximal among the elements above q_* v x that are
+    not above p (q_* v x itself is one).  Then q_* v x' = x', and x' is a
+    witness, since p <= q v x <= q v x'.  Each element strictly above x'
+    is above q_* v x, so it is above p; two distinct upper covers of x'
+    would then have the meet x' above p, and x' is not the top, so x' has
+    exactly one upper cover: it is meet-irreducible.  It is not above q
+    either, or x' = q v x' would be above p.
     """
     up, down = l.poset.up, l.poset.down
     lower = _single_covers(down)
@@ -140,14 +150,15 @@ def jir_quasiorder(l: Lattice) -> JirQuasiorder:
     m = len(jir)
     index = {p: i for i, p in enumerate(jir)}
     jmask = sum(1 << p for p in jir)
+    mmask = sum(1 << x for x in _single_covers(up))
     # q v x is the element whose up-row is up[q] & up[x].
     by_up = {row: i for i, row in enumerate(up)}
     rel = [1 << i for i in range(m)]
     for b, q in enumerate(jir):
-        uq, us = up[q], up[lower[q]]
+        uq = up[q]
         dep = 0
-        for ux in up:
-            dep |= down[by_up[uq & ux]] & ~down[by_up[us & ux]]
+        for x in _bits(up[lower[q]] & ~uq & mmask):
+            dep |= down[by_up[uq & up[x]]] & ~down[x]
         for p in _bits(dep & jmask):
             rel[index[p]] |= 1 << b
     for k in range(m):

@@ -13,12 +13,23 @@ cheap invariant over the minimal elements of C, and where several
 elements tie, C minus the tied element of least canonical position must
 be isomorphic to the parent.  Acceptance then depends only on the class
 of C, and the parent of an accepted C is isomorphic to C minus its
-canonical deletion, so each class is accepted under one parent only; a
-set of seen children per parent removes the copies that the parent's
-automorphisms make, so no set of the canonical forms of all classes is
-kept.  Correctness is
-also anchored by agreement with the independent labeled-poset oracle
-in tests/oracles.py.
+canonical deletion, so each class is accepted under one parent only.
+
+Within one parent, up-sets that an automorphism of the parent maps onto
+each other give isomorphic children, so one per orbit is enough.
+Swapping two twins (incomparable elements related alike to every other
+element) is an automorphism, and canonical labelling finds the twin
+groups anyway, so an up-set is tried only where it meets every twin
+group in the group's lowest elements: one up-set per orbit of the twin
+swaps.  Where the parent's labelling needed no search, every colour
+class is one twin group and the twin swaps generate all of its
+automorphisms.  A child can still repeat where other automorphisms
+exist, or where two deletions that no automorphism relates leave the
+same parent, and the set of children already seen from the parent
+drops those repeats (433 of the 7,994 labellings at n = 10, one of them
+under a parent whose automorphisms are all twin swaps).  No set of the
+canonical forms of all classes is kept.  Correctness is also anchored by
+agreement with the independent labeled-poset oracle in tests/oracles.py.
 
 Because acceptance needs nothing outside a parent's own subtree, the
 sweeps split the growth tree at the canonical semilattices with
@@ -45,8 +56,8 @@ from .poset import (
     _closed_masks,
     _encode,
     _poset_from_up,
+    _relabel_with_twins,
     canonical_form,
-    canonical_relabel,
     subposet,
 )
 
@@ -85,15 +96,20 @@ def _extend_semilattice(p: Poset) -> list[int]:
     return out
 
 
-def _grow(p: Poset, m: int, emit: Callable[[Poset, bytes], None], bottom: bool = True) -> None:
+def _grow(
+    p: Poset, twins: tuple[int, ...], m: int, emit: Callable[[Poset, bytes], None], bottom: bool = True
+) -> None:
     """Call emit once per class grown from p, with its canonical representative and its encoding.
 
     p is a canonical semilattice representative with fewer than m
-    elements, so its encoding is its canonical form.  A child C = p + x
-    is kept only if x is C's canonical deletion (see the module
-    docstring).  Children with m elements are emitted: with a bottom
-    added and canonicalised as (m+1)-element lattices, or as they are
-    when bottom is False.  Smaller children are grown further.
+    elements, so its encoding is its canonical form, and twins are its
+    twin groups of two or more elements, as masks.  An extension up-set
+    is tried only where it meets each twin group in the group's lowest
+    elements, and a child C = p + x is kept only if x is C's canonical
+    deletion (see the module docstring).  Children with m elements are
+    emitted: with a bottom added and canonicalised as (m+1)-element
+    lattices, or as they are when bottom is False.  Smaller children are
+    grown further.
     """
     k = p.n
     last = k + 1 == m
@@ -106,6 +122,11 @@ def _grow(p: Poset, m: int, emit: Callable[[Poset, bytes], None], bottom: bool =
     parent_form = _encode(p)
     seen: set[bytes] = set()
     for upset in _extend_semilattice(p):
+        # A twin outside U has a smaller index than one inside it: twin
+        # swaps map U onto the up-set holding the group's lowest elements,
+        # which gives an isomorphic child and is tried instead.
+        if any(g & ~upset & (1 << (g & upset).bit_length()) - 1 for g in twins):
+            continue
         fx = (upset.bit_count() + 1, upset.bit_count() + 1 + sum(size[j] for j in _bits(upset)))
         rivals = [i for i in minimal if not upset >> i & 1 and (size[i], weight[i]) >= fx]
         if any((size[i], weight[i]) > fx for i in rivals):
@@ -121,7 +142,7 @@ def _grow(p: Poset, m: int, emit: Callable[[Poset, bytes], None], bottom: bool =
         else:
             child = _poset_from_up(rows)
         vars(child)["down"] = tuple(downs)
-        rep, perm = canonical_relabel(child)
+        rep, perm, child_twins = _relabel_with_twins(child)
         position = perm[1:] if lattice else perm
         form = _encode(rep)
         if form in seen:
@@ -136,7 +157,7 @@ def _grow(p: Poset, m: int, emit: Callable[[Poset, bytes], None], bottom: bool =
         if last:
             emit(rep, form)
         else:
-            _grow(rep, m, emit, bottom)
+            _grow(rep, child_twins, m, emit, bottom)
 
 
 def _check_size(n: int, max_n: int) -> None:
@@ -157,15 +178,18 @@ def _parents(n: int) -> list[Poset]:
     if k == 1:
         return [root]
     out: list[Poset] = []
-    _grow(root, k, lambda rep, form: out.append(rep), bottom=False)
+    _grow(root, (), k, lambda rep, form: out.append(rep), bottom=False)
     return out
 
 
 def _subtree(task: tuple[tuple[int, ...], int, Callable[[Poset], T]]) -> list[tuple[bytes, T]]:
     """(_encode(rep), per_class(rep)) for every n-element lattice grown from one parent."""
     parent_up, n, per_class = task
+    # The root is canonical, so it is its own representative and its twin
+    # groups are given in its own labels.
+    root, _, twins = _relabel_with_twins(_poset_from_up(parent_up))
     out: list[tuple[bytes, T]] = []
-    _grow(_poset_from_up(parent_up), n - 1, lambda rep, form: out.append((form, per_class(rep))))
+    _grow(root, twins, n - 1, lambda rep, form: out.append((form, per_class(rep))))
     return out
 
 

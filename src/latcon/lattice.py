@@ -182,11 +182,10 @@ def dual_lattice(l: Lattice) -> Lattice:
 def irreducibles(l: Lattice) -> IrreducibleSets:
     """Join/meet (ir)reducible classification, read off the order rows.
 
-    The last result is kept, so the callers that take turns on one
-    lattice (`analyze` prints the counts, then `is_planar_kr` reads
-    them) share a single computation; keeping one per lattice would hold
-    a few kilobytes for every enumerated class.  The result is shared
-    between callers and must not be mutated.
+    The last result is kept, so callers that take turns on one lattice
+    share a single computation; keeping one per lattice would hold a few
+    kilobytes for every class of a sweep.  The result is shared between
+    callers and must not be mutated.
     """
     n = l.n
     lower = _single_covers(l.poset.down)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._kr_data import _FAMILY_BUILDERS, REDUCIBLE_33_ENTRIES, SMALLEST_MEMBER
-from .lattice import Lattice, NotLatticeError, irreducibles, validate_lattice
+from .lattice import Lattice, NotLatticeError, _single_covers, validate_lattice
 from .poset import (
     Embedding,
     Poset,
@@ -102,8 +102,7 @@ def _validate_entry(name: str, family: str, poset: Poset) -> tuple[int, int]:
         raise CatalogValidationError(f"{name}: not a lattice ({exc})") from exc
     if planar_realizer(l) is not None:
         raise CatalogValidationError(f"{name}: planar, cannot be an obstruction")
-    irr = irreducibles(l)
-    njred, nmred = len(irr.jred), len(irr.mred)
+    njred, nmred = _reducible_counts(l)
     if name in REDUCIBLE_33_ENTRIES:
         if njred != 3 or nmred != 3:
             raise CatalogValidationError(
@@ -159,8 +158,7 @@ def is_planar_kr(l: Lattice) -> PlanarityVerdict:
     """
     if l.n < SMALLEST_MEMBER:
         return PlanarityVerdict(planar=True, witness=None)
-    irr = irreducibles(l)
-    jred, mred = len(irr.jred), len(irr.mred)
+    jred, mred = _reducible_counts(l)
     d = dual(l.poset)
     for entry in kr_catalog(l.n):
         if entry.jred <= jred and entry.mred <= mred:
@@ -172,6 +170,13 @@ def is_planar_kr(l: Lattice) -> PlanarityVerdict:
             if verdict is not None:
                 return verdict
     return PlanarityVerdict(planar=True, witness=None)
+
+
+def _reducible_counts(l: Lattice) -> tuple[int, int]:
+    """|Jred| and |Mred|: the elements other than the bottom that are not
+    join-irreducible, and those other than the top that are not
+    meet-irreducible."""
+    return l.n - 1 - len(_single_covers(l.poset.down)), l.n - 1 - len(_single_covers(l.poset.up))
 
 
 def _witnessed(entry: KRCatalogEntry, host: Poset, into_dual: bool) -> PlanarityVerdict | None:

@@ -3,7 +3,10 @@
 Relation rows are Python ints used as bitsets: bit j of ``up[i]`` says
 i <= j.  At the intended scale (n up to roughly 32) this makes closure,
 duality, ideal counting and embedding search cheap word operations, and
-it keeps every Poset hashable and immutable.
+it keeps every Poset hashable and immutable.  The set bits of a mask,
+which colour refinement, the enumeration's growth and the congruence
+count all walk, are read by ``_bits`` from a table of tuples for every
+mask below 2^12, which covers each sweep up to twelve elements.
 
 Canonical labelling refines a vertex colouring by the colours above and
 below each vertex, then searches over the orders that sort the colour
@@ -13,7 +16,9 @@ isomorphism, II", 2014).  Twin groups, found once per call, are never
 branched over.  When refinement leaves every class a single twin group,
 every such order gives the same relation matrix, so the search is
 skipped and the vertices are ordered by colour, then by index.  In the
-enumeration's lattices this is the common case.
+enumeration's lattices this is the common case.  Swapping two twins is
+an automorphism, so the twin groups also tell the enumeration which of
+a parent's extensions give isomorphic children.
 """
 
 from __future__ import annotations
@@ -212,14 +217,14 @@ def _refined_colors(p: Poset) -> list[int]:
     cells: list[list[int]] = [[] for _ in ranks]
     for i in range(n):
         cells[cur[i]].append(i)
-    # Strict neighbours as index lists, built once: the rows never change.
+    # Strict neighbours as index tuples, read once: the rows never change.
     above = {}
     below = {}
     for cell in cells:
         if len(cell) > 1:
             for i in cell:
-                above[i] = list(_bits(up[i] & ~(1 << i)))
-                below[i] = list(_bits(down[i] & ~(1 << i)))
+                above[i] = _bits(up[i] & ~(1 << i))
+                below[i] = _bits(down[i] & ~(1 << i))
     split = len(cells) < n
     while split:
         split = False
@@ -251,11 +256,39 @@ def _refined_colors(p: Poset) -> list[int]:
     return cur
 
 
-def _bits(mask: int) -> Iterator[int]:
+def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """Entry m < 2^width holds the set bits of m, lowest first.
+
+    The masks whose highest bit is b are those below 2^b with b added, so
+    each bit doubles the table.
+    """
+    table: list[tuple[int, ...]] = [()]
+    for b in range(width):
+        table += [low + (b,) for low in table]
+    return tuple(table)
+
+
+# Every mask of a sweep up to enumeration.HARD_MAX_N = 12 elements is below
+# 2^12, so refinement, growth and the congruence loop read their bits here.
+_BITS_TABLE = _bits_table(12)
+_BITS_LIMIT = len(_BITS_TABLE)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a non-negative mask, lowest first.
+
+    Masks below 2^12 are looked up in a table of 4,096 tuples; tuples,
+    so that no caller can change what the next one reads.  Larger masks,
+    from inputs of more than 12 elements, are walked bit by bit.
+    """
+    if mask < _BITS_LIMIT:
+        return _BITS_TABLE[mask]
+    out = []
     while mask:
         b = mask & -mask
-        yield b.bit_length() - 1
+        out.append(b.bit_length() - 1)
         mask ^= b
+    return tuple(out)
 
 
 def _twin_groups(p: Poset, colors: list[int]) -> list[int]:
@@ -352,19 +385,38 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
     would follow one path, so no search runs: the vertices are ordered by
     colour, then by index, exactly as the search would place them.
     """
+    rep, perm, _ = _relabel_with_twins(p)
+    return rep, perm
+
+
+def _relabel_with_twins(p: Poset) -> tuple[Poset, tuple[int, ...], tuple[int, ...]]:
+    """canonical_relabel(p), and the twin groups of two or more vertices.
+
+    Each group is a mask in the representative's labels.  Swapping two
+    twins is an automorphism, so these groups generate a subgroup of the
+    representative's automorphisms; where no search ran, every colour
+    class is one twin group, and they generate all of them.
+    """
     n = p.n
     if n == 0:
-        return p, ()
+        return p, (), ()
     colors = _refined_colors(p)
     group = _twin_groups(p, colors)
-    if len(set(group)) == max(colors) + 1:
+    groups = len(set(group))
+    if groups == max(colors) + 1:
         order = sorted(range(n), key=colors.__getitem__)
     else:
         order = _search(p, colors, group)
     inverse = [0] * n
     for pos, v in enumerate(order):
         inverse[v] = pos
-    return relabel(p, inverse), tuple(inverse)
+    twins: tuple[int, ...] = ()
+    if groups < n:
+        masks: dict[int, int] = {}
+        for v, g in enumerate(group):
+            masks[g] = masks.get(g, 0) | 1 << inverse[v]
+        twins = tuple(m for m in masks.values() if m & (m - 1))
+    return relabel(p, inverse), tuple(inverse), twins
 
 
 def _encode(p: Poset) -> bytes:

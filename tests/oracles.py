@@ -4,7 +4,7 @@ from itertools import combinations
 from typing import Sequence
 
 from latcon.congruence import Congruence
-from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of
+from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of, _single_covers
 from latcon.planarity import cover_graph_edges
 from latcon.poset import Poset, _bits, _poset_from_up, canonical_form, count_downsets, quotient_of_quasiorder
 
@@ -48,6 +48,31 @@ def validate_lattice_eager(p: Poset) -> tuple[Table, Table, int, int]:
             join[i][j] = join[j][i] = lub
             meet[i][j] = meet[j][i] = glb
     return tuple(map(tuple, join)), tuple(map(tuple, meet)), bottoms[0], tops[0]
+
+
+def dependency_rel_all_x(l: Lattice) -> tuple[int, ...]:
+    """The rows of congruence.jir_quasiorder(l).rel, with every element x
+    tried as a witness of p D q (p <= q v x, not p <= q_* v x): the loop
+    jir_quasiorder ran before it tried only meet-irreducible x above q_*."""
+    up, down = l.poset.up, l.poset.down
+    lower = _single_covers(down)
+    jir = tuple(lower)
+    m = len(jir)
+    by_up = {row: i for i, row in enumerate(up)}
+    rel = [1 << i for i in range(m)]
+    for b, q in enumerate(jir):
+        uq, us = up[q], up[lower[q]]
+        dep = 0
+        for ux in up:
+            dep |= down[by_up[uq & ux]] & ~down[by_up[us & ux]]
+        for a, p in enumerate(jir):
+            if dep >> p & 1:
+                rel[a] |= 1 << b
+    for k in range(m):
+        for i in range(m):
+            if rel[i] >> k & 1:
+                rel[i] |= rel[k]
+    return tuple(rel)
 
 
 def is_dismantlable_restart(l: Lattice) -> bool:
@@ -285,3 +310,50 @@ def enumerate_lattices_oracle(n: int) -> int:
 
     build(0)
     return len(forms)
+
+
+def twin_groups_bruteforce(p: Poset) -> set[int]:
+    """The twin classes of two or more elements, as masks, by comparing
+    every pair: u and v are twins when they are incomparable and every
+    third element is below (above) u exactly when it is below (above) v."""
+
+    def twins(u: int, v: int) -> bool:
+        if u == v:
+            return True
+        if p.up[u] >> v & 1 or p.up[v] >> u & 1:
+            return False
+        return all(
+            p.up[u] >> w & 1 == p.up[v] >> w & 1 and p.up[w] >> u & 1 == p.up[w] >> v & 1
+            for w in range(p.n)
+            if w not in (u, v)
+        )
+
+    classes = {sum(1 << v for v in range(p.n) if twins(u, v)) for u in range(p.n)}
+    return {c for c in classes if c & (c - 1)}
+
+
+def count_automorphisms(p: Poset) -> int:
+    """The number of order automorphisms of p, by trying every image for
+    each element in turn and dropping a partial map at the first relation
+    it does not preserve in both directions; colours and twins play no
+    part."""
+    n = p.n
+    image: list[int] = []
+
+    def extend(i: int, used: int) -> int:
+        if i == n:
+            return 1
+        found = 0
+        for v in range(n):
+            if used >> v & 1:
+                continue
+            if all(
+                p.up[i] >> j & 1 == p.up[v] >> image[j] & 1 and p.up[j] >> i & 1 == p.up[image[j]] >> v & 1
+                for j in range(i)
+            ):
+                image.append(v)
+                found += extend(i + 1, used | 1 << v)
+                image.pop()
+        return found
+
+    return extend(0, 0)

@@ -26,7 +26,7 @@ from latcon.lattice import (
     transposes_up,
 )
 from latcon.poset import canonical_form, poset_from_covers
-from oracles import _iter_partitions, con_count_bruteforce, is_congruence, refines
+from oracles import _iter_partitions, con_count_bruteforce, dependency_rel_all_x, is_congruence, refines
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -96,6 +96,17 @@ def test_jir_quasiorder_matches_refinement():
     lattices += [N5, make_l_family(11), dual_lattice(make_l_family(11))]
     for l in lattices:
         assert jir_quasiorder(l).rel == _rel_by_refinement(l)
+
+
+def test_meet_irreducible_witnesses_match_all_x():
+    """Trying only meet-irreducible witnesses above q_* gives the same
+    quasiorder as trying every element: on every class with n <= 9, their
+    duals and the constructed families."""
+    lattices = [l for n in range(1, 10) for l in enumerate_lattices(n)]
+    lattices += [make_l_family(11), make_boolean(4), make_mk(10)]
+    lattices += [dual_lattice(l) for l in lattices] + _oracle_families()
+    for l in lattices:
+        assert jir_quasiorder(l).rel == dependency_rel_all_x(l)
 
 
 def test_jir_quasiorder_m3():

@@ -1,6 +1,9 @@
+from math import factorial, prod
+
 import pytest
 
 from latcon import enumeration
+from latcon import poset as poset_mod
 from latcon.congruence import con_count
 from latcon.enumeration import (
     enumerate_lattices,
@@ -9,8 +12,8 @@ from latcon.enumeration import (
     verify_theorem,
 )
 from latcon.lattice import SizeError, validate_lattice
-from latcon.poset import _bits, _encode, _poset_from_up, canonical_form, canonical_relabel
-from oracles import enumerate_lattices_oracle
+from latcon.poset import _bits, _encode, _poset_from_up, canonical_form, canonical_relabel, relabel
+from oracles import count_automorphisms, enumerate_lattices_oracle, twin_groups_bruteforce
 
 # OEIS A006966: unlabeled lattices on n nodes.
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
@@ -247,17 +250,90 @@ def test_records_share_cover_pairs():
 def test_children_get_their_down_sets_from_the_parent(monkeypatch):
     """Every poset _grow canonicalises carries down-sets equal to the ones
     computed from its rows, at the inner levels and at the last, where the
-    bottom is added; each emitted encoding is the representative's."""
+    bottom is added; each emitted encoding is the representative's.  The
+    roots of the subtrees are labelled from their rows alone, once each."""
+    roots = sorted(p.up for p in enumeration._parents(8))
     children = []
+    relabel_with_twins = enumeration._relabel_with_twins
 
     def record(p):
         children.append((p, vars(p).get("down")))
-        return canonical_relabel(p)
+        return relabel_with_twins(p)
 
-    monkeypatch.setattr(enumeration, "canonical_relabel", record)
+    monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
     pairs = enumeration._sweep(8, 8, lambda rep: rep)
     assert len(pairs) == KNOWN_COUNTS[8]
     assert all(form == _encode(rep) for form, rep in pairs)
     assert {p.n for p, _ in children} == {2, 3, 4, 5, 6, 8}
+    assert sorted(p.up for p, down in children if down is None) == roots
     for p, down in children:
-        assert down == _poset_from_up(p.up).down
+        assert down in (None, _poset_from_up(p.up).down)
+
+
+def _labelled_in_sweeps(monkeypatch, sizes):
+    """(rep, twins, searched) for every labelling the sweeps of these sizes
+    make: the semilattice children and roots, and the lattices."""
+    calls = []
+    relabel_with_twins = enumeration._relabel_with_twins
+    search = poset_mod._search
+    searched = []
+
+    def record(p):
+        searched.clear()
+        rep, perm, twins = relabel_with_twins(p)
+        calls.append((rep, twins, bool(searched)))
+        return rep, perm, twins
+
+    monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
+    monkeypatch.setattr(poset_mod, "_search", lambda *args: searched.append(1) or search(*args))
+    for n in sizes:
+        assert len(enumeration._sweep(n, n, lambda rep: None)) == KNOWN_COUNTS[n]
+    return calls
+
+
+def test_twin_groups_are_automorphisms_of_the_representative(monkeypatch):
+    """Every twin group returned beside a representative is a twin class
+    of that representative, in its labels, and each transposition inside
+    it maps the representative onto itself: for every class with n <= 8
+    and every semilattice parent it is grown from."""
+    calls = _labelled_in_sweeps(monkeypatch, range(3, 9))
+    assert {rep.n for rep, _, _ in calls} == set(range(1, 9))
+    assert any(searched and twins for _, twins, searched in calls)
+    for rep, twins, _ in calls:
+        assert set(twins) == twin_groups_bruteforce(rep)
+        assert len(set(twins)) == len(twins)
+        for g in twins:
+            members = _bits(g)
+            for u in members:
+                for v in members:
+                    swap = list(range(rep.n))
+                    swap[u], swap[v] = v, u
+                    assert relabel(rep, swap) == rep
+
+
+def test_twin_swaps_are_all_automorphisms_where_no_search_ran(monkeypatch):
+    """Where the labelling ran no search, every colour class is one twin
+    group, so the automorphisms are exactly the permutations inside twin
+    groups: an exhaustive count agrees with the product of |G|!.  Where
+    the search ran, the twin swaps still form a subgroup, whose order
+    divides the count."""
+    calls = _labelled_in_sweeps(monkeypatch, range(3, 9))
+    small = {_encode(rep): (rep, twins, searched) for rep, twins, searched in calls if rep.n <= 7}
+    assert sum(not searched for _, _, searched in small.values()) > 100
+    assert sum(searched for _, _, searched in small.values()) > 5
+    for rep, twins, searched in small.values():
+        twin_order = prod(factorial(g.bit_count()) for g in twins)
+        count = count_automorphisms(rep)
+        if searched:
+            assert count % twin_order == 0
+        else:
+            assert count == twin_order
+
+
+def test_sweep_labels_one_extension_per_twin_orbit(monkeypatch):
+    """The n = 9 sweep labels 1,505 posets: 23 while growing the 15
+    roots, each root once, and 1,467 in the subtrees.  Labelling every
+    extension, as the growth did before it kept one per twin orbit, took
+    2,040."""
+    calls = _labelled_in_sweeps(monkeypatch, [9])
+    assert len(calls) == 1505

@@ -206,6 +206,21 @@ def test_catalog_e0_f0_reducible_counts():
         assert len(irr.jred) == 3 and len(irr.mred) == 3
 
 
+def test_prefilter_counts_match_irreducibles():
+    """The two counts the catalog prefilter reads off the order rows are
+    the sizes of the join- and meet-reducible sets, in that order."""
+    from latcon.lattice import irreducibles
+    from latcon.planarity import _reducible_counts
+
+    lattices = [l for n in range(1, 9) for l in enumerate_lattices(n)]
+    lattices += [make_l_family(11), make_ordinal_sum(make_mk(3), make_chain(2))]
+    lattices += [dual_lattice(l) for l in lattices]
+    assert any(len(irreducibles(l).jred) != len(irreducibles(l).mred) for l in lattices)
+    for l in lattices:
+        irr = irreducibles(l)
+        assert _reducible_counts(l) == (len(irr.jred), len(irr.mred))
+
+
 def test_catalog_a_family_selfdual():
     for e in kr_catalog(12):
         if e.family == "A":

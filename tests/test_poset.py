@@ -69,6 +69,17 @@ def all_posets_upto(nmax):
     return out
 
 
+def test_bits_are_the_set_bits_lowest_first():
+    """Every mask below 2^12 is read from the table, larger ones are
+    walked; each answer is a tuple, so no caller can change what the next
+    one reads."""
+    masks = list(range(1 << 12)) + [1 << 12, (1 << 12) + 5, 1 << 63 | 3, (1 << 64) - 1]
+    for m in masks:
+        got = _bits(m)
+        assert type(got) is tuple
+        assert got == tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
 def test_from_covers_singleton():
     p = poset_from_covers(1, [])
     assert p.n == 1 and p.leq(0, 0)
@@ -512,7 +523,9 @@ def test_search_runs_for_a_minority_of_classes(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(enumeration, "canonical_relabel", counted("relabel", canonical_relabel))
+    monkeypatch.setattr(
+        enumeration, "_relabel_with_twins", counted("relabel", poset_mod._relabel_with_twins)
+    )
     monkeypatch.setattr(poset_mod, "_search", counted("search", poset_mod._search))
     classes = enumeration._sweep(8, 8, lambda rep: None)
     assert len(classes) == 222
