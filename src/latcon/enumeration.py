@@ -31,13 +31,34 @@ under a parent whose automorphisms are all twin swaps).  No set of the
 canonical forms of all classes is kept.  Correctness is also anchored by
 agreement with the independent labeled-poset oracle in tests/oracles.py.
 
+A lattice is labelled only where acceptance needs it: where x ties with
+another minimal element on the invariant, or where the parent's
+labelling ran the search.  Otherwise x alone has the largest value of
+the invariant, so it is C's canonical deletion without any tie to
+break, and the lattice is accepted as built, unlabelled.  Two such
+siblings C = p + x and C' = p + x' (each with its bottom, which an
+isomorphism fixes) cannot be isomorphic: an isomorphism keeps the
+invariant, so it maps x, the only
+element of C with the largest value, onto x', restricts to an
+automorphism of p, which is a product of twin swaps, and maps U onto
+U'; but one up-set per orbit of the twin swaps was tried, so U = U'.
+Nor is such a C isomorphic to a tied sibling, whose largest value is
+shared.  So the seen set sees only labelled children, and still drops
+all 433 repeats at n = 10.  A sweep's per-class function gets each
+lattice with the labelling the growth made, or None: the spectrum needs
+only a congruence count and labels none of the rest (4,775 of the 5,994
+classes at n = 10), while enumerate_lattices and verify_theorem label
+each of them once, so they list the same representatives in the same
+order.
+
 Because acceptance needs nothing outside a parent's own subtree, the
 sweeps split the growth tree at the canonical semilattices with
 max(1, n - 4) elements and run each subtree end to end: growth,
-validation and the per-class function.  Only (encoding, result) pairs
+validation and the per-class function.  Only the per-class results
 leave a subtree, so the theorem sweep and the spectrum never hold a
 list of lattices, the subtrees can run in worker processes, and sorting
-the pairs by encoding gives the same report for any number of workers.
+the (encoding, result) pairs by encoding gives the same report for any
+number of workers.
 """
 
 from __future__ import annotations
@@ -45,7 +66,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .congruence import con_count, exceeds_threshold
 from .lattice import Lattice, SizeError, validate_lattice
@@ -97,19 +118,29 @@ def _extend_semilattice(p: Poset) -> list[int]:
 
 
 def _grow(
-    p: Poset, twins: tuple[int, ...], m: int, emit: Callable[[Poset, bytes], None], bottom: bool = True
+    p: Poset,
+    twins: tuple[int, ...],
+    searched: bool,
+    m: int,
+    emit: Callable[[Poset, Optional[bytes]], None],
+    bottom: bool = True,
 ) -> None:
-    """Call emit once per class grown from p, with its canonical representative and its encoding.
+    """Call emit once per class grown from p, with a poset of the class and its form.
 
     p is a canonical semilattice representative with fewer than m
-    elements, so its encoding is its canonical form, and twins are its
-    twin groups of two or more elements, as masks.  An extension up-set
-    is tried only where it meets each twin group in the group's lowest
-    elements, and a child C = p + x is kept only if x is C's canonical
-    deletion (see the module docstring).  Children with m elements are
-    emitted: with a bottom added and canonicalised as (m+1)-element
-    lattices, or as they are when bottom is False.  Smaller children are
-    grown further.
+    elements, so its encoding is its canonical form; twins are its twin
+    groups of two or more elements, as masks, and searched says whether
+    its labelling ran the search.  An extension up-set is tried only
+    where it meets each twin group in the group's lowest elements, and a
+    child C = p + x is kept only if x is C's canonical deletion (see the
+    module docstring).  Children with m elements are emitted: with a
+    bottom added as (m+1)-element lattices, or as they are when bottom
+    is False.  Smaller children are grown further.
+
+    An emitted class comes as its canonical representative and its
+    encoding, except a lattice accepted without labelling: under a parent
+    whose labelling ran no search, a child whose x alone has the largest
+    invariant is emitted as built, with its down-sets, and None.
     """
     k = p.n
     last = k + 1 == m
@@ -137,12 +168,18 @@ def _grow(
         downs.append(1 << k)
         if lattice:
             # C + bottom: the bottom is element 0 and C's element i is i + 1.
-            child = _poset_from_up([(1 << k + 2) - 1] + [row << 1 for row in rows])
-            downs = [1] + [row << 1 | 1 for row in downs]
+            child = _poset_from_up(
+                [(1 << k + 2) - 1] + [row << 1 for row in rows], [1] + [row << 1 | 1 for row in downs]
+            )
         else:
-            child = _poset_from_up(rows)
-        vars(child)["down"] = tuple(downs)
-        rep, perm, child_twins = _relabel_with_twins(child)
+            child = _poset_from_up(rows, downs)
+        if lattice and not searched and not rivals:
+            # x alone has the largest invariant, and p's automorphisms are
+            # its twin swaps: no sibling is isomorphic to C (see the module
+            # docstring), so C needs no labelling here.
+            emit(child, None)
+            continue
+        rep, perm, child_twins, child_searched = _relabel_with_twins(child)
         position = perm[1:] if lattice else perm
         form = _encode(rep)
         if form in seen:
@@ -152,12 +189,12 @@ def _grow(
             star = min(rivals + [k], key=position.__getitem__)
             if star != k:
                 rest = [i for i in range(k + 1) if i != star]
-                if canonical_form(subposet(_poset_from_up(rows), rest)) != parent_form:
+                if canonical_form(subposet(_poset_from_up(rows, downs), rest)) != parent_form:
                     continue
         if last:
             emit(rep, form)
         else:
-            _grow(rep, child_twins, m, emit, bottom)
+            _grow(rep, child_twins, child_searched, m, emit, bottom)
 
 
 def _check_size(n: int, max_n: int) -> None:
@@ -178,48 +215,62 @@ def _parents(n: int) -> list[Poset]:
     if k == 1:
         return [root]
     out: list[Poset] = []
-    _grow(root, (), k, lambda rep, form: out.append(rep), bottom=False)
+    _grow(root, (), False, k, lambda rep, form: out.append(rep), bottom=False)
     return out
 
 
-def _subtree(task: tuple[tuple[int, ...], int, Callable[[Poset], T]]) -> list[tuple[bytes, T]]:
-    """(_encode(rep), per_class(rep)) for every n-element lattice grown from one parent."""
+def _subtree(task: tuple[tuple[int, ...], int, Callable[[Poset, Optional[bytes]], T]]) -> list[T]:
+    """per_class(leaf, form) for every n-element lattice grown from one parent."""
     parent_up, n, per_class = task
     # The root is canonical, so it is its own representative and its twin
     # groups are given in its own labels.
-    root, _, twins = _relabel_with_twins(_poset_from_up(parent_up))
-    out: list[tuple[bytes, T]] = []
-    _grow(root, twins, n - 1, lambda rep, form: out.append((form, per_class(rep))))
+    root, _, twins, searched = _relabel_with_twins(_poset_from_up(parent_up))
+    out: list[T] = []
+    _grow(root, twins, searched, n - 1, lambda leaf, form: out.append(per_class(leaf, form)))
     return out
 
 
-def _sweep(n: int, max_n: int, per_class: Callable[[Poset], T], jobs: int = 1) -> list[tuple[bytes, T]]:
-    """(_encode(rep), per_class(rep)) for every class of n-element lattices.
+def _sweep(n: int, max_n: int, per_class: Callable[[Poset, Optional[bytes]], T], jobs: int = 1) -> list[T]:
+    """per_class(leaf, form) for every class of n-element lattices, in growth order.
 
-    rep is the class's canonical representative, and the pairs are sorted
-    by its encoding.  The growth tree is split at the parents of
-    _parents(n); each subtree runs end to end, in this process or, with
-    jobs > 1, in a pool of worker processes (per_class must then be a
-    module-level function).  Only the pairs are kept, so the merged
-    result does not depend on jobs.
+    leaf is a lattice poset of the class.  form is _encode(leaf) where
+    leaf is the class's canonical representative, and None where the
+    growth accepted the class without labelling it (see _grow);
+    _labelled settles both cases.  The growth tree is split at the
+    parents of _parents(n); each subtree runs end to end, in this process
+    or, with jobs > 1, in a pool of worker processes (per_class must then
+    be a module-level function).  Only the results are kept, in the order
+    of the parents, so the merged list does not depend on jobs.
     """
     _check_size(n, max_n)
     if n <= 2:
         # The one- and two-element chains, already canonical; growth
         # starts from the one-element semilattice and needs n >= 3.
         rep = _poset_from_up([1] if n == 1 else [3, 2])
-        return [(_encode(rep), per_class(rep))]
+        return [per_class(rep, _encode(rep))]
     tasks = [(p.up, n, per_class) for p in _parents(n)]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: multiprocessing adds to every command's start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            pairs = [pair for part in pool.map(_subtree, tasks, chunksize=1) for pair in part]
-    else:
-        pairs = [pair for part in map(_subtree, tasks) for pair in part]
+            return [out for part in pool.map(_subtree, tasks, chunksize=1) for out in part]
+    return [out for part in map(_subtree, tasks) for out in part]
+
+
+def _labelled(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, Poset]:
+    """The form and canonical representative of a leaf's class, labelling
+    leaf only where the growth did not."""
+    if form is None:
+        leaf = _relabel_with_twins(leaf)[0]
+        form = _encode(leaf)
+    return form, leaf
+
+
+def _by_form(pairs: list[tuple[bytes, T]]) -> list[T]:
+    """The values of (form, value) pairs, ordered by form."""
     pairs.sort(key=itemgetter(0))
-    return pairs
+    return [value for _, value in pairs]
 
 
 def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
@@ -232,7 +283,7 @@ def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
     """
     _check_size(n, max_n)
     if n not in _lattice_cache:
-        _lattice_cache[n] = [l for _, l in _sweep(n, max_n, validate_lattice)]
+        _lattice_cache[n] = _by_form(_sweep(n, max_n, _class_lattice))
     return _lattice_cache[n]
 
 
@@ -296,18 +347,28 @@ def analyze_class(l: Lattice) -> ClassRecord:
     )
 
 
-def _class_record(rep: Poset) -> ClassRecord:
-    return analyze_class(validate_lattice(rep))
+# The per-class functions of the sweeps.  A congruence count does not
+# depend on the labels, so the spectrum labels no leaf; the lattices and
+# records carry labels and are ordered by form, so every leaf is labelled.
+
+def _class_lattice(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, Lattice]:
+    form, rep = _labelled(leaf, form)
+    return form, validate_lattice(rep)
 
 
-def _class_con(rep: Poset) -> int:
-    return con_count(validate_lattice(rep))
+def _class_record(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, ClassRecord]:
+    form, rep = _labelled(leaf, form)
+    return form, analyze_class(validate_lattice(rep))
+
+
+def _class_con(leaf: Poset, form: Optional[bytes]) -> int:
+    return con_count(validate_lattice(leaf))
 
 
 def spectrum(n: int, max_n: int = DEFAULT_MAX_N) -> SpectrumReport:
     counts: dict[int, int] = {}
     total = 0
-    for _, c in _sweep(n, max_n, _class_con):
+    for c in _sweep(n, max_n, _class_con):
         counts[c] = counts.get(c, 0) + 1
         total += 1
     values = tuple(sorted(counts, reverse=True))
@@ -320,7 +381,7 @@ def verify_theorem(n: int, max_n: int = DEFAULT_MAX_N, jobs: int = 1) -> Theorem
     With jobs > 1 the enumeration subtrees run in that many worker
     processes; the report is the same.
     """
-    records = [r for _, r in _sweep(n, max_n, _class_record, jobs)]
+    records = _by_form(_sweep(n, max_n, _class_record, jobs))
     many = sum(1 for r in records if r.many)
     violations = tuple(r for r in records if r.many and not r.planar)
     return TheoremReport(

@@ -18,7 +18,10 @@ every such order gives the same relation matrix, so the search is
 skipped and the vertices are ordered by colour, then by index.  In the
 enumeration's lattices this is the common case.  Swapping two twins is
 an automorphism, so the twin groups also tell the enumeration which of
-a parent's extensions give isomorphic children.
+a parent's extensions give isomorphic children.  Where no search ran,
+the twin swaps are all of the automorphisms, so the labelling also says
+whether it searched: the enumeration then accepts some lattices without
+labelling them at all.
 """
 
 from __future__ import annotations
@@ -130,8 +133,12 @@ class Embedding:
     mapping: tuple[int, ...]
 
 
-def _poset_from_up(up: Sequence[int]) -> Poset:
-    return Poset(len(up), tuple(up))
+def _poset_from_up(up: Sequence[int], down: Optional[Sequence[int]] = None) -> Poset:
+    """The poset with these up-rows; down-rows already known are stored in its cache."""
+    p = Poset(len(up), tuple(up))
+    if down is not None:
+        vars(p)["down"] = tuple(down)
+    return p
 
 
 def poset_from_covers(n: int, pairs: Sequence[tuple[int, int]]) -> Poset:
@@ -165,33 +172,49 @@ def dual(p: Poset) -> Poset:
     The dual's down-sets are p's up-sets, so they are stored in its
     ``down`` cache rather than recomputed.
     """
-    d = _poset_from_up(p.down)
-    vars(d)["down"] = p.up
-    return d
+    return _poset_from_up(p.down, p.up)
+
+
+def _induced_rows(rows: Sequence[int], elements: Sequence[int]) -> list[int]:
+    """The rows of the given elements, restricted to them and relabelled 0..len-1."""
+    out = []
+    for i in elements:
+        row = rows[i]
+        out.append(sum(1 << b for b, j in enumerate(elements) if row >> j & 1))
+    return out
 
 
 def subposet(p: Poset, elements: Sequence[int]) -> Poset:
-    """Induced subposet on the given elements, relabelled 0..len-1."""
-    m = len(elements)
-    up = [0] * m
-    for a, i in enumerate(elements):
-        for b, j in enumerate(elements):
-            if p.up[i] >> j & 1:
-                up[a] |= 1 << b
-    return _poset_from_up(up)
+    """Induced subposet on the given elements, relabelled 0..len-1.
+
+    Down-sets p already holds are restricted alike, not recomputed.
+    """
+    down = vars(p).get("down")
+    return _poset_from_up(
+        _induced_rows(p.up, elements), None if down is None else _induced_rows(down, elements)
+    )
+
+
+def _permuted_rows(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
+    """Row i, with every bit j moved to perm[j], becomes row perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        moved = 0
+        for j in _bits(row):
+            moved |= 1 << perm[j]
+        out[perm[i]] = moved
+    return out
 
 
 def relabel(p: Poset, perm: Sequence[int]) -> Poset:
-    """Relabelled copy: old element i becomes perm[i]."""
-    up = [0] * p.n
-    for i, row in enumerate(p.up):
-        out = 0
-        while row:
-            low = row & -row
-            out |= 1 << perm[low.bit_length() - 1]
-            row ^= low
-        up[perm[i]] = out
-    return _poset_from_up(up)
+    """Relabelled copy: old element i becomes perm[i].
+
+    Down-sets p already holds are permuted alike, not recomputed.
+    """
+    down = vars(p).get("down")
+    return _poset_from_up(
+        _permuted_rows(p.up, perm), None if down is None else _permuted_rows(down, perm)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,28 +408,33 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
     would follow one path, so no search runs: the vertices are ordered by
     colour, then by index, exactly as the search would place them.
     """
-    rep, perm, _ = _relabel_with_twins(p)
+    rep, perm, _, _ = _relabel_with_twins(p)
     return rep, perm
 
 
-def _relabel_with_twins(p: Poset) -> tuple[Poset, tuple[int, ...], tuple[int, ...]]:
-    """canonical_relabel(p), and the twin groups of two or more vertices.
+def _relabel_with_twins(p: Poset) -> tuple[Poset, tuple[int, ...], tuple[int, ...], bool]:
+    """canonical_relabel(p), the twin groups of two or more vertices, and
+    whether the search ran.
 
     Each group is a mask in the representative's labels.  Swapping two
     twins is an automorphism, so these groups generate a subgroup of the
-    representative's automorphisms; where no search ran, every colour
-    class is one twin group, and they generate all of them.
+    representative's automorphisms.  Where no search ran, every colour
+    class is one twin group, and they generate all of them: an
+    automorphism keeps every colour, so it permutes each twin group
+    within itself.  The representative carries p's down-sets, permuted,
+    where p holds them.
     """
     n = p.n
     if n == 0:
-        return p, (), ()
+        return p, (), (), False
     colors = _refined_colors(p)
     group = _twin_groups(p, colors)
     groups = len(set(group))
-    if groups == max(colors) + 1:
-        order = sorted(range(n), key=colors.__getitem__)
-    else:
+    searched = groups != max(colors) + 1
+    if searched:
         order = _search(p, colors, group)
+    else:
+        order = sorted(range(n), key=colors.__getitem__)
     inverse = [0] * n
     for pos, v in enumerate(order):
         inverse[v] = pos
@@ -416,7 +444,7 @@ def _relabel_with_twins(p: Poset) -> tuple[Poset, tuple[int, ...], tuple[int, ..
         for v, g in enumerate(group):
             masks[g] = masks.get(g, 0) | 1 << inverse[v]
         twins = tuple(m for m in masks.values() if m & (m - 1))
-    return relabel(p, inverse), tuple(inverse), twins
+    return relabel(p, inverse), tuple(inverse), twins, searched
 
 
 def _encode(p: Poset) -> bytes:

@@ -332,12 +332,15 @@ def twin_groups_bruteforce(p: Poset) -> set[int]:
     return {c for c in classes if c & (c - 1)}
 
 
-def count_automorphisms(p: Poset) -> int:
-    """The number of order automorphisms of p, by trying every image for
-    each element in turn and dropping a partial map at the first relation
-    it does not preserve in both directions; colours and twins play no
-    part."""
+def count_isomorphisms(p: Poset, q: Poset, limit: int = 0) -> int:
+    """The number of order isomorphisms from p onto q, counting stops at
+    limit when limit > 0.  Every image is tried for each element of p in
+    turn, and a partial map is dropped at the first relation it does not
+    preserve in both directions; colours, twins and canonical labels play
+    no part."""
     n = p.n
+    if q.n != n:
+        return 0
     image: list[int] = []
 
     def extend(i: int, used: int) -> int:
@@ -348,12 +351,39 @@ def count_automorphisms(p: Poset) -> int:
             if used >> v & 1:
                 continue
             if all(
-                p.up[i] >> j & 1 == p.up[v] >> image[j] & 1 and p.up[j] >> i & 1 == p.up[image[j]] >> v & 1
+                p.up[i] >> j & 1 == q.up[v] >> image[j] & 1 and p.up[j] >> i & 1 == q.up[image[j]] >> v & 1
                 for j in range(i)
             ):
                 image.append(v)
                 found += extend(i + 1, used | 1 << v)
                 image.pop()
+                if limit and found >= limit:
+                    break
         return found
 
     return extend(0, 0)
+
+
+def count_automorphisms(p: Poset) -> int:
+    """The number of order automorphisms of p (see count_isomorphisms)."""
+    return count_isomorphisms(p, p)
+
+
+def count_isomorphism_classes(posets: Sequence[Poset]) -> int:
+    """The number of isomorphism classes among posets, by pairwise
+    count_isomorphisms within buckets of equal (|down|, |up|) multisets,
+    read from the up-rows alone."""
+    buckets: dict[tuple, list[Poset]] = {}
+    for p in posets:
+        key = tuple(
+            sorted((sum(row >> i & 1 for row in p.up), bin(p.up[i]).count("1")) for i in range(p.n))
+        )
+        buckets.setdefault(key, []).append(p)
+    classes = 0
+    for bucket in buckets.values():
+        reps: list[Poset] = []
+        for p in bucket:
+            if not any(count_isomorphisms(p, r, limit=1) for r in reps):
+                reps.append(p)
+        classes += len(reps)
+    return classes

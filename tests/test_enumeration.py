@@ -13,7 +13,12 @@ from latcon.enumeration import (
 )
 from latcon.lattice import SizeError, validate_lattice
 from latcon.poset import _bits, _encode, _poset_from_up, canonical_form, canonical_relabel, relabel
-from oracles import count_automorphisms, enumerate_lattices_oracle, twin_groups_bruteforce
+from oracles import (
+    count_automorphisms,
+    count_isomorphism_classes,
+    enumerate_lattices_oracle,
+    twin_groups_bruteforce,
+)
 
 # OEIS A006966: unlabeled lattices on n nodes.
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
@@ -250,29 +255,41 @@ def test_records_share_cover_pairs():
 def test_children_get_their_down_sets_from_the_parent(monkeypatch):
     """Every poset _grow canonicalises carries down-sets equal to the ones
     computed from its rows, at the inner levels and at the last, where the
-    bottom is added; each emitted encoding is the representative's.  The
-    roots of the subtrees are labelled from their rows alone, once each."""
+    bottom is added, and so does every representative it gets back and
+    every leaf it emits, labelled or as built; each emitted form is the
+    representative's encoding.  The roots of the subtrees are labelled
+    from their rows alone, once each, and their representatives get the
+    down-sets the labelling computed."""
     roots = sorted(p.up for p in enumeration._parents(8))
     children = []
+    reps = []
     relabel_with_twins = enumeration._relabel_with_twins
 
     def record(p):
         children.append((p, vars(p).get("down")))
-        return relabel_with_twins(p)
+        labelled = relabel_with_twins(p)
+        reps.append((labelled[0], vars(labelled[0]).get("down")))
+        return labelled
 
     monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
-    pairs = enumeration._sweep(8, 8, lambda rep: rep)
-    assert len(pairs) == KNOWN_COUNTS[8]
-    assert all(form == _encode(rep) for form, rep in pairs)
+    leaves = enumeration._sweep(8, 8, lambda leaf, form: (leaf, form, vars(leaf).get("down")))
+    assert len(leaves) == KNOWN_COUNTS[8]
+    assert all(form == _encode(leaf) for leaf, form, _ in leaves if form is not None)
+    assert any(form is None for _, form, _ in leaves)
     assert {p.n for p, _ in children} == {2, 3, 4, 5, 6, 8}
     assert sorted(p.up for p, down in children if down is None) == roots
     for p, down in children:
         assert down in (None, _poset_from_up(p.up).down)
+    # Labelling reads p's down-sets, so every representative carries them.
+    for p, down in reps + [(leaf, down) for leaf, _, down in leaves]:
+        assert down == _poset_from_up(p.up).down
 
 
-def _labelled_in_sweeps(monkeypatch, sizes):
+def _labelled_in_sweeps(monkeypatch, sizes, per_class=enumeration._labelled):
     """(rep, twins, searched) for every labelling the sweeps of these sizes
-    make: the semilattice children and roots, and the lattices."""
+    make with this per-class function: the semilattice children and roots,
+    and the lattices, which the default labels wherever the growth did not.
+    The flag must say whether the search ran."""
     calls = []
     relabel_with_twins = enumeration._relabel_with_twins
     search = poset_mod._search
@@ -280,14 +297,15 @@ def _labelled_in_sweeps(monkeypatch, sizes):
 
     def record(p):
         searched.clear()
-        rep, perm, twins = relabel_with_twins(p)
-        calls.append((rep, twins, bool(searched)))
-        return rep, perm, twins
+        rep, perm, twins, flag = relabel_with_twins(p)
+        assert flag == bool(searched)
+        calls.append((rep, twins, flag))
+        return rep, perm, twins, flag
 
     monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
     monkeypatch.setattr(poset_mod, "_search", lambda *args: searched.append(1) or search(*args))
     for n in sizes:
-        assert len(enumeration._sweep(n, n, lambda rep: None)) == KNOWN_COUNTS[n]
+        assert len(enumeration._sweep(n, n, per_class)) == KNOWN_COUNTS[n]
     return calls
 
 
@@ -331,9 +349,61 @@ def test_twin_swaps_are_all_automorphisms_where_no_search_ran(monkeypatch):
 
 
 def test_sweep_labels_one_extension_per_twin_orbit(monkeypatch):
-    """The n = 9 sweep labels 1,505 posets: 23 while growing the 15
-    roots, each root once, and 1,467 in the subtrees.  Labelling every
-    extension, as the growth did before it kept one per twin orbit, took
-    2,040."""
+    """The n = 9 sweep that labels every class labels 1,505 posets: 23
+    while growing the 15 roots, each root once, and 1,467 in the
+    subtrees, in the growth or for the lattices it accepts unlabelled.
+    Labelling every extension, as the growth did before it kept one per
+    twin orbit, took 2,040."""
     calls = _labelled_in_sweeps(monkeypatch, [9])
     assert len(calls) == 1505
+
+
+def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
+    """At n = 9, enumerate_lattices and verify_theorem label each class
+    once, 1,505 labellings as before; spectrum labels the semilattices and
+    only the lattices whose acceptance needed a labelling, 684 in all."""
+    calls = _labelled_in_sweeps(monkeypatch, [9], lambda leaf, form: None)
+    assert len(calls) == 684
+    count = [0]
+    relabel_with_twins = enumeration._relabel_with_twins
+
+    def counted(p):
+        count[0] += 1
+        return relabel_with_twins(p)
+
+    monkeypatch.setattr(enumeration, "_relabel_with_twins", counted)
+    monkeypatch.setattr(enumeration, "_lattice_cache", {})
+    for run, labellings in ((spectrum, 684), (enumerate_lattices, 1505), (verify_theorem, 1505)):
+        count[0] = 0
+        run(9)
+        assert count[0] == labellings, run.__name__
+
+
+def _leaf_forms(n):
+    """Each leaf of the n-element sweep with its canonical form; the
+    leaves the growth accepted unlabelled are labelled here."""
+    return [
+        (leaf, form if form is not None else canonical_form(leaf), form is None)
+        for leaf, form in enumeration._sweep(n, n, lambda leaf, form: (leaf, form))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_unlabelled_leaves_complete_the_labelled_ones(n):
+    """The leaves the growth accepted as built, once labelled, and the
+    leaves it labelled give every canonical form of enumerate_lattices(n)
+    exactly once; from n = 3 on some leaves are accepted as built."""
+    leaves = _leaf_forms(n)
+    forms = sorted(form for _, form, _ in leaves)
+    assert forms == [_encode(l.poset) for l in enumerate_lattices(n)]
+    assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
+    assert (sum(unlabelled for _, _, unlabelled in leaves) > 0) == (n >= 3)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_sweep_leaves_are_pairwise_non_isomorphic(n):
+    """Without any canonical labelling: the leaves of the sweep, as
+    handed to the per-class function, fall into KNOWN_COUNTS[n]
+    isomorphism classes by a brute-force isomorphism test."""
+    leaves = enumeration._sweep(n, n, lambda leaf, form: leaf)
+    assert len(leaves) == count_isomorphism_classes(leaves) == KNOWN_COUNTS[n]

@@ -144,6 +144,25 @@ def test_dual_down_sets_are_up_sets():
         )
 
 
+def test_relabel_and_subposet_carry_known_down_sets():
+    """relabel and subposet move the down-sets their source holds, and the
+    moved rows match a fresh computation; from a source that holds none,
+    the copy holds none either and computes them on first use."""
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randrange(1, 14)
+        perm = rng.sample(range(n), n)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        p = poset_from_covers(n, pairs)
+        target = rng.sample(range(n), n)
+        elements = sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
+        assert "down" not in vars(relabel(p, target))
+        assert "down" not in vars(subposet(p, elements))
+        p.down
+        for q in (relabel(p, target), subposet(p, elements)):
+            assert vars(q)["down"] == Poset(q.n, q.up).down
+
+
 def test_canonical_relabeling_invariance():
     p = chain(3)
     q = relabel(p, [2, 0, 1])
@@ -527,7 +546,7 @@ def test_search_runs_for_a_minority_of_classes(monkeypatch):
         enumeration, "_relabel_with_twins", counted("relabel", poset_mod._relabel_with_twins)
     )
     monkeypatch.setattr(poset_mod, "_search", counted("search", poset_mod._search))
-    classes = enumeration._sweep(8, 8, lambda rep: None)
+    classes = enumeration._sweep(8, 8, enumeration._labelled)
     assert len(classes) == 222
     assert calls["relabel"] >= len(classes)
     assert 0 < calls["search"] < len(classes) // 2
