@@ -9,8 +9,12 @@ read off the order rows with bitmasks, without computing any
 congruence or join table: p is join-irreducible exactly when its strict
 down-set is the down-row of an element, its lower cover p_*, and q v x
 is the element whose up-row is up[q] & up[x].  Hereditary subsets of
-the quasiorder are in bijection with congruences, so counting them is
-counting downsets of the quotient poset.  The independent second route
+the quasiorder are in bijection with congruences (Freese, Jezek and
+Nation, Free Lattices, Thm 2.35), so con_count counts the hereditary
+subsets straight from the closed rows and their transpose; no quotient
+poset is built.  jir_quasiorder also builds the quotient poset, for
+the commands that print it or list the congruences; counting its
+downsets is a second route to the same number.  The independent route
 is the partition oracle: a depth-first search over set partitions that
 reads only the join and meet tables and drops a partial partition at
 the first compatibility implication it breaks.
@@ -20,8 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Lattice, SizeError, _single_covers, irreducibles
-from .poset import Poset, _bits, count_downsets, iter_downset_masks, quotient_of_quasiorder
+from .lattice import Lattice, SizeError, irreducibles
+from .poset import (
+    Poset,
+    _bits,
+    _count_hereditary,
+    count_downsets,
+    iter_downset_masks,
+    quotient_of_quasiorder,
+)
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -127,7 +138,29 @@ def congruence_join(c1: Congruence, c2: Congruence, l: Lattice) -> Congruence:
 
 
 def jir_quasiorder(l: Lattice) -> JirQuasiorder:
-    """Join-irreducibles quasi-ordered by refinement of con(p_*, p).
+    """Join-irreducibles quasi-ordered by refinement of con(p_*, p), and
+    the quotient poset; rel holds the rows of _dependency_rows, with the
+    i-th join-irreducible as element i."""
+    _, above, _ = _dependency_rows(l)
+    jir = tuple(l.lower_covers)
+    index = {p: i for i, p in enumerate(jir)}
+    rel = [sum(1 << index[q] for q in _bits(above[p])) for p in jir]
+    qu, block = quotient_of_quasiorder(len(jir), rel)
+    return JirQuasiorder(
+        jir_list=jir,
+        rel=tuple(rel),
+        qu_poset=qu,
+        block_of={p: block[i] for i, p in enumerate(jir)},
+    )
+
+
+def _dependency_rows(l: Lattice) -> tuple[int, list[int], list[int]]:
+    """The join-irreducibles as a mask, the rows of their quasiorder and
+    the transposed rows, indexed by element.
+
+    Bit q of above[p], and bit p of below[q], say that con(p_*, p)
+    refines con(q_*, q); both are reflexive and transitively closed on
+    the join-irreducibles, and the rows of the other elements are 0.
 
     Built from the dependency relation p D q (p != q, and some x has
     p <= q v x but not p <= q_* v x): its reflexive-transitive closure
@@ -145,41 +178,36 @@ def jir_quasiorder(l: Lattice) -> JirQuasiorder:
     either, or x' = q v x' would be above p.
     """
     up, down = l.poset.up, l.poset.down
-    lower = _single_covers(down)
-    jir = tuple(lower)
-    m = len(jir)
-    index = {p: i for i, p in enumerate(jir)}
-    jmask = sum(1 << p for p in jir)
-    mmask = sum(1 << x for x in _single_covers(up))
+    lower = l.lower_covers
+    jmask = sum(1 << p for p in lower)
+    mmask = sum(1 << x for x in l.upper_covers)
     # q v x is the element whose up-row is up[q] & up[x].
-    by_up = {row: i for i, row in enumerate(up)}
-    rel = [1 << i for i in range(m)]
-    for b, q in enumerate(jir):
+    by_up = l.up_index
+    below = [0] * l.n
+    for q, c in lower.items():
         uq = up[q]
-        dep = 0
-        for x in _bits(up[lower[q]] & ~uq & mmask):
+        dep = 1 << q
+        for x in _bits(up[c] & ~uq & mmask):
             dep |= down[by_up[uq & up[x]]] & ~down[x]
-        for p in _bits(dep & jmask):
-            rel[index[p]] |= 1 << b
-    for k in range(m):
-        row_k, bit_k = rel[k], 1 << k
-        for i in range(m):
-            if rel[i] & bit_k:
-                rel[i] |= row_k
-    qu, block = quotient_of_quasiorder(m, rel)
-    return JirQuasiorder(
-        jir_list=jir,
-        rel=tuple(rel),
-        qu_poset=qu,
-        block_of={p: block[i] for i, p in enumerate(jir)},
-    )
+        below[q] = dep & jmask
+    jir = _bits(jmask)
+    for k in jir:
+        row_k, bit_k = below[k], 1 << k
+        for i in jir:
+            if below[i] & bit_k:
+                below[i] |= row_k
+    above = [0] * l.n
+    for q in jir:
+        bit = 1 << q
+        for p in _bits(below[q]):
+            above[p] |= bit
+    return jmask, above, below
 
 
 def con_count(l: Lattice) -> int:
-    """|Con(L)| through hereditary sets of the join-irreducible quasiorder."""
-    if l.n == 1:
-        return 1
-    return count_downsets(jir_quasiorder(l).qu_poset)
+    """|Con(L)|: the hereditary subsets of the join-irreducible quasiorder."""
+    jmask, above, below = _dependency_rows(l)
+    return _count_hereditary(above, below, jmask)
 
 
 def con_enumerate(l: Lattice, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Congruence]:

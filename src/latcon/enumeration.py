@@ -45,20 +45,28 @@ U'; but one up-set per orbit of the twin swaps was tried, so U = U'.
 Nor is such a C isomorphic to a tied sibling, whose largest value is
 shared.  So the seen set sees only labelled children, and still drops
 all 433 repeats at n = 10.  A sweep's per-class function gets each
-lattice with the labelling the growth made, or None: the spectrum needs
-only a congruence count and labels none of the rest (4,775 of the 5,994
-classes at n = 10), while enumerate_lattices and verify_theorem label
-each of them once, so they list the same representatives in the same
-order.
+lattice with the labelling the growth made, or None, and labels only as
+far as its output needs.  The spectrum needs only a congruence count
+and labels none of the rest (4,775 of the 5,994 classes at n = 10).
+enumerate_lattices returns representatives, so it relabels each of
+them once.  verify_theorem sorts its records by canonical form and
+prints each representative's covers, so for each of them it finds only
+the canonical order, moves the lattice's rows and covers through it,
+and computes every verdict on the lattice as grown: none depends on
+the labels.
 
 Because acceptance needs nothing outside a parent's own subtree, the
 sweeps split the growth tree at the canonical semilattices with
 max(1, n - 4) elements and run each subtree end to end: growth,
 validation and the per-class function.  Only the per-class results
 leave a subtree, so the theorem sweep and the spectrum never hold a
-list of lattices, the subtrees can run in worker processes, and sorting
-the (encoding, result) pairs by encoding gives the same report for any
-number of workers.
+list of lattices, and the subtrees can run in worker processes.  A
+theorem record is one bytes object: the canonical form, the congruence
+count, a flag byte for the three verdicts and the representative's
+covers.  Forms of one size have one length and differ between classes,
+so sorting the records sorts them by form and gives the same report for
+any number of workers; the report decodes a record only when it is
+read.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .congruence import con_count, exceeds_threshold
 from .lattice import Lattice, SizeError, validate_lattice
@@ -74,8 +82,12 @@ from .planarity import is_dismantlable, is_planar_kr
 from .poset import (
     Poset,
     _bits,
+    _canonical_order,
     _closed_masks,
     _encode,
+    _encode_rows,
+    _encoded_length,
+    _permuted_rows,
     _poset_from_up,
     _relabel_with_twins,
     canonical_form,
@@ -322,43 +334,91 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """The sweep's counts, its violations, and one packed record per class.
+
+    ``packed`` holds the records as bytes (see _pack), sorted, which is
+    the order of the canonical forms; ``records`` decodes them one at a
+    time.
+    """
+
     n: int
     classes_checked: int
     many_congruence_classes: int
     violations: tuple[ClassRecord, ...]
-    records: tuple[ClassRecord, ...]
+    packed: tuple[bytes, ...]
+
+    @property
+    def records(self) -> Iterator[ClassRecord]:
+        return map(_unpack, self.packed)
 
 
-# One tuple object per (lower, upper) pair, shared by the cover lists of
-# all records: a sweep keeps one record per class, and without sharing
-# the pair tuples were about 70 % of a record's memory.
-_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+# Flag bits of a packed record.
+_PLANAR, _DISMANTLABLE, _MANY = 1, 2, 4
 
 
-def analyze_class(l: Lattice) -> ClassRecord:
+def _pack(form: bytes, covers: tuple[tuple[int, int], ...], l: Lattice) -> bytes:
+    """The record of l's class: its canonical form, the congruence count
+    in 4 bytes, one flag byte, then the representative's covers as byte
+    pairs.  Forms of one size have one length and differ between
+    classes, so the records sort as their forms do.  The verdicts do not
+    depend on the labels, so l may be any lattice of the class."""
     con = con_count(l)
+    flags = (
+        (_PLANAR if is_planar_kr(l).planar else 0)
+        | (_DISMANTLABLE if is_dismantlable(l) else 0)
+        | (_MANY if exceeds_threshold(l.n, con) else 0)
+    )
+    return b"".join(
+        (form, con.to_bytes(4, "big"), bytes((flags,)), bytes([x for pair in covers for x in pair]))
+    )
+
+
+def _unpack(record: bytes) -> ClassRecord:
+    """The ClassRecord a packed record holds."""
+    n = record[0]
+    at = _encoded_length(n)
+    flags = record[at + 4]
+    covers = record[at + 5 :]
     return ClassRecord(
-        covers=tuple([_PAIRS.setdefault(pair, pair) for pair in l.poset.covers]),
-        n=l.n,
-        con=con,
-        planar=is_planar_kr(l).planar,
-        dismantlable=is_dismantlable(l),
-        many=exceeds_threshold(l.n, con),
+        covers=tuple(zip(covers[::2], covers[1::2])),
+        n=n,
+        con=int.from_bytes(record[at : at + 4], "big"),
+        planar=bool(flags & _PLANAR),
+        dismantlable=bool(flags & _DISMANTLABLE),
+        many=bool(flags & _MANY),
     )
 
 
 # The per-class functions of the sweeps.  A congruence count does not
-# depend on the labels, so the spectrum labels no leaf; the lattices and
-# records carry labels and are ordered by form, so every leaf is labelled.
+# depend on the labels, so the spectrum labels no leaf; the lattices
+# carry labels and are ordered by form, so every leaf is labelled; a
+# record needs only the form and the covers of the representative.
 
 def _class_lattice(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, Lattice]:
     form, rep = _labelled(leaf, form)
-    return form, validate_lattice(rep)
+    l = validate_lattice(rep)
+    # enumerate_lattices keeps every lattice, so it drops the up-row index
+    # that validation built; up_index rebuilds it where it is read.
+    del vars(l)["up_index"]
+    return form, l
 
 
-def _class_record(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, ClassRecord]:
-    form, rep = _labelled(leaf, form)
-    return form, analyze_class(validate_lattice(rep))
+def _form_and_covers(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, tuple[tuple[int, int], ...]]:
+    """The form of a leaf's class and its representative's covers.
+
+    A leaf accepted unlabelled is not relabelled: its rows and covers
+    are moved through its canonical order, as relabel would move them.
+    """
+    if form is not None:
+        return form, leaf.covers
+    position = _canonical_order(leaf)[0]
+    covers = sorted([(position[a], position[b]) for a, b in leaf.covers])
+    return _encode_rows(_permuted_rows(leaf.up, position)), tuple(covers)
+
+
+def _class_record(leaf: Poset, form: Optional[bytes]) -> bytes:
+    l = validate_lattice(leaf)
+    return _pack(*_form_and_covers(leaf, form), l)
 
 
 def _class_con(leaf: Poset, form: Optional[bytes]) -> int:
@@ -381,13 +441,14 @@ def verify_theorem(n: int, max_n: int = DEFAULT_MAX_N, jobs: int = 1) -> Theorem
     With jobs > 1 the enumeration subtrees run in that many worker
     processes; the report is the same.
     """
-    records = _by_form(_sweep(n, max_n, _class_record, jobs))
-    many = sum(1 for r in records if r.many)
-    violations = tuple(r for r in records if r.many and not r.planar)
+    packed = _sweep(n, max_n, _class_record, jobs)
+    packed.sort()
+    at = _encoded_length(n) + 4
+    many = [r for r in packed if r[at] & _MANY]
     return TheoremReport(
         n=n,
-        classes_checked=len(records),
-        many_congruence_classes=many,
-        violations=violations,
-        records=tuple(records),
+        classes_checked=len(packed),
+        many_congruence_classes=len(many),
+        violations=tuple(_unpack(r) for r in many if not r[at] & _PLANAR),
+        packed=tuple(packed),
     )

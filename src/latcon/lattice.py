@@ -8,7 +8,10 @@ dict lookup, so the per-class layers of a sweep build no n x n table.
 Validation looks up lubs only: a finite poset with a least element in
 which every pair has a lub is a lattice, since the glb of a pair is the
 lub of its common lower bounds.  The join and meet tables are built on
-first use, for the callers that read many entries.
+first use, for the callers that read many entries.  A lattice keeps the
+up-row index validation built and, once read, its join- and
+meet-irreducibles with their covers, so the per-class layers that read
+them (the congruence count, the planarity prefilter) share one copy.
 """
 
 from __future__ import annotations
@@ -40,8 +43,12 @@ class Lattice:
     """A validated lattice: its poset, bottom and top.
 
     ``join`` and ``meet`` are the total n x n tables, built on first use
-    from the poset's up- and down-rows.  They are not fields, so equality
-    and the hash depend on the poset, bottom and top only.
+    from the poset's up- and down-rows.  ``up_index`` maps each up-row to
+    its element (validate_lattice stores the one it built), and
+    ``lower_covers`` and ``upper_covers`` map each join- or
+    meet-irreducible element to its one lower or upper cover.  None of
+    these is a field, so equality and the hash depend on the poset,
+    bottom and top only; the dicts are shared and must not be mutated.
     """
 
     poset: Poset
@@ -59,6 +66,19 @@ class Lattice:
     @cached_property
     def meet(self) -> tuple[tuple[int, ...], ...]:
         return _table(self.poset.down)
+
+    @cached_property
+    def up_index(self) -> dict[int, int]:
+        return {row: i for i, row in enumerate(self.poset.up)}
+
+    @cached_property
+    def lower_covers(self) -> dict[int, int]:
+        down = self.poset.down
+        return _single_covers(down, {row: i for i, row in enumerate(down)})
+
+    @cached_property
+    def upper_covers(self) -> dict[int, int]:
+        return _single_covers(self.poset.up, self.up_index)
 
     def leq(self, i: int, j: int) -> bool:
         return self.poset.leq(i, j)
@@ -106,13 +126,12 @@ def _table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([index[a & b] for b in rows]) for a in rows)
 
 
-def _single_covers(rows: tuple[int, ...]) -> dict[int, int]:
-    """x -> c for every x whose strict row is rows[c].
+def _single_covers(rows: tuple[int, ...], index: dict[int, int]) -> dict[int, int]:
+    """x -> c for every x whose strict row is rows[c]; index maps each row to its element.
 
     On down-rows these are the join-irreducibles with their lower covers,
     on up-rows the meet-irreducibles with their upper covers.
     """
-    index = {row: i for i, row in enumerate(rows)}
     out = {}
     for x, row in enumerate(rows):
         c = index.get(row & ~(1 << x))
@@ -125,7 +144,8 @@ def validate_lattice(p: Poset) -> Lattice:
     """Check a unique bottom and top and a lub for every pair.
 
     Raises NotLatticeError with the first failing pair in index order,
-    checking its lub before its glb.
+    checking its lub before its glb.  The returned lattice keeps the
+    up-row index built here as its ``up_index``.
     """
     n = p.n
     if n == 0:
@@ -153,7 +173,9 @@ def validate_lattice(p: Poset) -> Lattice:
         for uj in up[i + 1 :]:
             if ui & uj not in by_up:
                 raise _first_failure(p, by_up)
-    return Lattice(poset=p, bottom=bottoms[0], top=tops[0])
+    l = Lattice(poset=p, bottom=bottoms[0], top=tops[0])
+    vars(l)["up_index"] = by_up
+    return l
 
 
 def _first_failure(p: Poset, by_up: dict[int, int]) -> NotLatticeError:
@@ -188,8 +210,8 @@ def irreducibles(l: Lattice) -> IrreducibleSets:
     callers and must not be mutated.
     """
     n = l.n
-    lower = _single_covers(l.poset.down)
-    upper = _single_covers(l.poset.up)
+    lower = l.lower_covers
+    upper = l.upper_covers
     jir = frozenset(lower)
     mir = frozenset(upper)
     jred = frozenset(range(n)) - {l.bottom} - jir

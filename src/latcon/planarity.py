@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from ._kr_data import _FAMILY_BUILDERS, REDUCIBLE_33_ENTRIES, SMALLEST_MEMBER
-from .lattice import Lattice, NotLatticeError, _single_covers, validate_lattice
+from .lattice import Lattice, NotLatticeError, validate_lattice
 from .poset import (
     Embedding,
     Poset,
@@ -46,7 +47,8 @@ class CatalogValidationError(ValueError):
 @dataclass(frozen=True)
 class KRCatalogEntry:
     """One forbidden lattice: family tag, index within the family, poset,
-    and its numbers of join- and meet-reducible elements."""
+    its numbers of join- and meet-reducible elements, and its numbers of
+    comparable and of incomparable pairs of distinct elements."""
 
     name: str
     family: str
@@ -54,6 +56,8 @@ class KRCatalogEntry:
     poset: Poset
     jred: int
     mred: int
+    comparable: int
+    incomparable: int
 
     @property
     def size(self) -> int:
@@ -80,8 +84,16 @@ def _entry(family: str, index: int, n: int, covers) -> KRCatalogEntry:
     name = family if family in _SPORADIC else f"{family}_{index}"
     poset = poset_from_covers(n, covers)
     jred, mred = _validate_entry(name, family, poset)
+    comparable, incomparable = _pair_counts(poset)
     return KRCatalogEntry(
-        name=name, family=family, index=index, poset=poset, jred=jred, mred=mred
+        name=name,
+        family=family,
+        index=index,
+        poset=poset,
+        jred=jred,
+        mred=mred,
+        comparable=comparable,
+        incomparable=incomparable,
     )
 
 
@@ -149,34 +161,50 @@ def _family_members(family: str, max_size: int):
 # ---------------------------------------------------------------------------
 
 def is_planar_kr(l: Lattice) -> PlanarityVerdict:
-    """Forbidden-subposet planarity test with an explicit witness.
+    """Forbidden-subposet planarity test with an explicit witness."""
+    for entry, host, into_dual in _searches(l):
+        verdict = _witnessed(entry, host, into_dual)
+        if verdict is not None:
+            return verdict
+    return PlanarityVerdict(planar=True, witness=None)
 
-    An entry K is searched for only where it can embed: by Lemma 3.1(c)
-    of the source paper, a lattice embedded as a subposet has no more
+
+def _searches(l: Lattice) -> Iterator[tuple[KRCatalogEntry, Poset, bool]]:
+    """(entry, host, into_dual) for each embedding search is_planar_kr makes, in order.
+
+    An entry K is searched for only where it can embed.  An embedding
+    maps comparable pairs to comparable pairs and incomparable pairs to
+    incomparable pairs, one-to-one, so K has no more of either than the
+    host; these counts are the same on both sides.  By Lemma 3.1(c) of
+    the source paper, a lattice embedded as a subposet has no more
     join-reducible and no more meet-reducible elements than its host,
     and the two counts swap on the dual side.
     """
     if l.n < SMALLEST_MEMBER:
-        return PlanarityVerdict(planar=True, witness=None)
+        return
     jred, mred = _reducible_counts(l)
+    comparable, incomparable = _pair_counts(l.poset)
     d = dual(l.poset)
     for entry in kr_catalog(l.n):
+        if entry.comparable > comparable or entry.incomparable > incomparable:
+            continue
         if entry.jred <= jred and entry.mred <= mred:
-            verdict = _witnessed(entry, l.poset, False)
-            if verdict is not None:
-                return verdict
+            yield entry, l.poset, False
         if entry.jred <= mred and entry.mred <= jred:
-            verdict = _witnessed(entry, d, True)
-            if verdict is not None:
-                return verdict
-    return PlanarityVerdict(planar=True, witness=None)
+            yield entry, d, True
 
 
 def _reducible_counts(l: Lattice) -> tuple[int, int]:
     """|Jred| and |Mred|: the elements other than the bottom that are not
     join-irreducible, and those other than the top that are not
     meet-irreducible."""
-    return l.n - 1 - len(_single_covers(l.poset.down)), l.n - 1 - len(_single_covers(l.poset.up))
+    return l.n - 1 - len(l.lower_covers), l.n - 1 - len(l.upper_covers)
+
+
+def _pair_counts(p: Poset) -> tuple[int, int]:
+    """The numbers of comparable and of incomparable pairs of distinct elements."""
+    comparable = sum(p.sizes[1::2]) - p.n
+    return comparable, p.n * (p.n - 1) // 2 - comparable
 
 
 def _witnessed(entry: KRCatalogEntry, host: Poset, into_dual: bool) -> PlanarityVerdict | None:

@@ -70,17 +70,15 @@ class Poset:
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as sorted (lower, upper) pairs."""
+        down = self.down
         out = []
-        for i in range(self.n):
-            strict = self.up[i] & ~(1 << i)
-            rest = strict
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                between = strict & self.down[j] & ~(1 << j)
-                if not between:
+        for i, row in enumerate(self.up):
+            strict = row & ~(1 << i)
+            # j covers i when nothing of i's strict up-set lies below j but j;
+            # i and then j ascend, so the pairs come sorted.
+            for j in _bits(strict):
+                if strict & down[j] == 1 << j:
                     out.append((i, j))
-        out.sort()
         return tuple(out)
 
     @cached_property
@@ -114,10 +112,7 @@ class Poset:
     @cached_property
     def sizes(self) -> array:
         """Down-set size of element i at position 2i, up-set size at 2i + 1."""
-        return array(
-            "H",
-            (bin(row).count("1") for i in range(self.n) for row in (self.down[i], self.up[i])),
-        )
+        return array("H", [row.bit_count() for pair in zip(self.down, self.up) for row in pair])
 
     def leq_matrix(self) -> list[list[bool]]:
         return [[bool(self.up[i] >> j & 1) for j in range(self.n)] for i in range(self.n)]
@@ -427,19 +422,9 @@ def _relabel_with_twins(p: Poset) -> tuple[Poset, tuple[int, ...], tuple[int, ..
     n = p.n
     if n == 0:
         return p, (), (), False
-    colors = _refined_colors(p)
-    group = _twin_groups(p, colors)
-    groups = len(set(group))
-    searched = groups != max(colors) + 1
-    if searched:
-        order = _search(p, colors, group)
-    else:
-        order = sorted(range(n), key=colors.__getitem__)
-    inverse = [0] * n
-    for pos, v in enumerate(order):
-        inverse[v] = pos
+    inverse, group, searched = _canonical_order(p)
     twins: tuple[int, ...] = ()
-    if groups < n:
+    if len(set(group)) < n:
         masks: dict[int, int] = {}
         for v, g in enumerate(group):
             masks[g] = masks.get(g, 0) | 1 << inverse[v]
@@ -447,12 +432,46 @@ def _relabel_with_twins(p: Poset) -> tuple[Poset, tuple[int, ...], tuple[int, ..
     return relabel(p, inverse), tuple(inverse), twins, searched
 
 
+def _canonical_order(p: Poset) -> tuple[list[int], list[int], bool]:
+    """The canonical position of each vertex of a nonempty poset, its twin
+    group ids (see _twin_groups), and whether the search ran.
+
+    relabel(p, positions) is canonical_relabel's representative; a caller
+    that needs only the representative's rows or covers can move p's own
+    through the positions instead.
+    """
+    colors = _refined_colors(p)
+    group = _twin_groups(p, colors)
+    searched = len(set(group)) != max(colors) + 1
+    if searched:
+        order = _search(p, colors, group)
+    else:
+        order = sorted(range(p.n), key=colors.__getitem__)
+    inverse = [0] * p.n
+    for pos, v in enumerate(order):
+        inverse[v] = pos
+    return inverse, group, searched
+
+
 def _encode(p: Poset) -> bytes:
     """Byte string of p's relation rows as labelled; canonical_form encodes the representative."""
-    body = bytearray([min(p.n, 255)])
-    for row in p.up:
-        body += row.to_bytes((p.n + 7) // 8 or 1, "little")
+    return _encode_rows(p.up)
+
+
+def _encode_rows(up: Sequence[int]) -> bytes:
+    """_encode of the poset with these up-rows: the element count, then
+    each row in (n + 7) // 8 bytes, so all encodings of one size have one
+    length, _encoded_length(n)."""
+    n = len(up)
+    width = (n + 7) // 8 or 1
+    body = bytearray([min(n, 255)])
+    for row in up:
+        body += row.to_bytes(width, "little")
     return bytes(body)
+
+
+def _encoded_length(n: int) -> int:
+    return 1 + n * ((n + 7) // 8 or 1)
 
 
 def canonical_form(p: Poset) -> bytes:
@@ -545,36 +564,38 @@ def embedding_is_valid(k: Poset, l: Poset, emb: Embedding) -> bool:
 # ---------------------------------------------------------------------------
 
 def count_downsets(p: Poset) -> int:
-    """Number of hereditary subsets, the empty set and full set included.
+    """Number of hereditary subsets, the empty set and full set included."""
+    return _count_hereditary(p.up, p.down, p.full_mask)
 
-    Recursion on a minimal element x: the downsets containing x match
-    those of P - x, the ones avoiding x match those of P - up(x).
-    Memoized on the remaining-element bitmask.
+
+def _count_hereditary(up: Sequence[int], down: Sequence[int], elements: int) -> int:
+    """Number of hereditary subsets of a quasiorder on the elements of a
+    mask, given its up-rows and their transpose, the down-rows: bit j of
+    up[i] says i <= j.  Rows of elements outside the mask are not read.
+
+    Recursion on an element x that is minimal among the remaining ones,
+    the lowest-index element with nothing there below it but elements
+    equivalent to it: the hereditary sets containing x contain its
+    remaining down-set and match those of the rest; the ones avoiding x
+    avoid its up-set and match those of the rest.  Memoized on the
+    remaining-element bitmask.  On a poset, x is the lowest-index
+    minimal element and its remaining down-set is x alone.
     """
-    memo: dict[int, int] = {}
-    up = p.up
-    down = p.down
+    strict = [d & ~u for u, d in zip(up, down)]
+    memo = {0: 1}
 
     def rec(mask: int) -> int:
-        if mask == 0:
-            return 1
         got = memo.get(mask)
         if got is not None:
             return got
-        rest = mask
-        x = -1
-        while rest:
-            b = rest & -rest
-            i = b.bit_length() - 1
-            rest ^= b
-            if down[i] & mask == b:
-                x = i
+        for x in _bits(mask):
+            if not strict[x] & mask:
                 break
-        res = rec(mask & ~(1 << x)) + rec(mask & ~up[x])
+        res = rec(mask & ~down[x]) + rec(mask & ~up[x])
         memo[mask] = res
         return res
 
-    return rec(p.full_mask)
+    return rec(elements)
 
 
 def _closed_masks(rows: Sequence[int], order: Sequence[int]) -> list[int]:

@@ -4,7 +4,7 @@ from itertools import combinations
 from typing import Sequence
 
 from latcon.congruence import Congruence
-from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of, _single_covers
+from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of
 from latcon.planarity import cover_graph_edges
 from latcon.poset import Poset, _bits, _poset_from_up, canonical_form, count_downsets, quotient_of_quasiorder
 
@@ -55,7 +55,7 @@ def dependency_rel_all_x(l: Lattice) -> tuple[int, ...]:
     tried as a witness of p D q (p <= q v x, not p <= q_* v x): the loop
     jir_quasiorder ran before it tried only meet-irreducible x above q_*."""
     up, down = l.poset.up, l.poset.down
-    lower = _single_covers(down)
+    lower = l.lower_covers
     jir = tuple(lower)
     m = len(jir)
     by_up = {row: i for i, row in enumerate(up)}

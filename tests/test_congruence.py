@@ -375,3 +375,26 @@ def test_jir_quasiorder_is_reflexive_transitive():
                     b = (rest & -rest).bit_length() - 1
                     rest &= rest - 1
                     assert q.rel[b] & ~q.rel[a] == 0
+
+
+def test_con_count_matches_quotient_route_and_oracle():
+    """con_count counts the hereditary sets straight from the closed
+    dependency rows and their transpose; counting the downsets of the
+    quotient poset jir_quasiorder builds, and the partition oracle, give
+    the same number on every class with n <= 9 and its dual."""
+    from latcon.congruence import _dependency_rows
+    from latcon.poset import count_downsets
+
+    checked = 0
+    for n in range(2, 10):
+        for rep in enumerate_lattices(n):
+            for l in (rep, dual_lattice(rep)):
+                jmask, above, below = _dependency_rows(l)
+                assert jmask == sum(1 << p for p in irreducibles(l).jir)
+                for x in range(l.n):
+                    assert above[x] | below[x] == 0 or jmask >> x & 1
+                    assert below[x] == sum(1 << p for p in range(l.n) if above[p] >> x & 1)
+                con = con_count(l)
+                assert con == count_downsets(jir_quasiorder(l).qu_poset) == con_count_oracle(l)
+                checked += 1
+    assert checked == 2 * (1 + 1 + 2 + 5 + 15 + 53 + 222 + 1078)

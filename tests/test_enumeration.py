@@ -1,22 +1,26 @@
+import gc
 from math import factorial, prod
 
 import pytest
 
 from latcon import enumeration
 from latcon import poset as poset_mod
-from latcon.congruence import con_count
+from latcon.congruence import con_count, con_count_oracle
 from latcon.enumeration import (
+    ClassRecord,
     enumerate_lattices,
     sample_lattices,
     spectrum,
     verify_theorem,
 )
 from latcon.lattice import SizeError, validate_lattice
+from latcon.planarity import kr_catalog, planar_realizer
 from latcon.poset import _bits, _encode, _poset_from_up, canonical_form, canonical_relabel, relabel
 from oracles import (
     count_automorphisms,
     count_isomorphism_classes,
     enumerate_lattices_oracle,
+    is_dismantlable_restart,
     twin_groups_bruteforce,
 )
 
@@ -244,12 +248,85 @@ def test_verify_eight_reports_sharp_class_without_violation():
     assert rec.con == 8 and not rec.planar and not rec.many and not rec.dismantlable
 
 
-def test_records_share_cover_pairs():
-    """A sweep keeps one record per class; equal cover pairs are one object."""
-    first = {}
-    for r in verify_theorem(7).records:
-        for pair in r.covers:
-            assert first.setdefault(pair, pair) is pair
+def test_report_keeps_one_packed_record_per_class():
+    """A sweep keeps one bytes record per class and no object per record:
+    bytes hold no references, so the cyclic GC does not track them.  The
+    records sort as their canonical forms, which all have one length,
+    and decode to the representatives' covers."""
+    rep = verify_theorem(7)
+    reps = enumerate_lattices(7)
+    length = len(_encode(reps[0].poset))
+    assert len(rep.packed) == rep.classes_checked == 53
+    assert all(type(r) is bytes and not gc.is_tracked(r) for r in rep.packed)
+    assert list(rep.packed) == sorted(rep.packed)
+    assert [r[:length] for r in rep.packed] == [_encode(l.poset) for l in reps]
+    assert [r.covers for r in rep.records] == [l.poset.covers for l in reps]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_decoded_records_match_direct_computation(n):
+    """The decoded records of verify_theorem(n), with one and with two
+    workers, equal the records computed on each canonical representative
+    by the second routes: the partition oracle, the 2-realizer and
+    dismantling one element at a time."""
+    direct = []
+    for l in enumerate_lattices(n):
+        con = con_count_oracle(l)
+        direct.append(
+            ClassRecord(
+                covers=l.poset.covers,
+                n=n,
+                con=con,
+                planar=planar_realizer(l) is not None,
+                dismantlable=is_dismantlable_restart(l),
+                many=n < 5 or con > 2 ** (n - 5),
+            )
+        )
+    for jobs in (1, 2):
+        rep = verify_theorem(n, jobs=jobs)
+        assert list(rep.records) == direct
+        assert rep.many_congruence_classes == sum(r.many for r in direct)
+        assert rep.violations == tuple(r for r in direct if r.many and not r.planar)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_leaf_order_gives_the_relabelled_form_and_covers(n):
+    """For every leaf of the n-element sweep, the form and covers a record
+    reads off the leaf's canonical order are those of the representative
+    _relabel_with_twins builds; a leaf that comes labelled keeps its own."""
+    leaves = enumeration._sweep(n, n, lambda leaf, form: (leaf, form))
+    assert (sum(form is None for _, form in leaves) > 0) == (n >= 3)
+    for leaf, form in leaves:
+        rep = poset_mod._relabel_with_twins(leaf)[0]
+        assert enumeration._form_and_covers(leaf, None) == (_encode(rep), rep.covers)
+        if form is not None:
+            assert enumeration._form_and_covers(leaf, form) == (form, rep.covers)
+
+
+def test_down_sets_computed_only_for_roots_and_catalog_entries(monkeypatch):
+    """No lattice of a sweep computes its down-sets: the growth hands
+    them down, and the congruence count reads the transposed dependency
+    rows, not a quotient poset.  spectrum(9) computes them for the
+    one-element root of _parents and the 15 subtree roots only;
+    verify_theorem(9) also for the catalog entries, where it builds the
+    catalog."""
+    roots = [(1,)] + [p.up for p in enumeration._parents(9)]
+    catalog = {e.poset.up for e in kr_catalog(9)}
+    computed = []
+    down = poset_mod.Poset.__dict__["down"]
+    func = down.func
+
+    def recorded(p):
+        computed.append(p.up)
+        return func(p)
+
+    monkeypatch.setattr(down, "func", recorded)
+    assert spectrum(9).total_classes == 1078
+    assert sorted(computed) == sorted(roots)
+    computed.clear()
+    kr_catalog.cache_clear()
+    assert verify_theorem(9).classes_checked == 1078
+    assert sorted(computed) == sorted(roots + list(catalog))
 
 
 def test_children_get_their_down_sets_from_the_parent(monkeypatch):
@@ -361,22 +438,34 @@ def test_sweep_labels_one_extension_per_twin_orbit(monkeypatch):
 def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
     """At n = 9, enumerate_lattices and verify_theorem label each class
     once, 1,505 labellings as before; spectrum labels the semilattices and
-    only the lattices whose acceptance needed a labelling, 684 in all."""
+    only the lattices whose acceptance needed a labelling, 684 in all.
+    verify_theorem finds only the canonical order of the 821 lattices
+    accepted unlabelled, and relabels none of them."""
     calls = _labelled_in_sweeps(monkeypatch, [9], lambda leaf, form: None)
     assert len(calls) == 684
-    count = [0]
-    relabel_with_twins = enumeration._relabel_with_twins
+    count = {"relabel": 0, "order": 0}
 
-    def counted(p):
-        count[0] += 1
-        return relabel_with_twins(p)
+    def counted(name, f):
+        def wrapper(p):
+            count[name] += 1
+            return f(p)
 
-    monkeypatch.setattr(enumeration, "_relabel_with_twins", counted)
+        return wrapper
+
+    monkeypatch.setattr(
+        enumeration, "_relabel_with_twins", counted("relabel", enumeration._relabel_with_twins)
+    )
+    monkeypatch.setattr(enumeration, "_canonical_order", counted("order", enumeration._canonical_order))
     monkeypatch.setattr(enumeration, "_lattice_cache", {})
-    for run, labellings in ((spectrum, 684), (enumerate_lattices, 1505), (verify_theorem, 1505)):
-        count[0] = 0
+    for run, relabels, orders in (
+        (spectrum, 684, 0),
+        (enumerate_lattices, 1505, 0),
+        (verify_theorem, 684, 821),
+    ):
+        count.update(relabel=0, order=0)
         run(9)
-        assert count[0] == labellings, run.__name__
+        assert count == {"relabel": relabels, "order": orders}, run.__name__
+    assert count["relabel"] + count["order"] == 1505
 
 
 def _leaf_forms(n):

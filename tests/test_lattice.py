@@ -141,21 +141,38 @@ def test_lazy_tables_match_eager_scan():
     assert min(outcomes.values()) >= 10, outcomes
 
 
-def test_irreducibles_computed_once_per_class():
-    """A class's record builds no IrreducibleSets: the congruence count
-    reads its join-irreducibles off the order rows, and the planarity
-    prefilter its two counts; a repeated call is served from the cache."""
-    from latcon.congruence import con_count
-    from latcon.enumeration import analyze_class
+def test_irreducibles_computed_once_per_class(monkeypatch):
+    """A class's record builds no IrreducibleSets and finds each side's
+    irreducibles once: the congruence count and the planarity prefilter
+    read the covers the lattice caches, and the up-row index is the one
+    validate_lattice built.  irreducibles reads the same cached covers,
+    and a repeated call is served from its cache."""
+    from latcon import lattice
+    from latcon.enumeration import _class_record
 
-    l = make_l_family(9)
-    kr_catalog(l.n)
+    p = make_l_family(9).poset
+    kr_catalog(p.n)
+    calls = []
+    single_covers = lattice._single_covers
+
+    def counted(rows, index):
+        calls.append(rows)
+        return single_covers(rows, index)
+
+    monkeypatch.setattr(lattice, "_single_covers", counted)
+    monkeypatch.setattr(lattice.Lattice, "up_index", None)
     irreducibles.cache_clear()
-    con_count(l)
+    l = validate_lattice(p)
+    assert l.up_index == {row: i for i, row in enumerate(p.up)}
+    _class_record(p, None)
     assert irreducibles.cache_info().misses == 0
-    analyze_class(l)
-    assert irreducibles.cache_info().misses == 0
-    assert irreducibles(l) is irreducibles(l)
+    assert sorted(calls) == sorted([p.up, p.down])
+    calls.clear()
+    l = validate_lattice(p)
+    irr = irreducibles(l)
+    assert irr.lower_cover is l.lower_covers and irr.upper_cover is l.upper_covers
+    assert sorted(calls) == sorted([p.up, p.down])
+    assert irreducibles(l) is irr
 
 
 def test_n5_tables():

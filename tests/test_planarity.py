@@ -221,6 +221,41 @@ def test_prefilter_counts_match_irreducibles():
         assert _reducible_counts(l) == (len(irr.jred), len(irr.mred))
 
 
+def test_prefilter_never_skips_an_entry_that_embeds():
+    """On every class with n <= 9 and its dual, every catalog entry that
+    find_embedding embeds into either side is among the searches
+    is_planar_kr makes, on that side.  The entries' pair counts are those
+    of their posets and of their duals, and the pair test skips searches
+    that the reducible counts alone would make."""
+    from latcon.planarity import _reducible_counts, _searches
+
+    for e in kr_catalog(9):
+        for p in (e.poset, dual(e.poset)):
+            pairs = [(x, y) for x in range(p.n) for y in range(x + 1, p.n)]
+            comparable = sum(p.leq(x, y) or p.leq(y, x) for x, y in pairs)
+            assert (e.comparable, e.incomparable) == (comparable, len(pairs) - comparable)
+    searches = by_reducible_counts = 0
+    for n in range(1, 10):
+        for rep in enumerate_lattices(n):
+            hosts = (rep.poset, dual(rep.poset))
+            embeds = {
+                (e.name, side)
+                for e in kr_catalog(n)
+                for side in (False, True)
+                if find_embedding(e.poset, hosts[side]) is not None
+            }
+            for l, flip in ((rep, False), (dual_lattice(rep), True)):
+                made = {(e.name, into_dual != flip) for e, _, into_dual in _searches(l)}
+                assert embeds <= made
+                searches += len(made)
+                jred, mred = _reducible_counts(l)
+                by_reducible_counts += sum(
+                    (e.jred <= jred and e.mred <= mred) + (e.jred <= mred and e.mred <= jred)
+                    for e in kr_catalog(n)
+                )
+    assert 0 < searches < by_reducible_counts
+
+
 def test_catalog_a_family_selfdual():
     for e in kr_catalog(12):
         if e.family == "A":

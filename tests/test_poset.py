@@ -372,6 +372,27 @@ def test_hereditary_quasi_matches_direct_enumeration():
         assert count_hereditary_quasi(n, rel) == direct
 
 
+def test_count_hereditary_reads_quasiorder_rows():
+    """_count_hereditary on the rows of a quasiorder and their transpose,
+    with no quotient built, equals the quotient-based oracle on random
+    quasiorders with up to eight elements."""
+    from latcon.poset import _count_hereditary
+
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(0, 9)
+        rows = [1 << i for i in range(n)]
+        for _ in range(rng.randrange(0, 2 * n + 1)):
+            rows[rng.randrange(n)] |= 1 << rng.randrange(n)
+        for k in range(n):
+            for i in range(n):
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+        below = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+        rel = [[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)]
+        assert _count_hereditary(rows, below, (1 << n) - 1) == count_hereditary_quasi(n, rel)
+
+
 def test_subposet_induced():
     p = poset_from_covers(5, N5_COVERS)
     s = subposet(p, [0, 1, 3])
