@@ -1,19 +1,6 @@
 """Congruence counting, planarity and enumeration for finite lattices."""
 
-from .congruence import (
-    CapExceededError,
-    Congruence,
-    FewCriteria,
-    JirQuasiorder,
-    con_count,
-    con_count_oracle,
-    con_enumerate,
-    congruence_join,
-    few_criteria,
-    has_many_congruences,
-    jir_quasiorder,
-    principal_congruence,
-)
+from .congruence import con_count, con_count_oracle, jir_quasiorder
 from .enumeration import (
     ClassRecord,
     SpectrumReport,
@@ -24,14 +11,10 @@ from .enumeration import (
     verify_theorem,
 )
 from .lattice import (
-    IntervalError,
-    IrreducibleSets,
     Lattice,
     NotLatticeError,
     SizeError,
     dual_lattice,
-    irreducibles,
-    is_distributive,
     lattice_from_covers,
     make_boolean,
     make_chain,
@@ -39,8 +22,6 @@ from .lattice import (
     make_mk,
     make_ordinal_sum,
     make_product,
-    transposes_down,
-    transposes_up,
     validate_lattice,
 )
 from .planarity import (
@@ -48,7 +29,6 @@ from .planarity import (
     KRCatalogEntry,
     PlanarityVerdict,
     is_dismantlable,
-    is_planar_graph_oracle,
     is_planar_kr,
     kr_catalog,
     planar_realizer,

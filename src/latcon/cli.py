@@ -128,14 +128,14 @@ def _fmt_covers(covers) -> str:
 
 def _cmd_analyze(args) -> int:
     l = parse_lattice_text(_read_text(args.file))
-    irr = irreducibles(l)
+    jir, mir, jred, mred = irreducibles(l)
     print(f"n={l.n}")
-    print(f"Jir={len(irr.jir)}")
-    print(f"Mir={len(irr.mir)}")
-    print(f"Jred={len(irr.jred)}")
-    print(f"Mred={len(irr.mred)}")
+    print(f"Jir={jir}")
+    print(f"Mir={mir}")
+    print(f"Jred={jred}")
+    print(f"Mred={mred}")
     # |Con| as con_count computes it, with the quasiorder built only once.
-    qu = jir_quasiorder(l).qu_poset if l.n >= 2 else None
+    qu = jir_quasiorder(l) if l.n >= 2 else None
     con = count_downsets(qu) if qu is not None else 1
     print(f"Con={con}")
     if l.n <= ORACLE_MAX_N:

@@ -12,37 +12,25 @@ is the element whose up-row is up[q] & up[x].  Hereditary subsets of
 the quasiorder are in bijection with congruences (Freese, Jezek and
 Nation, Free Lattices, Thm 2.35), so con_count counts the hereditary
 subsets straight from the closed rows and their transpose; no quotient
-poset is built.  jir_quasiorder also builds the quotient poset, for
-the commands that print it or list the congruences; counting its
-downsets is a second route to the same number.  The independent route
-is the partition oracle: a depth-first search over set partitions that
-reads only the join and meet tables and drops a partial partition at
-the first compatibility implication it breaks.
+poset is built.  jir_quasiorder builds the quotient poset for
+`latcon analyze`, which prints it; counting its downsets is a second
+route to the same number.  The independent routes read only the join
+and meet tables: the partition oracle, a depth-first search over set
+partitions that drops a partial partition at the first compatibility
+implication it breaks, and principal_congruence, the union-find closure
+of one pair that the tests check the dependency rows against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Lattice, SizeError, irreducibles
-from .poset import (
-    Poset,
-    _bits,
-    _count_hereditary,
-    count_downsets,
-    iter_downset_masks,
-    quotient_of_quasiorder,
-)
-
-DEFAULT_ENUMERATION_CAP = 1 << 20
+from .lattice import Lattice, SizeError
+from .poset import Poset, _bits, _count_hereditary, quotient_of_quasiorder
 
 # Largest lattice the partition oracle accepts; `latcon analyze` prints
 # its count up to this size.
 ORACLE_MAX_N = 10
-
-
-class CapExceededError(RuntimeError):
-    """con_enumerate refused to materialize too many congruences."""
 
 
 @dataclass(frozen=True)
@@ -62,28 +50,6 @@ class Congruence:
                 idx[x] = b
         return idx
 
-    def same(self, x: int, y: int) -> bool:
-        idx = self.block_index()
-        return idx[x] == idx[y]
-
-
-@dataclass(frozen=True)
-class JirQuasiorder:
-    """The quasiorder on join-irreducibles and its quotient poset."""
-
-    jir_list: tuple[int, ...]
-    rel: tuple[int, ...]
-    qu_poset: Poset
-    block_of: dict[int, int]
-
-
-def _blocks_from_parent(parent: list[int]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}
-    for x in range(len(parent)):
-        groups.setdefault(_find(parent, x), []).append(x)
-    blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
-    return tuple(blocks)
-
 
 def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
@@ -92,11 +58,12 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _close(l: Lattice, pairs: list[tuple[int, int]]) -> Congruence:
-    """Least congruence containing the given pairs.
+def principal_congruence(l: Lattice, a: int, b: int) -> Congruence:
+    """con(a, b): the least congruence collapsing a and b.
 
-    Union-find closure: whenever two blocks merge, all join and meet
-    translates of the merged pair are merged as well, to a fixed point.
+    Union-find closure over the join and meet tables: whenever two
+    blocks merge, all join and meet translates of the merged pair are
+    merged as well, to a fixed point.
     """
     n = l.n
     join = l.join
@@ -112,8 +79,7 @@ def _close(l: Lattice, pairs: list[tuple[int, int]]) -> Congruence:
             parent[rb] = ra
             work.append((ra, rb))
 
-    for a, b in pairs:
-        union(a, b)
+    union(a, b)
     while work:
         x, y = work.pop()
         jx, jy = join[x], join[y]
@@ -121,37 +87,22 @@ def _close(l: Lattice, pairs: list[tuple[int, int]]) -> Congruence:
         for z in range(n):
             union(jx[z], jy[z])
             union(mx[z], my[z])
-    return Congruence(_blocks_from_parent(parent))
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(_find(parent, x), []).append(x)
+    return Congruence(tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])))
 
 
-def principal_congruence(l: Lattice, a: int, b: int) -> Congruence:
-    """con(a, b): the least congruence collapsing a and b."""
-    return _close(l, [(a, b)])
-
-
-def congruence_join(c1: Congruence, c2: Congruence, l: Lattice) -> Congruence:
-    pairs = []
-    for c in (c1, c2):
-        for block in c.blocks:
-            pairs.extend((block[0], x) for x in block[1:])
-    return _close(l, pairs)
-
-
-def jir_quasiorder(l: Lattice) -> JirQuasiorder:
-    """Join-irreducibles quasi-ordered by refinement of con(p_*, p), and
-    the quotient poset; rel holds the rows of _dependency_rows, with the
-    i-th join-irreducible as element i."""
+def jir_quasiorder(l: Lattice) -> Poset:
+    """The quotient poset of the join-irreducibles quasi-ordered by
+    refinement of con(p_*, p): the rows of _dependency_rows, with the
+    i-th join-irreducible as element i and mutually related ones
+    collapsed."""
     _, above, _ = _dependency_rows(l)
     jir = tuple(l.lower_covers)
     index = {p: i for i, p in enumerate(jir)}
     rel = [sum(1 << index[q] for q in _bits(above[p])) for p in jir]
-    qu, block = quotient_of_quasiorder(len(jir), rel)
-    return JirQuasiorder(
-        jir_list=jir,
-        rel=tuple(rel),
-        qu_poset=qu,
-        block_of={p: block[i] for i, p in enumerate(jir)},
-    )
+    return quotient_of_quasiorder(len(jir), rel)
 
 
 def _dependency_rows(l: Lattice) -> tuple[int, list[int], list[int]]:
@@ -210,32 +161,6 @@ def con_count(l: Lattice) -> int:
     return _count_hereditary(above, below, jmask)
 
 
-def con_enumerate(l: Lattice, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Congruence]:
-    """One congruence per hereditary subset, as joins of principal ones."""
-    q = jir_quasiorder(l) if l.n > 1 else None
-    total = count_downsets(q.qu_poset) if q is not None else 1
-    if total > cap:
-        raise CapExceededError(f"{total} congruences exceed cap {cap}")
-    if q is None:
-        return [Congruence(((0,),))]
-    irr = irreducibles(l)
-    out = []
-    for mask in iter_downset_masks(q.qu_poset):
-        pairs = [
-            (irr.lower_cover[p], p)
-            for p in q.jir_list
-            if mask >> q.block_of[p] & 1
-        ]
-        out.append(_close(l, pairs))
-    out.sort(key=lambda c: c.blocks)
-    distinct = len({c.blocks for c in out})
-    if not distinct == len(out) == total:
-        raise RuntimeError(
-            f"congruence enumeration gave {distinct} distinct of {len(out)}, expected {total}"
-        )
-    return out
-
-
 def con_count_oracle(l: Lattice) -> int:
     """Count the set partitions of the elements that respect join and meet.
 
@@ -287,33 +212,3 @@ def exceeds_threshold(n: int, con: int) -> bool:
     qualifies; the comparison stays in exact integer arithmetic.
     """
     return n < 5 or con > 1 << (n - 5)
-
-
-def has_many_congruences(l: Lattice) -> bool:
-    """|Con(L)| strictly above 2^(n-5)."""
-    return exceeds_threshold(l.n, con_count(l))
-
-
-@dataclass(frozen=True)
-class FewCriteria:
-    """Lemma-style sufficient conditions for having few congruences."""
-
-    jred_ge4: bool
-    mred_ge4: bool
-    jir_collision: tuple[int, int] | None
-
-
-def few_criteria(l: Lattice) -> FewCriteria:
-    """The criteria; jir_collision is the least pair p < q of join-irreducibles
-    with con(p_*, p) = con(q_*, q), that is, in one block of the quasiorder."""
-    irr = irreducibles(l)
-    q = jir_quasiorder(l)
-    members: dict[int, list[int]] = {}
-    for p in q.jir_list:
-        members.setdefault(q.block_of[p], []).append(p)
-    pairs = [(m[0], m[1]) for m in members.values() if len(m) > 1]
-    return FewCriteria(
-        jred_ge4=len(irr.jred) >= 4,
-        mred_ge4=len(irr.mred) >= 4,
-        jir_collision=min(pairs, default=None),
-    )

@@ -289,8 +289,9 @@ def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
     """All n-element lattices, one canonical representative per class.
 
     Deterministic order (sorted by canonical form).  Raises SizeError
-    beyond the requested maximum; max_n above HARD_MAX_N is rejected
-    because per-class cost dominates long before generation does.
+    when n is above min(max_n, HARD_MAX_N): a max_n above HARD_MAX_N is
+    accepted, but n is still capped at HARD_MAX_N, because per-class
+    cost dominates long before generation does.
     The result is cached per n; the sweeps below do not use it.
     """
     _check_size(n, max_n)

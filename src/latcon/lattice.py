@@ -12,12 +12,15 @@ first use, for the callers that read many entries.  A lattice keeps the
 up-row index validation built and, once read, its join- and
 meet-irreducibles with their covers, so the per-class layers that read
 them (the congruence count, the planarity prefilter) share one copy.
+``_reducible_counts`` reads the numbers of join- and meet-reducible
+elements from them, for the planarity prefilter and for ``irreducibles``,
+the four counts ``latcon analyze`` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .poset import Poset, dual, poset_from_covers
 
@@ -32,10 +35,6 @@ class NotLatticeError(ValueError):
 
 class SizeError(ValueError):
     """A constructor precondition on the size parameter is violated."""
-
-
-class IntervalError(ValueError):
-    """An interval endpoint pair is not ordered."""
 
 
 @dataclass(frozen=True)
@@ -85,23 +84,6 @@ class Lattice:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Lattice(n={self.n}, covers={list(self.poset.covers)})"
-
-
-@dataclass(frozen=True)
-class IrreducibleSets:
-    """Join/meet (ir)reducible classification of a lattice.
-
-    jred is computed as L minus bottom minus jir; the identity with
-    {x or y : x parallel y} is exercised by the test suite.
-    """
-
-    jir: frozenset[int]
-    mir: frozenset[int]
-    dir: frozenset[int]
-    jred: frozenset[int]
-    mred: frozenset[int]
-    lower_cover: dict[int, int]
-    upper_cover: dict[int, int]
 
 
 def _minimal_of(mask: int, down: tuple[int, ...]) -> list[int]:
@@ -200,58 +182,16 @@ def dual_lattice(l: Lattice) -> Lattice:
     return Lattice(poset=dual(l.poset), bottom=l.top, top=l.bottom)
 
 
-@lru_cache(maxsize=1)
-def irreducibles(l: Lattice) -> IrreducibleSets:
-    """Join/meet (ir)reducible classification, read off the order rows.
-
-    The last result is kept, so callers that take turns on one lattice
-    share a single computation; keeping one per lattice would hold a few
-    kilobytes for every class of a sweep.  The result is shared between
-    callers and must not be mutated.
-    """
-    n = l.n
-    lower = l.lower_covers
-    upper = l.upper_covers
-    jir = frozenset(lower)
-    mir = frozenset(upper)
-    jred = frozenset(range(n)) - {l.bottom} - jir
-    mred = frozenset(range(n)) - {l.top} - mir
-    return IrreducibleSets(
-        jir=jir,
-        mir=mir,
-        dir=jir & mir,
-        jred=jred,
-        mred=mred,
-        lower_cover=lower,
-        upper_cover=upper,
-    )
+def _reducible_counts(l: Lattice) -> tuple[int, int]:
+    """|Jred| and |Mred|: the elements other than the bottom that are not
+    join-irreducible, and those other than the top that are not
+    meet-irreducible."""
+    return l.n - 1 - len(l.lower_covers), l.n - 1 - len(l.upper_covers)
 
 
-def transposes_up(l: Lattice, a: int, b: int, c: int, d: int) -> bool:
-    """[a,b] transposes up to [c,d]: b meet c = a and b join c = d."""
-    if not l.leq(a, b):
-        raise IntervalError(f"{a} is not below {b}")
-    if not l.leq(c, d):
-        raise IntervalError(f"{c} is not below {d}")
-    return l.meet[b][c] == a and l.join[b][c] == d
-
-
-def transposes_down(l: Lattice, a: int, b: int, c: int, d: int) -> bool:
-    return transposes_up(l, c, d, a, b)
-
-
-def is_distributive(l: Lattice) -> bool:
-    """Exhaustive triple check of x meet (y join z) = (x meet y) join (x meet z)."""
-    n = l.n
-    join = l.join
-    meet = l.meet
-    for x in range(n):
-        mx = meet[x]
-        for y in range(n):
-            for z in range(y + 1, n):
-                if mx[join[y][z]] != join[mx[y]][mx[z]]:
-                    return False
-    return True
+def irreducibles(l: Lattice) -> tuple[int, int, int, int]:
+    """|Jir|, |Mir|, |Jred| and |Mred|, the counts ``latcon analyze`` prints."""
+    return len(l.lower_covers), len(l.upper_covers), *_reducible_counts(l)
 
 
 # ---------------------------------------------------------------------------

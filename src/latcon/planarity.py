@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from ._kr_data import _FAMILY_BUILDERS, REDUCIBLE_33_ENTRIES, SMALLEST_MEMBER
-from .lattice import Lattice, NotLatticeError, validate_lattice
+from .lattice import Lattice, NotLatticeError, _reducible_counts, validate_lattice
 from .poset import (
     Embedding,
     Poset,
@@ -68,9 +68,6 @@ class KRCatalogEntry:
 class PlanarityVerdict:
     planar: bool
     witness: tuple[str, Embedding, bool] | None
-
-    def __bool__(self) -> bool:
-        return self.planar
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +189,6 @@ def _searches(l: Lattice) -> Iterator[tuple[KRCatalogEntry, Poset, bool]]:
             yield entry, l.poset, False
         if entry.jred <= mred and entry.mred <= jred:
             yield entry, d, True
-
-
-def _reducible_counts(l: Lattice) -> tuple[int, int]:
-    """|Jred| and |Mred|: the elements other than the bottom that are not
-    join-irreducible, and those other than the top that are not
-    meet-irreducible."""
-    return l.n - 1 - len(l.lower_covers), l.n - 1 - len(l.upper_covers)
 
 
 def _pair_counts(p: Poset) -> tuple[int, int]:
@@ -333,7 +323,7 @@ def _is_linear_order(rows: tuple[int, ...], n: int) -> bool:
     if len(rows) != n:
         return False
     above = 0
-    for x in sorted(range(n), key=lambda x: bin(rows[x]).count("1")):
+    for x in sorted(range(n), key=lambda x: rows[x].bit_count()):
         above |= 1 << x
         if rows[x] != above:
             return False

@@ -29,7 +29,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class CycleError(ValueError):
@@ -113,9 +113,6 @@ class Poset:
     def sizes(self) -> array:
         """Down-set size of element i at position 2i, up-set size at 2i + 1."""
         return array("H", [row.bit_count() for pair in zip(self.down, self.up) for row in pair])
-
-    def leq_matrix(self) -> list[list[bool]]:
-        return [[bool(self.up[i] >> j & 1) for j in range(self.n)] for i in range(self.n)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Poset(n={self.n}, covers={list(self.covers)})"
@@ -620,27 +617,21 @@ def _closed_masks(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     return masks
 
 
-def iter_downset_masks(p: Poset) -> Iterator[int]:
-    """All hereditary subsets as bitmasks, in increasing mask order."""
-    return iter(sorted(_closed_masks(p.down, p._linear_extension)))
-
-
-def quotient_of_quasiorder(n: int, rel_rows: Sequence[int]) -> tuple[Poset, list[int]]:
-    """Collapse mutual pairs of a quasiorder; returns (poset, class index per element)."""
-    block = [-1] * n
+def quotient_of_quasiorder(n: int, rel_rows: Sequence[int]) -> Poset:
+    """Collapse mutual pairs of a quasiorder; class k is the k-th class by least member."""
     reps: list[int] = []
+    collapsed = 0
     for i in range(n):
-        if block[i] >= 0:
+        if collapsed >> i & 1:
             continue
-        block[i] = len(reps)
+        reps.append(i)
         for j in range(i + 1, n):
             if rel_rows[i] >> j & 1 and rel_rows[j] >> i & 1:
-                block[j] = block[i]
-        reps.append(i)
+                collapsed |= 1 << j
     m = len(reps)
     up = [0] * m
     for a, i in enumerate(reps):
         for b, j in enumerate(reps):
             if rel_rows[i] >> j & 1:
                 up[a] |= 1 << b
-    return _poset_from_up(up), block
+    return _poset_from_up(up)

@@ -1,11 +1,17 @@
-"""Test-only oracles: slow, independent routes the fast code is checked against."""
+"""Test-only oracles: slow, independent routes the fast code is checked against.
+
+Two more such routes stay in latcon, because perfbench's tracer lists
+them and its self-test requires every name it lists: the union-find
+principal congruence and the networkx graph-planarity oracle.  They are
+imported here with the others.
+"""
 
 from itertools import combinations
 from typing import Sequence
 
-from latcon.congruence import Congruence
+from latcon.congruence import Congruence, principal_congruence
 from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of
-from latcon.planarity import cover_graph_edges
+from latcon.planarity import cover_graph_edges, is_planar_graph_oracle
 from latcon.poset import Poset, _bits, _poset_from_up, canonical_form, count_downsets, quotient_of_quasiorder
 
 
@@ -51,9 +57,10 @@ def validate_lattice_eager(p: Poset) -> tuple[Table, Table, int, int]:
 
 
 def dependency_rel_all_x(l: Lattice) -> tuple[int, ...]:
-    """The rows of congruence.jir_quasiorder(l).rel, with every element x
-    tried as a witness of p D q (p <= q v x, not p <= q_* v x): the loop
-    jir_quasiorder ran before it tried only meet-irreducible x above q_*."""
+    """The rows of congruence._dependency_rows(l) on the join-irreducibles,
+    the i-th as element i, with every element x tried as a witness of
+    p D q (p <= q v x, not p <= q_* v x): the loop the quasiorder ran
+    before it tried only meet-irreducible x above q_*."""
     up, down = l.poset.up, l.poset.down
     lower = l.lower_covers
     jir = tuple(lower)
@@ -151,6 +158,33 @@ def is_planar_graph_bruteforce(l: Lattice) -> bool:
     return not has_kuratowski_subdivision(l.n, cover_graph_edges(l))
 
 
+class IntervalError(ValueError):
+    """An interval endpoint pair is not ordered."""
+
+
+def transposes_up(l: Lattice, a: int, b: int, c: int, d: int) -> bool:
+    """[a,b] transposes up to [c,d]: b meet c = a and b join c = d."""
+    if not l.leq(a, b):
+        raise IntervalError(f"{a} is not below {b}")
+    if not l.leq(c, d):
+        raise IntervalError(f"{c} is not below {d}")
+    return l.meet[b][c] == a and l.join[b][c] == d
+
+
+def is_distributive(l: Lattice) -> bool:
+    """Exhaustive triple check of x meet (y join z) = (x meet y) join (x meet z)."""
+    n = l.n
+    join = l.join
+    meet = l.meet
+    for x in range(n):
+        mx = meet[x]
+        for y in range(n):
+            for z in range(y + 1, n):
+                if mx[join[y][z]] != join[mx[y]][mx[z]]:
+                    return False
+    return True
+
+
 def refines(c1: Congruence, c2: Congruence) -> bool:
     """c1 <= c2 in Con(L): every block of c1 lies inside a block of c2."""
     idx2 = c2.block_index()
@@ -234,8 +268,7 @@ def count_hereditary_quasi(n: int, rel: Sequence[Sequence[bool]]) -> int:
             rest &= rest - 1
             if rows[j] & ~rows[i]:
                 raise NotQuasiorderError(f"relation not transitive through ({i}, {j})")
-    q, _ = quotient_of_quasiorder(n, rows)
-    return count_downsets(q)
+    return count_downsets(quotient_of_quasiorder(n, rows))
 
 
 def enumerate_lattices_oracle(n: int) -> int:

@@ -4,14 +4,7 @@ Exhaustive over the full enumerated universe where the criterion says so;
 sampling above is seeded and deterministic.
 """
 
-from latcon.congruence import (
-    con_count,
-    con_count_oracle,
-    few_criteria,
-    has_many_congruences,
-    jir_quasiorder,
-    principal_congruence,
-)
+from latcon.congruence import con_count, con_count_oracle, exceeds_threshold, jir_quasiorder
 from latcon.enumeration import (
     enumerate_lattices,
     sample_lattices,
@@ -20,9 +13,8 @@ from latcon.enumeration import (
 )
 from latcon.lattice import (
     Lattice,
+    _reducible_counts,
     dual_lattice,
-    irreducibles,
-    is_distributive,
     lattice_from_covers,
     make_boolean,
     make_chain,
@@ -30,19 +22,24 @@ from latcon.lattice import (
     make_mk,
     make_ordinal_sum,
     make_product,
-    transposes_up,
     validate_lattice,
 )
 from latcon.planarity import (
     is_dismantlable,
-    is_planar_graph_oracle,
     is_planar_kr,
     kr_catalog,
     planar_realizer,
     realizer_is_valid,
 )
 from latcon.poset import dual, embedding_is_valid, find_embedding
-from oracles import enumerate_lattices_oracle, is_planar_graph_bruteforce
+from oracles import (
+    enumerate_lattices_oracle,
+    is_distributive,
+    is_planar_graph_bruteforce,
+    is_planar_graph_oracle,
+    principal_congruence,
+    transposes_up,
+)
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -175,7 +172,7 @@ def _lemma31_check(k: Lattice, l: Lattice, mapping):
     m = mapping
     nk = k.n
     kj, lj = k.join, l.join
-    irr_k, irr_l = irreducibles(k), irreducibles(l)
+    (jred_k, mred_k), (jred_l, mred_l) = _reducible_counts(k), _reducible_counts(l)
     # (a) joins in L are below joins computed in K
     for x in range(nk):
         for y in range(nk):
@@ -187,10 +184,10 @@ def _lemma31_check(k: Lattice, l: Lattice, mapping):
             if kj[x][y] != kj[u][v]:
                 assert lj[m[x]][m[y]] != lj[m[u]][m[v]]
     # (c) reducible-element counts can only grow
-    assert len(irr_l.jred) >= len(irr_k.jred)
-    assert len(irr_l.mred) >= len(irr_k.mred)
+    assert jred_l >= jred_k
+    assert mred_l >= mred_k
     # (d) with equal Jred counts, equal incomparable K-joins force equal L-joins
-    if len(irr_l.jred) == len(irr_k.jred):
+    if jred_l == jred_k:
         inc = [
             (x, y)
             for x, y in pairs
@@ -207,17 +204,15 @@ def test_criterion_7_property_suites():
     for n in range(1, 8):
         for l in enumerate_lattices(n):
             if n >= 2:
-                q = jir_quasiorder(l)
-                assert con_count(l) <= 2 ** q.qu_poset.n <= 2 ** len(irreducibles(l).jir)
+                assert con_count(l) <= 2 ** jir_quasiorder(l).n <= 2 ** len(l.lower_covers)
             if is_distributive(l):
-                assert con_count(l) == 2 ** len(irreducibles(l).jir)
+                assert con_count(l) == 2 ** len(l.lower_covers)
     # sampled above
     for n, take in ((8, 40), (9, 40), (10, 30)):
         for l in sample_lattices(n, take, seed=7, max_n=10):
-            q = jir_quasiorder(l)
-            assert con_count(l) <= 2 ** q.qu_poset.n <= 2 ** len(irreducibles(l).jir)
+            assert con_count(l) <= 2 ** jir_quasiorder(l).n <= 2 ** len(l.lower_covers)
             if is_distributive(l):
-                assert con_count(l) == 2 ** len(irreducibles(l).jir)
+                assert con_count(l) == 2 ** len(l.lower_covers)
 
     # Eq. (5): transposed intervals generate equal principal congruences
     for n in range(2, 8):
@@ -259,14 +254,17 @@ def test_criterion_7_property_suites():
         _lemma31_check(validate_lattice(entry.poset), target, emb.mapping)
         found += 1
 
-    # Lemma 4.1 consistency, exhaustive n <= 8
+    # Lemma 4.1 consistency, exhaustive n <= 8: four or more join- or
+    # meet-reducible elements, or three join-reducible ones and two
+    # join-irreducibles in one block of the quasiorder, mean few congruences
     for n in range(1, 9):
         for l in enumerate_lattices(n):
-            crit = few_criteria(l)
-            if crit.jred_ge4 or crit.mred_ge4:
-                assert not has_many_congruences(l)
-            if len(irreducibles(l).jred) == 3 and crit.jir_collision is not None:
-                assert not has_many_congruences(l)
+            jred, mred = _reducible_counts(l)
+            many = exceeds_threshold(l.n, con_count(l))
+            if jred >= 4 or mred >= 4:
+                assert not many
+            if jred == 3 and jir_quasiorder(l).n < len(l.lower_covers):
+                assert not many
 
     # planar implies dismantlable, exhaustive n <= 8
     for n in range(1, 9):

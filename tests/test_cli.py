@@ -1,6 +1,9 @@
 import hashlib
+import io
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,8 +101,6 @@ def test_dot_deterministic_shape():
 
 
 def test_analyze_n5(capsys):
-    import io
-
     sys_stdin = sys.stdin
     sys.stdin = io.StringIO(N5_TEXT)
     try:
@@ -116,8 +117,6 @@ def test_analyze_n5(capsys):
 
 
 def test_analyze_lfamily_pipeline(capsys):
-    import io
-
     rc = main(["construct", "lfamily", "8", "-o", "-"])
     text = capsys.readouterr().out
     assert rc == 0
@@ -311,8 +310,6 @@ def test_commands_do_not_need_networkx(tmp_path):
 
 
 def test_analyze_builds_quasiorder_once(monkeypatch, capsys):
-    import io
-
     from latcon import cli, congruence
 
     calls = []
@@ -328,6 +325,20 @@ def test_analyze_builds_quasiorder_once(monkeypatch, capsys):
     assert main(["analyze", "-"]) == 0
     assert calls == [5]
     assert "Con=5\n" in capsys.readouterr().out
+
+
+def test_analyze_output_matches_the_benchmark_pool(monkeypatch, capsys):
+    """analyze prints, byte for byte, the output whose sha256
+    perfbench/pool.json records for each of its 486 lattices."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pool.json").read_text())
+    entries = pool["n10"] + pool["big"]
+    assert len(entries) == 486
+    for e in entries:
+        text = "".join([f"{e['n']}\n", *(f"{a} {b}\n" for a, b in e["covers"])])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["analyze", "-"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == e["stdout_sha256"], e["id"]
 
 
 def test_not_lattice_error_exit(tmp_path):

@@ -1,32 +1,29 @@
 import pytest
 
-from latcon.congruence import (
-    CapExceededError,
-    Congruence,
-    con_count,
-    con_count_oracle,
-    con_enumerate,
-    congruence_join,
-    few_criteria,
-    has_many_congruences,
-    jir_quasiorder,
-    principal_congruence,
-)
+from latcon.congruence import _dependency_rows, con_count, con_count_oracle, exceeds_threshold, jir_quasiorder
 from latcon.enumeration import enumerate_lattices, sample_lattices
 from latcon.lattice import (
     SizeError,
+    _reducible_counts,
     dual_lattice,
-    irreducibles,
     lattice_from_covers,
     make_boolean,
     make_chain,
     make_l_family,
     make_mk,
     make_product,
+)
+from latcon.poset import _bits, canonical_form, count_downsets, poset_from_covers
+from oracles import (
+    _iter_partitions,
+    con_count_bruteforce,
+    dependency_rel_all_x,
+    is_congruence,
+    is_distributive,
+    principal_congruence,
+    refines,
     transposes_up,
 )
-from latcon.poset import canonical_form, poset_from_covers
-from oracles import _iter_partitions, con_count_bruteforce, dependency_rel_all_x, is_congruence, refines
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -47,44 +44,31 @@ def test_principal_n5_a_c():
     assert is_congruence(N5, c.blocks)
 
 
-def test_congruence_join_identity_and_idempotence():
-    ident = principal_congruence(N5, 0, 0)
-    c = principal_congruence(N5, 0, 2)
-    assert congruence_join(ident, c, N5).blocks == c.blocks
-    assert congruence_join(c, c, N5).blocks == c.blocks
-
-
-def test_congruence_join_n5_generates():
-    c1 = principal_congruence(N5, 1, 3)
-    c2 = principal_congruence(N5, 0, 2)
-    j = congruence_join(c1, c2, N5)
-    assert is_congruence(N5, j.blocks)
-    assert refines(c1, j) and refines(c2, j)
-    # oracle: the closure of both generating pairs at once
-    from latcon.congruence import _close
-
-    assert j.blocks == _close(N5, [(1, 3), (0, 2)]).blocks
-
-
 def test_jir_quasiorder_chain():
     q = jir_quasiorder(make_chain(4))
-    assert q.qu_poset.n == 3
-    assert q.qu_poset.covers == ()
+    assert q.n == 3
+    assert q.covers == ()
 
 
 def test_jir_quasiorder_n5():
     q = jir_quasiorder(N5)
-    assert q.qu_poset.n == 3
+    assert q.n == 3
     v = poset_from_covers(3, [(0, 1), (0, 2)])
-    assert canonical_form(q.qu_poset) == canonical_form(v)
-    # c = 3 sits below both a = 1 and b = 2
-    assert q.block_of[3] != q.block_of[1] != q.block_of[2]
+    assert canonical_form(q) == canonical_form(v)
+    # c = 3 sits below both a = 1 and b = 2, and no two of them are equivalent
+    assert _dependency_rows(N5)[1] == [0, 0b10, 0b100, 0b1110, 0]
+
+
+def _jir_rows(l):
+    """The rows of _dependency_rows on the join-irreducibles, the i-th as element i."""
+    _, above, _ = _dependency_rows(l)
+    index = {p: i for i, p in enumerate(l.lower_covers)}
+    return tuple(sum(1 << index[q] for q in _bits(above[p])) for p in l.lower_covers)
 
 
 def _rel_by_refinement(l):
     """Row a has bit b iff con(p_a*, p_a) refines con(p_b*, p_b), jir in index order."""
-    irr = irreducibles(l)
-    cons = [principal_congruence(l, irr.lower_cover[p], p) for p in sorted(irr.jir)]
+    cons = [principal_congruence(l, c, p) for p, c in l.lower_covers.items()]
     return tuple(sum(1 << b for b, cb in enumerate(cons) if refines(ca, cb)) for ca in cons)
 
 
@@ -95,7 +79,7 @@ def test_jir_quasiorder_matches_refinement():
         lattices += sample_lattices(n, 60, seed=2024, max_n=10)
     lattices += [N5, make_l_family(11), dual_lattice(make_l_family(11))]
     for l in lattices:
-        assert jir_quasiorder(l).rel == _rel_by_refinement(l)
+        assert _jir_rows(l) == _rel_by_refinement(l)
 
 
 def test_meet_irreducible_witnesses_match_all_x():
@@ -106,12 +90,11 @@ def test_meet_irreducible_witnesses_match_all_x():
     lattices += [make_l_family(11), make_boolean(4), make_mk(10)]
     lattices += [dual_lattice(l) for l in lattices] + _oracle_families()
     for l in lattices:
-        assert jir_quasiorder(l).rel == dependency_rel_all_x(l)
+        assert _jir_rows(l) == dependency_rel_all_x(l)
 
 
 def test_jir_quasiorder_m3():
-    q = jir_quasiorder(make_mk(3))
-    assert q.qu_poset.n == 1
+    assert jir_quasiorder(make_mk(3)).n == 1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -123,74 +106,6 @@ def test_con_count_known_values():
     assert con_count(make_mk(3)) == 2
     assert con_count(N5) == 5
     assert con_count(make_boolean(3)) == 8
-
-
-def test_con_enumerate_singleton():
-    l = make_chain(1)
-    assert [c.blocks for c in con_enumerate(l)] == [((0,),)]
-
-
-def test_con_enumerate_n5():
-    cons = con_enumerate(N5)
-    assert len(cons) == 5
-    blocks = {c.blocks for c in cons}
-    assert ((0,), (1,), (2,), (3,), (4,)) in blocks
-    assert ((0, 1, 2, 3, 4),) in blocks
-    for c in cons:
-        assert is_congruence(N5, c.blocks)
-
-
-def test_con_enumerate_chain3():
-    assert len(con_enumerate(make_chain(3))) == 4
-
-
-def test_con_enumerate_closed_under_join():
-    for l in (N5, make_mk(3), make_chain(4)):
-        cons = con_enumerate(l)
-        blocks = {c.blocks for c in cons}
-        for c1 in cons:
-            for c2 in cons:
-                assert congruence_join(c1, c2, l).blocks in blocks
-
-
-def test_con_enumerate_cap():
-    with pytest.raises(CapExceededError):
-        con_enumerate(make_chain(8), cap=100)
-
-
-def test_con_enumerate_checks_cap_before_closing(monkeypatch):
-    import latcon.congruence as congruence
-
-    def no_close(l, pairs):
-        raise AssertionError("_close called before the cap check")
-
-    monkeypatch.setattr(congruence, "_close", no_close)
-    with pytest.raises(CapExceededError):
-        con_enumerate(make_chain(8), cap=100)
-
-
-def test_con_enumerate_builds_quasiorder_once(monkeypatch):
-    import latcon.congruence as congruence
-
-    calls = []
-    real = congruence.jir_quasiorder
-
-    def counted(l):
-        calls.append(l.n)
-        return real(l)
-
-    monkeypatch.setattr(congruence, "jir_quasiorder", counted)
-    assert len(con_enumerate(N5)) == 5
-    assert calls == [5]
-
-
-def test_con_enumerate_rejects_inconsistent_result(monkeypatch):
-    import latcon.congruence as congruence
-
-    identity = Congruence(tuple((x,) for x in range(N5.n)))
-    monkeypatch.setattr(congruence, "_close", lambda l, pairs: identity)
-    with pytest.raises(RuntimeError, match="expected 5"):
-        con_enumerate(N5)
 
 
 def test_oracle_known_values():
@@ -229,7 +144,7 @@ def test_oracle_reads_only_the_tables(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the partition oracle used the quasiorder route")
 
-    for name in ("jir_quasiorder", "_close", "count_downsets"):
+    for name in ("jir_quasiorder", "_dependency_rows", "_count_hereditary"):
         monkeypatch.setattr(congruence, name, forbidden)
     assert con_count_oracle(N5) == 5
     assert con_count_oracle(make_boolean(3)) == 8
@@ -253,58 +168,65 @@ def test_is_congruence_accepts_exactly_the_congruences():
 
 
 def test_has_many_congruences():
-    assert has_many_congruences(make_chain(5))  # 16 > 1
-    assert not has_many_congruences(make_l_family(8))  # 8 = threshold exactly
-    assert has_many_congruences(make_mk(3))  # 2 > 1
+    def many(l):
+        return exceeds_threshold(l.n, con_count(l))
+
+    assert many(make_chain(5))  # 16 > 1
+    assert not many(make_l_family(8))  # 8 = threshold exactly
+    assert many(make_mk(3))  # 2 > 1
     for n in (1, 2, 3, 4):
-        assert has_many_congruences(make_chain(n))
+        assert many(make_chain(n))
+
+
+def _collisions(l):
+    """The pairs p < q of join-irreducibles in one block of the quasiorder."""
+    _, above, _ = _dependency_rows(l)
+    return {(p, q) for p in l.lower_covers for q in _bits(above[p]) if p < q and above[q] >> p & 1}
+
+
+def _collisions_by_principal_congruences(l):
+    """The pairs p < q of join-irreducibles with equal con(p_*, p) and
+    con(q_*, q), one principal congruence per join-irreducible."""
+    cons = {p: principal_congruence(l, c, p).blocks for p, c in l.lower_covers.items()}
+    return {(p, q) for p in cons for q in cons if p < q and cons[p] == cons[q]}
 
 
 def test_few_criteria_boolean4():
-    crit = few_criteria(make_boolean(4))
-    assert crit.jred_ge4 and crit.mred_ge4
+    """B_4 has four or more join- and meet-reducible elements."""
+    assert _reducible_counts(make_boolean(4)) == (11, 11)
 
 
 def test_few_criteria_chain():
-    crit = few_criteria(make_chain(6))
-    assert not crit.jred_ge4 and not crit.mred_ge4
-    assert crit.jir_collision is None
+    l = make_chain(6)
+    assert _reducible_counts(l) == (0, 0)
+    assert _collisions(l) == set()
+    assert jir_quasiorder(l).n == len(l.lower_covers) == 5
 
 
 def test_few_criteria_m3_collision():
-    crit = few_criteria(make_mk(3))
-    assert crit.jir_collision == (1, 2)
-    assert not crit.jred_ge4
-
-
-def _jir_collision_by_principal_congruences(l):
-    """The least pair p < q of join-irreducibles with equal con(p_*, p)
-    and con(q_*, q), one principal congruence per join-irreducible."""
-    irr = irreducibles(l)
-    jir = sorted(irr.jir)
-    cons = {p: principal_congruence(l, irr.lower_cover[p], p).blocks for p in jir}
-    for i, p in enumerate(jir):
-        for q in jir[i + 1 :]:
-            if cons[p] == cons[q]:
-                return (p, q)
-    return None
+    l = make_mk(3)
+    assert _collisions(l) == {(1, 2), (1, 3), (2, 3)}
+    assert _reducible_counts(l) == (1, 1)
 
 
 def test_few_criteria_collision_matches_principal_congruences():
-    """The collision read off the quasiorder's blocks is the one found by
-    comparing principal congruences, on every class with n <= 8, and on a
-    9-element lattice whose blocks {1, 5} and {2, 3} make the least pair
-    differ from the first repeated block."""
+    """The join-irreducibles the quasiorder puts in one block are those
+    with equal principal congruences, and the quotient has one element
+    per distinct one, on every class with n <= 8, and on a 9-element
+    lattice with the two blocks {1, 5, 6} and {2, 3}."""
     lattices = [l for n in range(1, 9) for l in enumerate_lattices(n)]
     assert len(lattices) == 300
-    found = [few_criteria(l).jir_collision for l in lattices]
-    assert found == [_jir_collision_by_principal_congruences(l) for l in lattices]
-    assert sum(c is not None for c in found) == 194
+    found = [_collisions(l) for l in lattices]
+    assert found == [_collisions_by_principal_congruences(l) for l in lattices]
+    assert sum(bool(c) for c in found) == 194
+    for l in lattices[1:]:
+        cons = {principal_congruence(l, c, p).blocks for p, c in l.lower_covers.items()}
+        assert jir_quasiorder(l).n == len(cons)
     l9 = lattice_from_covers(
         9,
         [(0, 1), (0, 2), (0, 3), (1, 7), (2, 4), (3, 4), (4, 5), (4, 6), (4, 7), (5, 8), (6, 8), (7, 8)],
     )
-    assert few_criteria(l9).jir_collision == _jir_collision_by_principal_congruences(l9) == (1, 5)
+    assert _collisions(l9) == _collisions_by_principal_congruences(l9) == {(1, 5), (1, 6), (5, 6), (2, 3)}
 
 
 def test_refines_direction():
@@ -340,41 +262,29 @@ def test_transposed_intervals_same_congruence():
 
 def test_fjn_bound_chain():
     """|Con| <= 2^|Qu| <= 2^|Jir| over the small enumerated universe."""
-    from latcon.lattice import irreducibles
-
     for n in range(2, 7):
         for l in enumerate_lattices(n):
-            q = jir_quasiorder(l)
-            assert con_count(l) <= 2 ** q.qu_poset.n <= 2 ** len(irreducibles(l).jir)
+            assert con_count(l) <= 2 ** jir_quasiorder(l).n <= 2 ** len(l.lower_covers)
 
 
 def test_distributive_equality():
-    from latcon.lattice import irreducibles, is_distributive
-
     for n in range(1, 7):
         for l in enumerate_lattices(n):
             if is_distributive(l):
-                assert con_count(l) == 2 ** len(irreducibles(l).jir)
-
-
-def test_congruence_same_helper():
-    c = Congruence(((0, 2), (1, 3, 4)))
-    assert c.same(1, 4) and not c.same(0, 1)
-    assert c.n == 5
+                assert con_count(l) == 2 ** len(l.lower_covers)
 
 
 def test_jir_quasiorder_is_reflexive_transitive():
     for n in range(2, 7):
         for l in enumerate_lattices(n):
-            q = jir_quasiorder(l)
-            m = len(q.jir_list)
-            for a in range(m):
-                assert q.rel[a] >> a & 1
-                rest = q.rel[a]
+            rel = _jir_rows(l)
+            for a in range(len(rel)):
+                assert rel[a] >> a & 1
+                rest = rel[a]
                 while rest:
                     b = (rest & -rest).bit_length() - 1
                     rest &= rest - 1
-                    assert q.rel[b] & ~q.rel[a] == 0
+                    assert rel[b] & ~rel[a] == 0
 
 
 def test_con_count_matches_quotient_route_and_oracle():
@@ -382,19 +292,16 @@ def test_con_count_matches_quotient_route_and_oracle():
     dependency rows and their transpose; counting the downsets of the
     quotient poset jir_quasiorder builds, and the partition oracle, give
     the same number on every class with n <= 9 and its dual."""
-    from latcon.congruence import _dependency_rows
-    from latcon.poset import count_downsets
-
     checked = 0
     for n in range(2, 10):
         for rep in enumerate_lattices(n):
             for l in (rep, dual_lattice(rep)):
                 jmask, above, below = _dependency_rows(l)
-                assert jmask == sum(1 << p for p in irreducibles(l).jir)
+                assert jmask == sum(1 << p for p in l.lower_covers)
                 for x in range(l.n):
                     assert above[x] | below[x] == 0 or jmask >> x & 1
                     assert below[x] == sum(1 << p for p in range(l.n) if above[p] >> x & 1)
                 con = con_count(l)
-                assert con == count_downsets(jir_quasiorder(l).qu_poset) == con_count_oracle(l)
+                assert con == count_downsets(jir_quasiorder(l)) == con_count_oracle(l)
                 checked += 1
     assert checked == 2 * (1 + 1 + 2 + 5 + 15 + 53 + 222 + 1078)

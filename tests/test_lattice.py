@@ -4,12 +4,11 @@ from itertools import permutations
 import pytest
 
 from latcon.lattice import (
-    IntervalError,
     NotLatticeError,
     SizeError,
+    _reducible_counts,
     dual_lattice,
     irreducibles,
-    is_distributive,
     lattice_from_covers,
     make_boolean,
     make_chain,
@@ -17,13 +16,11 @@ from latcon.lattice import (
     make_mk,
     make_ordinal_sum,
     make_product,
-    transposes_down,
-    transposes_up,
     validate_lattice,
 )
 from latcon.planarity import kr_catalog
 from latcon.poset import canonical_form, dual, poset_from_covers
-from oracles import validate_lattice_eager
+from oracles import IntervalError, is_distributive, transposes_up, validate_lattice_eager
 from test_poset import all_posets_upto
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
@@ -142,11 +139,10 @@ def test_lazy_tables_match_eager_scan():
 
 
 def test_irreducibles_computed_once_per_class(monkeypatch):
-    """A class's record builds no IrreducibleSets and finds each side's
-    irreducibles once: the congruence count and the planarity prefilter
-    read the covers the lattice caches, and the up-row index is the one
-    validate_lattice built.  irreducibles reads the same cached covers,
-    and a repeated call is served from its cache."""
+    """A class's record finds each side's irreducibles once: the
+    congruence count and the planarity prefilter read the covers the
+    lattice caches, and the up-row index is the one validate_lattice
+    built.  The counts analyze prints read the same cached covers."""
     from latcon import lattice
     from latcon.enumeration import _class_record
 
@@ -161,18 +157,14 @@ def test_irreducibles_computed_once_per_class(monkeypatch):
 
     monkeypatch.setattr(lattice, "_single_covers", counted)
     monkeypatch.setattr(lattice.Lattice, "up_index", None)
-    irreducibles.cache_clear()
     l = validate_lattice(p)
     assert l.up_index == {row: i for i, row in enumerate(p.up)}
     _class_record(p, None)
-    assert irreducibles.cache_info().misses == 0
     assert sorted(calls) == sorted([p.up, p.down])
     calls.clear()
     l = validate_lattice(p)
-    irr = irreducibles(l)
-    assert irr.lower_cover is l.lower_covers and irr.upper_cover is l.upper_covers
+    assert irreducibles(l) == (4, 4, 4, 4)
     assert sorted(calls) == sorted([p.up, p.down])
-    assert irreducibles(l) is irr
 
 
 def test_n5_tables():
@@ -181,27 +173,32 @@ def test_n5_tables():
     assert N5.bottom == 0 and N5.top == 4
 
 
+def _reducible(l):
+    """The join-reducible elements (not the bottom, not join-irreducible)
+    and the meet-reducible ones (not the top, not meet-irreducible)."""
+    every = set(range(l.n))
+    return every - {l.bottom} - set(l.lower_covers), every - {l.top} - set(l.upper_covers)
+
+
 def test_irreducibles_n5():
-    irr = irreducibles(N5)
-    assert irr.jir == {1, 2, 3}
-    assert irr.jred == {4}
-    assert irr.lower_cover[3] == 1
-    assert irr.dir == {1, 2, 3} & irr.mir
+    assert set(N5.lower_covers) == {1, 2, 3}
+    assert _reducible(N5)[0] == {4}
+    assert N5.lower_covers[3] == 1
+    assert set(N5.upper_covers) == {1, 2, 3}
+    assert irreducibles(N5) == (3, 3, 1, 1)
 
 
 def test_irreducibles_boolean():
-    irr = irreducibles(make_boolean(3))
-    assert len(irr.jir) == 3
-    assert len(irr.jred) == 4
-    assert irr.jir == {1, 2, 4}
+    l = make_boolean(3)
+    assert set(l.lower_covers) == {1, 2, 4}
+    assert _reducible_counts(l)[0] == 4
 
 
 def test_irreducibles_chain():
     l = make_chain(6)
-    irr = irreducibles(l)
-    assert irr.jir == set(range(1, 6))
-    assert irr.jred == set()
-    assert irr.mred == set()
+    assert set(l.lower_covers) == set(range(1, 6))
+    assert _reducible(l) == (set(), set())
+    assert _reducible_counts(l) == (0, 0)
 
 
 def test_jred_equals_joins_of_incomparable_pairs():
@@ -209,28 +206,29 @@ def test_jred_equals_joins_of_incomparable_pairs():
 
     for n in range(2, 8):
         for l in en.enumerate_lattices(n):
-            irr = irreducibles(l)
+            jred, mred = _reducible(l)
+            assert _reducible_counts(l) == (len(jred), len(mred))
             joins = {
                 l.join[x][y]
                 for x in range(n)
                 for y in range(x + 1, n)
                 if not l.leq(x, y) and not l.leq(y, x)
             }
-            assert joins == set(irr.jred)
+            assert joins == jred
             meets = {
                 l.meet[x][y]
                 for x in range(n)
                 for y in range(x + 1, n)
                 if not l.leq(x, y) and not l.leq(y, x)
             }
-            assert meets == set(irr.mred)
+            assert meets == mred
 
 
 def test_duality_swaps_irreducibles():
     for l in (N5, make_boolean(3), make_mk(4), make_l_family(9)):
         d = dual_lattice(l)
-        assert irreducibles(d).jir == irreducibles(l).mir
-        assert irreducibles(d).mred == irreducibles(l).jred
+        assert set(d.lower_covers) == set(l.upper_covers)
+        assert _reducible(d)[1] == _reducible(l)[0]
 
 
 def test_transposes_up_n5():
@@ -252,19 +250,6 @@ def test_transposes_interval_error():
         transposes_up(N5, 1, 0, 0, 4)
 
 
-def test_transposes_symmetry():
-    n = N5.n
-    for a in range(n):
-        for b in range(n):
-            if not N5.leq(a, b):
-                continue
-            for c in range(n):
-                for d in range(n):
-                    if not N5.leq(c, d):
-                        continue
-                    assert transposes_up(N5, a, b, c, d) == transposes_down(N5, c, d, a, b)
-
-
 def test_make_chain_and_sum():
     s = make_ordinal_sum(make_chain(2), make_chain(3))
     assert canonical_form(s.poset) == canonical_form(make_chain(5).poset)
@@ -280,8 +265,7 @@ def test_ordinal_sum_order():
 def test_make_mk():
     m3 = make_mk(3)
     assert m3.n == 5
-    irr = irreducibles(m3)
-    assert irr.jir == {1, 2, 3} and irr.mir == {1, 2, 3}
+    assert set(m3.lower_covers) == {1, 2, 3} and set(m3.upper_covers) == {1, 2, 3}
     assert m3.join[1][2] == 4 and m3.meet[1][2] == 0
 
 
@@ -302,7 +286,7 @@ def test_l_family_base_is_cube():
 def test_l_family_sizes_and_jir(n):
     l = make_l_family(n)
     assert l.n == n
-    assert len(irreducibles(l).jir) == n - 5
+    assert len(l.lower_covers) == n - 5
 
 
 def test_constructor_size_errors():

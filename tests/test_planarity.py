@@ -13,16 +13,19 @@ from latcon.lattice import (
     validate_lattice,
 )
 from latcon.planarity import (
-    cover_graph_edges,
     is_dismantlable,
-    is_planar_graph_oracle,
     is_planar_kr,
     kr_catalog,
     planar_realizer,
     realizer_is_valid,
 )
 from latcon.poset import canonical_form, dual, embedding_is_valid, find_embedding, subposet
-from oracles import is_dismantlable_restart, is_planar_graph_bruteforce
+from oracles import (
+    cover_graph_edges,
+    is_dismantlable_restart,
+    is_planar_graph_bruteforce,
+    is_planar_graph_oracle,
+)
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
@@ -198,27 +201,32 @@ def test_catalog_entries_validate():
 
 
 def test_catalog_e0_f0_reducible_counts():
-    from latcon.lattice import irreducibles
+    from latcon.lattice import _reducible_counts
 
     entries = {e.name: e for e in kr_catalog(12)}
     for name in ("E_0", "F_0"):
-        irr = irreducibles(validate_lattice(entries[name].poset))
-        assert len(irr.jred) == 3 and len(irr.mred) == 3
+        assert _reducible_counts(validate_lattice(entries[name].poset)) == (3, 3)
+        assert (entries[name].jred, entries[name].mred) == (3, 3)
+
+
+def _reducible_by_joins(l):
+    """The numbers of joins and of meets of incomparable pairs: the
+    join- and meet-reducible elements, read from the tables."""
+    pairs = [(x, y) for x in range(l.n) for y in range(x + 1, l.n) if not (l.leq(x, y) or l.leq(y, x))]
+    return len({l.join[x][y] for x, y in pairs}), len({l.meet[x][y] for x, y in pairs})
 
 
 def test_prefilter_counts_match_irreducibles():
     """The two counts the catalog prefilter reads off the order rows are
     the sizes of the join- and meet-reducible sets, in that order."""
-    from latcon.lattice import irreducibles
-    from latcon.planarity import _reducible_counts
+    from latcon.lattice import _reducible_counts
 
     lattices = [l for n in range(1, 9) for l in enumerate_lattices(n)]
     lattices += [make_l_family(11), make_ordinal_sum(make_mk(3), make_chain(2))]
     lattices += [dual_lattice(l) for l in lattices]
-    assert any(len(irreducibles(l).jred) != len(irreducibles(l).mred) for l in lattices)
+    assert any(j != m for j, m in map(_reducible_by_joins, lattices))
     for l in lattices:
-        irr = irreducibles(l)
-        assert _reducible_counts(l) == (len(irr.jred), len(irr.mred))
+        assert _reducible_counts(l) == _reducible_by_joins(l)
 
 
 def test_prefilter_never_skips_an_entry_that_embeds():
@@ -227,7 +235,8 @@ def test_prefilter_never_skips_an_entry_that_embeds():
     is_planar_kr makes, on that side.  The entries' pair counts are those
     of their posets and of their duals, and the pair test skips searches
     that the reducible counts alone would make."""
-    from latcon.planarity import _reducible_counts, _searches
+    from latcon.lattice import _reducible_counts
+    from latcon.planarity import _searches
 
     for e in kr_catalog(9):
         for p in (e.poset, dual(e.poset)):
@@ -298,8 +307,6 @@ def test_greedy_dismantling_matches_exhaustive():
     """Order-exploring search agrees with greedy removal on the small universe."""
 
     def exhaustive(l):
-        from latcon.lattice import irreducibles
-
         memo = {}
 
         def rec(elements):
@@ -309,8 +316,7 @@ def test_greedy_dismantling_matches_exhaustive():
             if key in memo:
                 return memo[key]
             sub = validate_lattice(subposet(l.poset, list(elements)))
-            irr = irreducibles(sub)
-            ok = ({sub.bottom} | set(irr.jir)) & ({sub.top} | set(irr.mir))
+            ok = ({sub.bottom} | set(sub.lower_covers)) & ({sub.top} | set(sub.upper_covers))
             res = False
             for pos in sorted(ok):
                 rest = tuple(v for i, v in enumerate(elements) if i != pos)
@@ -389,12 +395,11 @@ def test_fixtures_parse_as_lattices():
 
 def test_catalog_g0_documented_exception():
     """G_0 is the one member beyond E_0/F_0 with three and three."""
-    from latcon.lattice import irreducibles
+    from latcon.lattice import _reducible_counts
 
     counts = {}
     for e in kr_catalog(13):
-        irr = irreducibles(validate_lattice(e.poset))
-        counts[e.name] = (len(irr.jred), len(irr.mred))
+        counts[e.name] = _reducible_counts(validate_lattice(e.poset))
     assert counts["G_0"] == (3, 3)
     low = {name for name, (j, m) in counts.items() if j < 4 and m < 4}
     assert low == {"E_0", "F_0", "G_0"}
@@ -408,7 +413,7 @@ def test_a_family_parametric_sizes():
 
 def test_e0_f0_containment_forces_few_congruences():
     """Wherever E_0 or F_0 embeds, the host has few congruences (n <= 9)."""
-    from latcon.congruence import has_many_congruences
+    from latcon.congruence import con_count, exceeds_threshold
 
     entries = {e.name: e.poset for e in kr_catalog(9)}
     e0, f0 = entries["E_0"], entries["F_0"]
@@ -419,7 +424,7 @@ def test_e0_f0_containment_forces_few_congruences():
                 continue
             if find_embedding(e0, l.poset) or find_embedding(f0, l.poset):
                 fired += 1
-                assert not has_many_congruences(l)
+                assert not exceeds_threshold(l.n, con_count(l))
     assert fired >= 2
 
 
