@@ -1,20 +1,19 @@
 """Cover lists for the forbidden-lattice catalog.
 
-Eight families. A_n is generated for every n (bottom, top and a cyclic
-crown of n+3 atoms and n+3 coatoms, each atom under two cyclically
-adjacent coatoms); the remaining families carry the transcribed members
-with at most 13 elements. The transcription is certified complete up to
-size 13: an exhaustive sweep of all lattice isomorphism classes through
-13 elements (2,018,305 classes at the top size) found exactly these as
-the minimal non-planar lattices under induced-subposet containment
-modulo duality, and the cross-oracle acceptance tests gate every entry.
-Entries are one orientation per dual pair; planarity checks always probe
-the dual side too, so dual orientations are redundant.
+Eight families. A_i is generated for every i (bottom, top and a cyclic
+crown of i+3 atoms and i+3 coatoms, each atom under two cyclically
+adjacent coatoms); the other families are the transcribed members with
+at most 13 elements, in one table. The transcription is certified
+complete up to size 13: an exhaustive sweep of all lattice isomorphism
+classes through 13 elements (2,018,305 classes at the top size) found
+exactly these as the minimal non-planar lattices under induced-subposet
+containment modulo duality, and the cross-oracle acceptance tests gate
+every entry. Entries are one orientation per dual pair; planarity
+checks always probe the dual side too, so dual orientations are
+redundant.
 """
 
 from __future__ import annotations
-
-SMALLEST_MEMBER = 8
 
 # Families whose members with |Jred| = |Mred| = 3 are expected: E_0 and
 # F_0 per the structural characterization, plus the documented G_0
@@ -35,67 +34,35 @@ def _a_family(i: int):
     return 2 * k + 2, covers
 
 
-_E_MEMBERS = {
-    0: (9, [(0, 1), (0, 2), (0, 3), (1, 7), (2, 5), (2, 6), (3, 4), (3, 6),
-            (4, 8), (5, 8), (6, 7), (7, 8)]),
-    1: (11, [(0, 1), (0, 2), (0, 3), (1, 8), (2, 7), (3, 4), (3, 5), (3, 6),
-             (4, 10), (5, 8), (5, 9), (6, 7), (6, 9), (7, 10), (8, 10), (9, 10)]),
-    2: (13, [(0, 1), (0, 2), (0, 3), (1, 9), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7),
-             (4, 12), (5, 9), (5, 11), (6, 8), (6, 10), (7, 10), (7, 11),
-             (8, 12), (9, 12), (10, 12), (11, 12)]),
-}
-
-_F_MEMBERS = {
-    0: (9, [(0, 1), (0, 2), (1, 6), (2, 3), (2, 4), (3, 7), (4, 5), (4, 6),
-            (5, 8), (6, 7), (7, 8)]),
-    1: (11, [(0, 1), (0, 2), (1, 7), (2, 3), (2, 4), (2, 5), (3, 9), (4, 6),
-             (4, 8), (5, 7), (5, 8), (6, 10), (7, 9), (8, 9), (9, 10)]),
-    2: (13, [(0, 1), (0, 2), (1, 8), (2, 3), (2, 4), (2, 5), (2, 6), (3, 11),
-             (4, 7), (4, 9), (5, 8), (5, 10), (6, 9), (6, 10), (7, 12),
-             (8, 11), (9, 11), (10, 11), (11, 12)]),
-}
-
-_G_MEMBERS = {
-    0: (10, [(0, 1), (0, 2), (0, 3), (1, 8), (2, 6), (3, 4), (3, 5), (3, 6),
-             (4, 9), (5, 8), (6, 7), (6, 8), (7, 9), (8, 9)]),
-}
-
-_H_MEMBERS = {
-    0: (11, [(0, 1), (0, 2), (1, 5), (2, 3), (2, 4), (2, 5), (3, 9), (4, 7),
-             (5, 6), (5, 7), (6, 9), (7, 8), (7, 9), (8, 10), (9, 10)]),
-}
-
-_SPORADIC_MEMBERS = {
+# The transcribed members, name -> (n, covers): the family tag, then the
+# index within the family after an underscore, except for the sporadic
+# B, C and D.
+MEMBERS = {
     "B": (9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 7), (2, 6), (3, 5), (4, 5),
               (4, 6), (4, 7), (5, 8), (6, 8), (7, 8)]),
     "C": (9, [(0, 1), (0, 2), (0, 3), (1, 6), (2, 5), (3, 4), (3, 5), (3, 6),
               (4, 8), (5, 7), (6, 7), (7, 8)]),
     "D": (9, [(0, 1), (0, 2), (1, 5), (2, 3), (2, 4), (2, 5), (3, 7), (4, 6),
               (5, 6), (5, 7), (6, 8), (7, 8)]),
-}
-
-
-def _table_family(table):
-    def build(i: int):
-        return table.get(i)
-
-    return build
-
-
-def _sporadic(name: str):
-    def build(i: int):
-        return _SPORADIC_MEMBERS[name] if i == 0 else None
-
-    return build
-
-
-_FAMILY_BUILDERS = {
-    "A": _a_family,
-    "B": _sporadic("B"),
-    "C": _sporadic("C"),
-    "D": _sporadic("D"),
-    "E": _table_family(_E_MEMBERS),
-    "F": _table_family(_F_MEMBERS),
-    "G": _table_family(_G_MEMBERS),
-    "H": _table_family(_H_MEMBERS),
+    "E_0": (9, [(0, 1), (0, 2), (0, 3), (1, 7), (2, 5), (2, 6), (3, 4), (3, 6),
+                (4, 8), (5, 8), (6, 7), (7, 8)]),
+    "E_1": (11, [(0, 1), (0, 2), (0, 3), (1, 8), (2, 7), (3, 4), (3, 5),
+                 (3, 6), (4, 10), (5, 8), (5, 9), (6, 7), (6, 9), (7, 10),
+                 (8, 10), (9, 10)]),
+    "E_2": (13, [(0, 1), (0, 2), (0, 3), (1, 9), (2, 8), (3, 4), (3, 5),
+                 (3, 6), (3, 7), (4, 12), (5, 9), (5, 11), (6, 8), (6, 10),
+                 (7, 10), (7, 11), (8, 12), (9, 12), (10, 12), (11, 12)]),
+    "F_0": (9, [(0, 1), (0, 2), (1, 6), (2, 3), (2, 4), (3, 7), (4, 5), (4, 6),
+                (5, 8), (6, 7), (7, 8)]),
+    "F_1": (11, [(0, 1), (0, 2), (1, 7), (2, 3), (2, 4), (2, 5), (3, 9),
+                 (4, 6), (4, 8), (5, 7), (5, 8), (6, 10), (7, 9), (8, 9),
+                 (9, 10)]),
+    "F_2": (13, [(0, 1), (0, 2), (1, 8), (2, 3), (2, 4), (2, 5), (2, 6),
+                 (3, 11), (4, 7), (4, 9), (5, 8), (5, 10), (6, 9), (6, 10),
+                 (7, 12), (8, 11), (9, 11), (10, 11), (11, 12)]),
+    "G_0": (10, [(0, 1), (0, 2), (0, 3), (1, 8), (2, 6), (3, 4), (3, 5),
+                 (3, 6), (4, 9), (5, 8), (6, 7), (6, 8), (7, 9), (8, 9)]),
+    "H_0": (11, [(0, 1), (0, 2), (1, 5), (2, 3), (2, 4), (2, 5), (3, 9),
+                 (4, 7), (5, 6), (5, 7), (6, 9), (7, 8), (7, 9), (8, 10),
+                 (9, 10)]),
 }

@@ -78,7 +78,7 @@ from typing import Callable, Iterator, Optional, TypeVar
 
 from .congruence import con_count, exceeds_threshold
 from .lattice import Lattice, SizeError, validate_lattice
-from .planarity import is_dismantlable, is_planar_kr
+from .planarity import is_dismantlable, planar_realizer
 from .poset import (
     Poset,
     _bits,
@@ -361,11 +361,13 @@ def _pack(form: bytes, covers: tuple[tuple[int, int], ...], l: Lattice) -> bytes
     """The record of l's class: its canonical form, the congruence count
     in 4 bytes, one flag byte, then the representative's covers as byte
     pairs.  Forms of one size have one length and differ between
-    classes, so the records sort as their forms do.  The verdicts do not
-    depend on the labels, so l may be any lattice of the class."""
+    classes, so the records sort as their forms do.  The planar flag
+    says that l has a checked 2-realizer; the sweep builds no catalog
+    and makes no embedding search.  The verdicts do not depend on the
+    labels, so l may be any lattice of the class."""
     con = con_count(l)
     flags = (
-        (_PLANAR if is_planar_kr(l).planar else 0)
+        (_PLANAR if planar_realizer(l) is not None else 0)
         | (_DISMANTLABLE if is_dismantlable(l) else 0)
         | (_MANY if exceeds_threshold(l.n, con) else 0)
     )

@@ -10,11 +10,12 @@ which every pair has a lub is a lattice, since the glb of a pair is the
 lub of its common lower bounds.  The join and meet tables are built on
 first use, for the callers that read many entries.  A lattice keeps the
 up-row index validation built and, once read, its join- and
-meet-irreducibles with their covers, so the per-class layers that read
-them (the congruence count, the planarity prefilter) share one copy.
+meet-irreducibles with their covers, so every reader shares one copy.
+In a sweep only the congruence count reads them: the planarity verdict
+there is the 2-realizer, and no catalog prefilter runs.
 ``_reducible_counts`` reads the numbers of join- and meet-reducible
-elements from them, for the planarity prefilter and for ``irreducibles``,
-the four counts ``latcon analyze`` prints.
+elements from them, for the catalog search's prefilter in
+``latcon analyze`` and for ``irreducibles``, the four counts it prints.
 """
 
 from __future__ import annotations

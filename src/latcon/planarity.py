@@ -2,22 +2,26 @@
 
 Two independent routes:
 
+* the dimension route, the one the commands decide by: a finite lattice
+  is planar exactly when its order dimension is at most 2 (Baker,
+  Fishburn and Roberts 1971), and then :func:`planar_realizer` returns
+  two linear extensions whose intersection is the order, checked by
+  :func:`realizer_is_valid`; ``verify`` and the ``planar=`` and
+  ``planar_graph=`` lines of ``analyze`` read it;
 * the forbidden-subposet criterion: a finite lattice is planar exactly
   when no member of the Kelly-Rival catalog embeds as a subposet into it
   or into its dual; a non-planar verdict carries the embedding, checked
-  before it is returned;
-* the dimension route: a finite lattice is planar exactly when its order
-  dimension is at most 2 (Baker, Fishburn and Roberts 1971), and then
-  :func:`planar_realizer` returns two linear extensions whose
-  intersection is the order, checked by :func:`realizer_is_valid`.
+  before it is returned.  Only ``analyze``'s ``planar_kr=`` and
+  ``witness=`` lines read it, and the tests compare it with the first
+  route.
 
-The catalog below is generated family by family. The cover lists were
-recovered by exhaustive computation (every minimal non-planar lattice
-through thirteen elements, modulo duality, against graph planarity of
-the cover graph) and every entry is proven non-planar by the dimension
-route when it is built.  The covering-graph route,
-:func:`is_planar_graph_oracle`, needs networkx and serves the tests as a
-third, external cross-check.
+The catalog is built from the table in ``_kr_data`` and the A family.
+The cover lists were recovered by exhaustive computation (every minimal
+non-planar lattice through thirteen elements, modulo duality, against
+graph planarity of the cover graph) and every entry is proven
+non-planar by the dimension route when it is built.  The covering-graph
+route, :func:`is_planar_graph_oracle`, needs networkx and serves the
+tests as a third, external cross-check.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from ._kr_data import _FAMILY_BUILDERS, REDUCIBLE_33_ENTRIES, SMALLEST_MEMBER
+from ._kr_data import MEMBERS, REDUCIBLE_33_ENTRIES, _a_family
 from .lattice import Lattice, NotLatticeError, _reducible_counts, validate_lattice
 from .poset import (
     Embedding,
@@ -47,8 +51,7 @@ class CatalogValidationError(ValueError):
 @dataclass(frozen=True)
 class KRCatalogEntry:
     """One forbidden lattice: family tag, index within the family, poset,
-    its numbers of join- and meet-reducible elements, and its numbers of
-    comparable and of incomparable pairs of distinct elements."""
+    and its numbers of join- and meet-reducible elements."""
 
     name: str
     family: str
@@ -56,8 +59,6 @@ class KRCatalogEntry:
     poset: Poset
     jred: int
     mred: int
-    comparable: int
-    incomparable: int
 
     @property
     def size(self) -> int:
@@ -71,26 +72,21 @@ class PlanarityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Catalog (filled in from the transcription; see _FAMILY_COVERS below)
+# Catalog
 # ---------------------------------------------------------------------------
 
-_SPORADIC = ("B", "C", "D")
-
-
-def _entry(family: str, index: int, n: int, covers) -> KRCatalogEntry:
-    name = family if family in _SPORADIC else f"{family}_{index}"
+def _entry(name: str, n: int, covers) -> KRCatalogEntry:
+    """The validated entry; its family and index are read from the name."""
+    family, _, index = name.partition("_")
     poset = poset_from_covers(n, covers)
     jred, mred = _validate_entry(name, family, poset)
-    comparable, incomparable = _pair_counts(poset)
     return KRCatalogEntry(
         name=name,
         family=family,
-        index=index,
+        index=int(index or 0),
         poset=poset,
         jred=jred,
         mred=mred,
-        comparable=comparable,
-        incomparable=incomparable,
     )
 
 
@@ -132,25 +128,11 @@ def kr_catalog(max_size: int) -> tuple[KRCatalogEntry, ...]:
     """All catalog members with at most max_size elements, validated."""
     if max_size < 1:
         raise ValueError("max_size must be positive")
-    entries = [e for family in _FAMILY_BUILDERS for e in _family_members(family, max_size)]
+    entries = [_entry(name, n, covers) for name, (n, covers) in MEMBERS.items() if n <= max_size]
+    # A_i has 2i + 8 elements.
+    entries += [_entry(f"A_{i}", *_a_family(i)) for i in range((max_size - 6) // 2)]
     entries.sort(key=lambda e: (e.size, e.name))
     return tuple(entries)
-
-
-def _family_members(family: str, max_size: int):
-    builder = _FAMILY_BUILDERS[family]
-    index = 0
-    while True:
-        spec = builder(index)
-        if spec is None:
-            return
-        n, covers = spec
-        if n > max_size:
-            return
-        yield _entry(family, index, n, covers)
-        if family in _SPORADIC:
-            return
-        index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +151,18 @@ def is_planar_kr(l: Lattice) -> PlanarityVerdict:
 def _searches(l: Lattice) -> Iterator[tuple[KRCatalogEntry, Poset, bool]]:
     """(entry, host, into_dual) for each embedding search is_planar_kr makes, in order.
 
-    An entry K is searched for only where it can embed.  An embedding
-    maps comparable pairs to comparable pairs and incomparable pairs to
-    incomparable pairs, one-to-one, so K has no more of either than the
-    host; these counts are the same on both sides.  By Lemma 3.1(c) of
-    the source paper, a lattice embedded as a subposet has no more
-    join-reducible and no more meet-reducible elements than its host,
-    and the two counts swap on the dual side.
+    By Lemma 3.1(c) of the source paper, a lattice embedded as a
+    subposet has no more join-reducible and no more meet-reducible
+    elements than its host, and the two counts swap on the dual side, so
+    an entry is searched for only where its counts fit.
     """
-    if l.n < SMALLEST_MEMBER:
-        return
     jred, mred = _reducible_counts(l)
-    comparable, incomparable = _pair_counts(l.poset)
     d = dual(l.poset)
     for entry in kr_catalog(l.n):
-        if entry.comparable > comparable or entry.incomparable > incomparable:
-            continue
         if entry.jred <= jred and entry.mred <= mred:
             yield entry, l.poset, False
         if entry.jred <= mred and entry.mred <= jred:
             yield entry, d, True
-
-
-def _pair_counts(p: Poset) -> tuple[int, int]:
-    """The numbers of comparable and of incomparable pairs of distinct elements."""
-    comparable = sum(p.sizes[1::2]) - p.n
-    return comparable, p.n * (p.n - 1) // 2 - comparable
 
 
 def _witnessed(entry: KRCatalogEntry, host: Poset, into_dual: bool) -> PlanarityVerdict | None:

@@ -14,7 +14,7 @@ from latcon.enumeration import (
     verify_theorem,
 )
 from latcon.lattice import SizeError, validate_lattice
-from latcon.planarity import kr_catalog, planar_realizer
+from latcon.planarity import is_planar_kr, kr_catalog
 from latcon.poset import _bits, _encode, _poset_from_up, canonical_form, canonical_relabel, relabel
 from oracles import (
     count_automorphisms,
@@ -267,8 +267,8 @@ def test_report_keeps_one_packed_record_per_class():
 def test_decoded_records_match_direct_computation(n):
     """The decoded records of verify_theorem(n), with one and with two
     workers, equal the records computed on each canonical representative
-    by the second routes: the partition oracle, the 2-realizer and
-    dismantling one element at a time."""
+    by the second routes: the partition oracle, the Kelly-Rival catalog
+    and dismantling one element at a time."""
     direct = []
     for l in enumerate_lattices(n):
         con = con_count_oracle(l)
@@ -277,7 +277,7 @@ def test_decoded_records_match_direct_computation(n):
                 covers=l.poset.covers,
                 n=n,
                 con=con,
-                planar=planar_realizer(l) is not None,
+                planar=is_planar_kr(l).planar,
                 dismantlable=is_dismantlable_restart(l),
                 many=n < 5 or con > 2 ** (n - 5),
             )
@@ -303,15 +303,14 @@ def test_leaf_order_gives_the_relabelled_form_and_covers(n):
             assert enumeration._form_and_covers(leaf, form) == (form, rep.covers)
 
 
-def test_down_sets_computed_only_for_roots_and_catalog_entries(monkeypatch):
+def test_down_sets_computed_only_for_roots(monkeypatch):
     """No lattice of a sweep computes its down-sets: the growth hands
     them down, and the congruence count reads the transposed dependency
-    rows, not a quotient poset.  spectrum(9) computes them for the
-    one-element root of _parents and the 15 subtree roots only;
-    verify_theorem(9) also for the catalog entries, where it builds the
-    catalog."""
+    rows, not a quotient poset.  spectrum(9) and verify_theorem(9)
+    compute them for the one-element root of _parents and the 15
+    subtree roots only; verify_theorem decides planarity by the
+    2-realizer, so it builds no catalog."""
     roots = [(1,)] + [p.up for p in enumeration._parents(9)]
-    catalog = {e.poset.up for e in kr_catalog(9)}
     computed = []
     down = poset_mod.Poset.__dict__["down"]
     func = down.func
@@ -326,7 +325,8 @@ def test_down_sets_computed_only_for_roots_and_catalog_entries(monkeypatch):
     computed.clear()
     kr_catalog.cache_clear()
     assert verify_theorem(9).classes_checked == 1078
-    assert sorted(computed) == sorted(roots + list(catalog))
+    assert sorted(computed) == sorted(roots)
+    assert kr_catalog.cache_info().currsize == 0
 
 
 def test_children_get_their_down_sets_from_the_parent(monkeypatch):

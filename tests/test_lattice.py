@@ -18,7 +18,6 @@ from latcon.lattice import (
     make_product,
     validate_lattice,
 )
-from latcon.planarity import kr_catalog
 from latcon.poset import canonical_form, dual, poset_from_covers
 from oracles import IntervalError, is_distributive, transposes_up, validate_lattice_eager
 from test_poset import all_posets_upto
@@ -140,14 +139,14 @@ def test_lazy_tables_match_eager_scan():
 
 def test_irreducibles_computed_once_per_class(monkeypatch):
     """A class's record finds each side's irreducibles once: the
-    congruence count and the planarity prefilter read the covers the
-    lattice caches, and the up-row index is the one validate_lattice
-    built.  The counts analyze prints read the same cached covers."""
+    congruence count reads the covers the lattice caches, and the
+    up-row index is the one validate_lattice built; the planarity
+    verdict, a 2-realizer, reads no covers.  The counts analyze prints
+    read the same cached covers."""
     from latcon import lattice
     from latcon.enumeration import _class_record
 
     p = make_l_family(9).poset
-    kr_catalog(p.n)
     calls = []
     single_covers = lattice._single_covers
 
