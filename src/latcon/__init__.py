@@ -1,15 +1,11 @@
-"""Congruence counting, planarity and enumeration for finite lattices."""
+"""Congruence counting, planarity and enumeration for finite lattices.
+
+The names of ``latcon.enumeration`` load on first use (PEP 562), so
+importing the package, or running a command that reads one lattice
+file, does not load the sweeps.
+"""
 
 from .congruence import con_count, con_count_oracle, jir_quasiorder
-from .enumeration import (
-    ClassRecord,
-    SpectrumReport,
-    TheoremReport,
-    enumerate_lattices,
-    sample_lattices,
-    spectrum,
-    verify_theorem,
-)
 from .lattice import (
     Lattice,
     NotLatticeError,
@@ -46,3 +42,23 @@ from .poset import (
 )
 
 __version__ = "0.1.0"
+
+_ENUMERATION_NAMES = frozenset(
+    {
+        "ClassRecord",
+        "SpectrumReport",
+        "TheoremReport",
+        "enumerate_lattices",
+        "sample_lattices",
+        "spectrum",
+        "verify_theorem",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _ENUMERATION_NAMES:
+        from . import enumeration
+
+        return getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

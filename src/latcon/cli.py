@@ -11,16 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .congruence import ORACLE_MAX_N, con_count_oracle, exceeds_threshold, jir_quasiorder
-from .enumeration import (
-    DEFAULT_MAX_N,
-    TheoremReport,
-    enumerate_lattices,
-    spectrum,
-    verify_theorem,
-)
 from .lattice import (
     Lattice,
     NotLatticeError,
@@ -37,6 +30,9 @@ from .lattice import (
 )
 from .planarity import is_dismantlable, is_planar_kr, planar_realizer
 from .poset import CycleError, canonical_relabel, count_downsets, find_embedding, poset_from_covers
+
+if TYPE_CHECKING:
+    from .enumeration import TheoremReport
 
 # Largest element count a lattice file may declare, checked before anything
 # is allocated: twice the scale the bitmask posets are meant for.
@@ -219,13 +215,21 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+# The sweep commands import latcon.enumeration when they run: it adds to
+# the start-up of every command, and analyze, construct, embed and dot
+# never call it.
+
 def _cmd_enumerate(args) -> int:
+    from .enumeration import DEFAULT_MAX_N, enumerate_lattices
+
     for l in enumerate_lattices(args.n, max_n=max(args.n, DEFAULT_MAX_N)):
         print(_fmt_covers(l.poset.covers))
     return 0
 
 
 def _cmd_spectrum(args) -> int:
+    from .enumeration import DEFAULT_MAX_N, spectrum
+
     rep = spectrum(args.n, max_n=max(args.n, DEFAULT_MAX_N))
     print(f"spectrum n={rep.n}")
     print(f"classes={rep.total_classes}")
@@ -250,6 +254,8 @@ def _render_verify(rep: TheoremReport) -> Iterator[str]:
 
 
 def _cmd_verify(args) -> int:
+    from .enumeration import DEFAULT_MAX_N, verify_theorem
+
     jobs = min(args.jobs, os.cpu_count() or 1)
     rep = verify_theorem(args.n, max_n=max(args.n, DEFAULT_MAX_N), jobs=jobs)
     sys.stdout.writelines(_render_verify(rep))

@@ -23,7 +23,7 @@ of one pair that the tests check the dependency rows against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import Lattice, SizeError
 from .poset import Poset, _bits, _count_hereditary, quotient_of_quasiorder
@@ -33,8 +33,7 @@ from .poset import Poset, _bits, _count_hereditary, quotient_of_quasiorder
 ORACLE_MAX_N = 10
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """Partition of the element set, blocks sorted by least member."""
 
     blocks: tuple[tuple[int, ...], ...]

@@ -72,9 +72,8 @@ read.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
 
 from .congruence import con_count, exceeds_threshold
 from .lattice import Lattice, SizeError, validate_lattice
@@ -313,8 +312,7 @@ def sample_lattices(n: int, count: int, seed: int, max_n: int = 10) -> list[Latt
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """Per-isomorphism-class certificate used in reports."""
 
     covers: tuple[tuple[int, int], ...]
@@ -325,16 +323,14 @@ class ClassRecord:
     many: bool
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     n: int
     values: tuple[int, ...]
     counts: dict[int, int]
     total_classes: int
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """The sweep's counts, its violations, and one packed record per class.
 
     ``packed`` holds the records as bytes (see _pack), sorted, which is

@@ -20,10 +20,9 @@ elements from them, for the catalog search's prefilter in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .poset import Poset, dual, poset_from_covers
+from .poset import Poset, _Immutable, dual, poset_from_covers
 
 
 class NotLatticeError(ValueError):
@@ -38,8 +37,7 @@ class SizeError(ValueError):
     """A constructor precondition on the size parameter is violated."""
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Immutable):
     """A validated lattice: its poset, bottom and top.
 
     ``join`` and ``meet`` are the total n x n tables, built on first use
@@ -54,6 +52,17 @@ class Lattice:
     poset: Poset
     bottom: int
     top: int
+
+    def __init__(self, poset: Poset, bottom: int, top: int):
+        self.__dict__.update(poset=poset, bottom=bottom, top=top)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poset, self.bottom, self.top) == (other.poset, other.bottom, other.top)
+
+    def __hash__(self) -> int:
+        return hash((self.poset, self.bottom, self.top))
 
     @property
     def n(self) -> int:

@@ -26,9 +26,8 @@ tests as a third, external cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ._kr_data import MEMBERS, REDUCIBLE_33_ENTRIES, _a_family
 from .lattice import Lattice, NotLatticeError, _reducible_counts, validate_lattice
@@ -48,8 +47,7 @@ class CatalogValidationError(ValueError):
     """A catalog entry violates one of its structural invariants."""
 
 
-@dataclass(frozen=True)
-class KRCatalogEntry:
+class KRCatalogEntry(NamedTuple):
     """One forbidden lattice: family tag, index within the family, poset,
     and its numbers of join- and meet-reducible elements."""
 
@@ -65,8 +63,7 @@ class KRCatalogEntry:
         return self.poset.n
 
 
-@dataclass(frozen=True)
-class PlanarityVerdict:
+class PlanarityVerdict(NamedTuple):
     planar: bool
     witness: tuple[str, Embedding, bool] | None
 

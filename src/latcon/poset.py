@@ -27,26 +27,53 @@ labelling them at all.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class CycleError(ValueError):
     """The generating relation admits a directed cycle."""
 
 
-@dataclass(frozen=True)
-class Poset:
+class _Immutable:
+    """Assigning or deleting an attribute raises.  Constructors and
+    cached_property write the instance dict directly.
+
+    A constructor fills its fields with one ``self.__dict__.update``: on
+    CPython 3.11, item assignment into the fresh instance dict left
+    later attribute reads about three times slower.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Poset(_Immutable):
     """Immutable finite poset.
 
     ``up[i]`` has bit j set iff i <= j (reflexive, so bit i is always set).
     Element labels are the indices 0..n-1 and carry no meaning beyond
     identity; use :func:`canonical_form` for label-free comparison.
+    Equality and the hash read ``n`` and ``up`` only, not the cached
+    properties.
     """
 
     n: int
     up: tuple[int, ...]
+
+    def __init__(self, n: int, up: tuple[int, ...]):
+        self.__dict__.update(n=n, up=up)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.up) == (other.n, other.up)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.up))
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -118,8 +145,7 @@ class Poset:
         return f"Poset(n={self.n}, covers={list(self.covers)})"
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Injective order-preserving and order-reflecting map K -> L."""
 
     mapping: tuple[int, ...]

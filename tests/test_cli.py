@@ -187,8 +187,9 @@ def test_verify_rejects_jobs_below_one(capsys):
 
 
 def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
-    """Worker counts above os.cpu_count() are cut down before any pool starts."""
-    from latcon import cli
+    """Worker counts above os.cpu_count() are cut down before any pool starts.
+    verify reads verify_theorem from latcon.enumeration when it runs."""
+    from latcon import cli, enumeration
     from latcon.enumeration import verify_theorem
 
     asked = []
@@ -197,7 +198,7 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
         asked.append(jobs)
         return verify_theorem(n, max_n=max_n)
 
-    monkeypatch.setattr(cli, "verify_theorem", serial_verify)
+    monkeypatch.setattr(enumeration, "verify_theorem", serial_verify)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert main(["verify", "5", "--jobs", "64"]) == 0
     assert main(["verify", "5", "--jobs", "2"]) == 0
@@ -428,7 +429,7 @@ def test_undecodable_file_exits_2(tmp_path, capsys):
 
 def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch, capsys):
     """Only input errors exit 2; a ValueError from inside the program is a bug and propagates."""
-    from latcon import cli
+    from latcon import cli, enumeration
 
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
@@ -438,7 +439,7 @@ def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "count_downsets", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["analyze", str(n5)])
-    monkeypatch.setattr(cli, "verify_theorem", broken)
+    monkeypatch.setattr(enumeration, "verify_theorem", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["verify", "5"])
     assert capsys.readouterr().err == ""

@@ -5,9 +5,10 @@ requires each of them to exist).
 
 The walk reads the source with ast.  A definition reaches every
 definition whose name it loads, in its own module or through a relative
-import; a module's other top-level statements run on import, so what
-they load is reached from the start.  The re-exports in __init__.py are
-not callers, and no other names written as strings are.
+import, and every name that a relative import inside its body imports;
+a module's other top-level statements run on import, so what they load
+is reached from the start.  The re-exports in __init__.py are not
+callers, and no other names written as strings are.
 """
 
 import ast
@@ -89,6 +90,9 @@ def _unreached(src):
                     yield mod, n.id
                 elif n.id in imports[mod]:
                     yield imports[mod][n.id]
+            elif isinstance(n, ast.ImportFrom) and n.level == 1:
+                for alias in n.names:
+                    yield n.module, alias.name
 
     todo = [("cli", "main"), *_benchmark_imports(reexports), *_traced()]
     for mod, node in on_import:
@@ -108,11 +112,17 @@ def test_every_definition_has_a_caller():
 
 def test_the_walk_flags_a_definition_without_a_caller(tmp_path):
     """A helper only another dead helper calls is flagged with it; a
-    re-export in __init__.py does not count as a caller."""
+    re-export in __init__.py does not count as a caller.  A helper that
+    a command imports inside its body is not flagged."""
     src = tmp_path / "latcon"
     shutil.copytree(SRC, src)
     with open(src / "lattice.py", "a") as fh:
         fh.write("\n\ndef _helper():\n    return 1\n\n\ndef unused():\n    return _helper()\n")
+        fh.write("\n\ndef _imported_in_a_body():\n    return 2\n")
     with open(src / "__init__.py", "a") as fh:
         fh.write("from .lattice import unused\n")
+    cli = src / "cli.py"
+    head = "def _cmd_dot(args) -> int:\n"
+    assert head in cli.read_text()
+    cli.write_text(cli.read_text().replace(head, head + "    from .lattice import _imported_in_a_body\n\n"))
     assert _unreached(src) == ["lattice._helper", "lattice.unused"]
