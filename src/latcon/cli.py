@@ -256,7 +256,13 @@ def _render_verify(rep: TheoremReport) -> Iterator[str]:
 def _cmd_verify(args) -> int:
     from .enumeration import DEFAULT_MAX_N, verify_theorem
 
-    jobs = min(args.jobs, os.cpu_count() or 1)
+    # The CPUs this process may run on, which taskset or a container can
+    # make fewer than the machine's.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    jobs = min(args.jobs, cpus)
     rep = verify_theorem(args.n, max_n=max(args.n, DEFAULT_MAX_N), jobs=jobs)
     sys.stdout.writelines(_render_verify(rep))
     return 0 if not rep.violations else 1
@@ -325,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes, at most the number of CPUs (more are clamped)",
+        help="worker processes, at most the number of usable CPUs (more are clamped)",
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -15,39 +15,41 @@ be isomorphic to the parent.  Acceptance then depends only on the class
 of C, and the parent of an accepted C is isomorphic to C minus its
 canonical deletion, so each class is accepted under one parent only.
 
-Within one parent, up-sets that an automorphism of the parent maps onto
-each other give isomorphic children, so one per orbit is enough.
-Swapping two twins (incomparable elements related alike to every other
-element) is an automorphism, and canonical labelling finds the twin
-groups anyway, so an up-set is tried only where it meets every twin
-group in the group's lowest elements: one up-set per orbit of the twin
-swaps.  Where the parent's labelling needed no search, every colour
-class is one twin group and the twin swaps generate all of its
-automorphisms.  A child can still repeat where other automorphisms
-exist, or where two deletions that no automorphism relates leave the
-same parent, and the set of children already seen from the parent
-drops those repeats (433 of the 7,994 labellings at n = 10, one of them
-under a parent whose automorphisms are all twin swaps).  No set of the
-canonical forms of all classes is kept.  Correctness is also anchored by
-agreement with the independent labeled-poset oracle in tests/oracles.py.
+Within one parent, up-sets that an automorphism of the parent maps
+onto each other give isomorphic children, so one per orbit is enough.
+The parent's canonical labelling returns its twin groups (incomparable
+elements related alike to every other element: any permutation inside
+a group is an automorphism) and the other automorphisms its search
+met; together they give all of them.  An up-set is tried only where it
+meets every twin group in the group's lowest elements, and no
+automorphism followed by twin swaps maps it onto a smaller mask: one
+up-set per orbit.  Children can still repeat where two deletions that no
+automorphism relates leave the same parent, and the set of children
+already seen from the parent drops those repeats (1 of the 1,799
+labelled children at n = 10).  No set of the canonical forms of all
+classes is kept.  Correctness is also anchored by agreement with the
+independent labeled-poset oracle in tests/oracles.py.
 
-A lattice is labelled only where acceptance needs it: where x ties with
-another minimal element on the invariant, or where the parent's
-labelling ran the search.  Otherwise x alone has the largest value of
-the invariant, so it is C's canonical deletion without any tie to
-break, and the lattice is accepted as built, unlabelled.  Two such
-siblings C = p + x and C' = p + x' (each with its bottom, which an
-isomorphism fixes) cannot be isomorphic: an isomorphism keeps the
-invariant, so it maps x, the only
-element of C with the largest value, onto x', restricts to an
-automorphism of p, which is a product of twin swaps, and maps U onto
-U'; but one up-set per orbit of the twin swaps was tried, so U = U'.
-Nor is such a C isomorphic to a tied sibling, whose largest value is
-shared.  So the seen set sees only labelled children, and still drops
-all 433 repeats at n = 10.  A sweep's per-class function gets each
-lattice with the labelling the growth made, or None, and labels only as
-far as its output needs.  The spectrum needs only a congruence count
-and labels none of the rest (4,775 of the 5,994 classes at n = 10).
+A lattice is labelled only where acceptance needs it: where x ties on
+the invariant with a minimal element that is not its twin.  Otherwise
+every element of C with the largest value is x or a twin of x, and
+deleting any of them leaves a copy of p, so C passes the acceptance
+test and the lattice is accepted as built, unlabelled; for the same
+reason the tie check is skipped wherever the tied element of least
+position is x or a twin of x.  Two such siblings C = p + x and C' = p + x' (each
+with its bottom, which an isomorphism fixes) cannot be isomorphic: an
+isomorphism keeps the invariant and twins, so it maps the elements of
+C with the largest value, x and its twins, onto those of C', x' and its
+twins; followed by a twin swap it sends x to x', restricts to an
+automorphism of p, and maps U onto U'; but one up-set per orbit was
+tried, so U = U'.  Nor is such a C isomorphic to a sibling with a
+non-twin tie, whose elements with the largest value are not all twins.
+So the seen set sees only labelled children.
+
+A sweep's per-class function gets each lattice with the labelling the
+growth made, or None, and labels only as far as its output needs.  The
+spectrum needs only a congruence count and labels none of the rest
+(5,710 of the 5,994 classes at n = 10).
 enumerate_lattices returns representatives, so it relabels each of
 them once.  verify_theorem sorts its records by canonical form and
 prints each representative's covers, so for each of them it finds only
@@ -72,6 +74,7 @@ read.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
 
@@ -101,37 +104,87 @@ _lattice_cache: dict[int, list[Lattice]] = {}
 T = TypeVar("T")
 
 
-def _extend_semilattice(p: Poset) -> list[int]:
-    """Up-sets U such that adding a new minimal element below U keeps joins total.
+def _extend_semilattice(
+    p: Poset, twins: tuple[int, ...], autos: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, list[int]]]:
+    """The up-sets U worth building a child C = p + x on, x a new minimal
+    element below U, each with the rivals of x, in _closed_masks order.
 
-    The join of the new element with any y outside U must be the least
-    element of U intersected with up(y), so that set needs a minimum.
+    p is a canonical semilattice with twin groups twins (masks) and
+    automorphisms autos, as _relabel_with_twins gives them.  U is kept
+    only if it meets every twin group in the group's lowest elements, no
+    minimal element of p has a larger invariant than x (the rivals are
+    those with an equal one), U is the least such up-set of its orbit
+    under p's automorphisms, and joins in C stay total.  The cheap tests
+    come first.
     """
     n = p.n
+    up = p.up
+    # Invariant of a minimal element y: |up(y)| and the sum of |up(j)| over
+    # j in up(y).  Adding x below U changes neither for elements of p.
+    size = [row.bit_count() for row in up]
+    weight = [sum(size[j] for j in _bits(row)) for row in up]
+    minimal = [i for i in range(n) if p.down[i] == 1 << i]
+    lowest = [(g, list(accumulate((1 << b for b in _bits(g)), initial=0))) for g in twins]
     out = []
     # The nonempty up-sets; the first mask is the empty set.
-    for upset in _closed_masks(p.up, p._linear_extension[::-1])[1:]:
-        ok = True
-        for y in range(n):
-            if upset >> y & 1:
-                continue
-            meetables = upset & p.up[y]
-            for w in _bits(meetables):
-                if meetables & ~p.up[w] == 0:
-                    break
-            else:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            out.append(upset)
+    for upset in _closed_masks(up, p._linear_extension[::-1])[1:]:
+        # A twin outside U has a smaller index than one inside it: twin
+        # swaps map U onto the up-set holding the group's lowest elements,
+        # which gives an isomorphic child and is tried instead.
+        if any(g & ~upset & (1 << (g & upset).bit_length()) - 1 for g in twins):
+            continue
+        members = _bits(upset)
+        fx = (len(members) + 1, len(members) + 1 + sum(size[j] for j in members))
+        rivals = [i for i in minimal if not upset >> i & 1 and (size[i], weight[i]) >= fx]
+        if any((size[i], weight[i]) > fx for i in rivals):
+            continue
+        # An automorphism and then twin swaps map U onto a smaller mask
+        # of the same orbit, which is tried instead.
+        if any(_image(members, sigma, lowest) < upset for sigma in autos):
+            continue
+        if _joins_total(up, upset):
+            out.append((upset, rivals))
     return out
+
+
+def _image(
+    members: tuple[int, ...], sigma: tuple[int, ...], lowest: list[tuple[int, list[int]]]
+) -> int:
+    """The image of a set under sigma, with its part in each twin group g
+    moved to g's lowest elements; lowest pairs each g with the masks of
+    its lowest c members, c = 0, 1, ..."""
+    image = 0
+    for j in members:
+        image |= 1 << sigma[j]
+    for g, low in lowest:
+        image = image & ~g | low[(image & g).bit_count()]
+    return image
+
+
+def _joins_total(up: tuple[int, ...], upset: int) -> bool:
+    """Whether joins stay total when a new minimal element x goes below
+    the up-set U of the semilattice with these up-rows.
+
+    The join of x with any y outside U must be the least element of U
+    intersected with up(y), so that set needs a minimum.
+    """
+    for y, row in enumerate(up):
+        if upset >> y & 1:
+            continue
+        meetables = upset & row
+        for w in _bits(meetables):
+            if meetables & ~up[w] == 0:
+                break
+        else:
+            return False
+    return True
 
 
 def _grow(
     p: Poset,
     twins: tuple[int, ...],
-    searched: bool,
+    autos: tuple[tuple[int, ...], ...],
     m: int,
     emit: Callable[[Poset, Optional[bytes]], None],
     bottom: bool = True,
@@ -139,40 +192,26 @@ def _grow(
     """Call emit once per class grown from p, with a poset of the class and its form.
 
     p is a canonical semilattice representative with fewer than m
-    elements, so its encoding is its canonical form; twins are its twin
-    groups of two or more elements, as masks, and searched says whether
-    its labelling ran the search.  An extension up-set is tried only
-    where it meets each twin group in the group's lowest elements, and a
-    child C = p + x is kept only if x is C's canonical deletion (see the
-    module docstring).  Children with m elements are emitted: with a
-    bottom added as (m+1)-element lattices, or as they are when bottom
-    is False.  Smaller children are grown further.
+    elements, so its encoding is its canonical form; twins and autos are
+    its twin groups of two or more elements, as masks, and the
+    automorphisms its labelling met.  One up-set is tried per orbit of
+    p's automorphisms (see _extend_semilattice), and a child C = p + x is
+    kept only if x is C's canonical deletion (see the module docstring).
+    Children with m elements are emitted: with a bottom added as
+    (m+1)-element lattices, or as they are when bottom is False.
+    Smaller children are grown further.
 
     An emitted class comes as its canonical representative and its
-    encoding, except a lattice accepted without labelling: under a parent
-    whose labelling ran no search, a child whose x alone has the largest
-    invariant is emitted as built, with its down-sets, and None.
+    encoding, except a lattice accepted without labelling: a child whose
+    x ties with nothing but its own twins is emitted as built, with its
+    down-sets, and None.
     """
     k = p.n
     last = k + 1 == m
     lattice = last and bottom
-    # Invariant of a minimal element y: |up(y)| and the sum of |up(j)| over
-    # j in up(y).  Adding x below U changes neither for elements of p.
-    size = [row.bit_count() for row in p.up]
-    weight = [sum(size[j] for j in _bits(row)) for row in p.up]
-    minimal = [i for i in range(k) if p.down[i] == 1 << i]
     parent_form = _encode(p)
     seen: set[bytes] = set()
-    for upset in _extend_semilattice(p):
-        # A twin outside U has a smaller index than one inside it: twin
-        # swaps map U onto the up-set holding the group's lowest elements,
-        # which gives an isomorphic child and is tried instead.
-        if any(g & ~upset & (1 << (g & upset).bit_length()) - 1 for g in twins):
-            continue
-        fx = (upset.bit_count() + 1, upset.bit_count() + 1 + sum(size[j] for j in _bits(upset)))
-        rivals = [i for i in minimal if not upset >> i & 1 and (size[i], weight[i]) >= fx]
-        if any((size[i], weight[i]) > fx for i in rivals):
-            continue
+    for upset, rivals in _extend_semilattice(p, twins, autos):
         rows = list(p.up) + [upset | 1 << k]
         # C's down-sets are p's, with x added below U, plus x's own.
         downs = [row | 1 << k if upset >> j & 1 else row for j, row in enumerate(p.down)]
@@ -184,13 +223,13 @@ def _grow(
             )
         else:
             child = _poset_from_up(rows, downs)
-        if lattice and not searched and not rivals:
-            # x alone has the largest invariant, and p's automorphisms are
-            # its twin swaps: no sibling is isomorphic to C (see the module
-            # docstring), so C needs no labelling here.
+        # A rival is minimal, so it is a twin of x when its strict up-set is U.
+        if lattice and all(p.up[i] & ~(1 << i) == upset for i in rivals):
+            # x is C's canonical deletion, and no sibling is isomorphic to
+            # C (see the module docstring), so C needs no labelling here.
             emit(child, None)
             continue
-        rep, perm, child_twins, child_searched = _relabel_with_twins(child)
+        rep, perm, child_twins, child_autos = _relabel_with_twins(child)
         position = perm[1:] if lattice else perm
         form = _encode(rep)
         if form in seen:
@@ -198,14 +237,15 @@ def _grow(
         seen.add(form)
         if rivals:
             star = min(rivals + [k], key=position.__getitem__)
-            if star != k:
+            # Deleting x or a twin of x leaves a copy of p.
+            if star != k and p.up[star] & ~(1 << star) != upset:
                 rest = [i for i in range(k + 1) if i != star]
                 if canonical_form(subposet(_poset_from_up(rows, downs), rest)) != parent_form:
                     continue
         if last:
             emit(rep, form)
         else:
-            _grow(rep, child_twins, child_searched, m, emit, bottom)
+            _grow(rep, child_twins, child_autos, m, emit, bottom)
 
 
 def _check_size(n: int, max_n: int) -> None:
@@ -226,7 +266,7 @@ def _parents(n: int) -> list[Poset]:
     if k == 1:
         return [root]
     out: list[Poset] = []
-    _grow(root, (), False, k, lambda rep, form: out.append(rep), bottom=False)
+    _grow(root, (), (), k, lambda rep, form: out.append(rep), bottom=False)
     return out
 
 
@@ -234,10 +274,10 @@ def _subtree(task: tuple[tuple[int, ...], int, Callable[[Poset, Optional[bytes]]
     """per_class(leaf, form) for every n-element lattice grown from one parent."""
     parent_up, n, per_class = task
     # The root is canonical, so it is its own representative and its twin
-    # groups are given in its own labels.
-    root, _, twins, searched = _relabel_with_twins(_poset_from_up(parent_up))
+    # groups and automorphisms are given in its own labels.
+    root, _, twins, autos = _relabel_with_twins(_poset_from_up(parent_up))
     out: list[T] = []
-    _grow(root, twins, searched, n - 1, lambda leaf, form: out.append(per_class(leaf, form)))
+    _grow(root, twins, autos, n - 1, lambda leaf, form: out.append(per_class(leaf, form)))
     return out
 
 

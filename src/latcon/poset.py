@@ -16,12 +16,18 @@ isomorphism, II", 2014).  Twin groups, found once per call, are never
 branched over.  When refinement leaves every class a single twin group,
 every such order gives the same relation matrix, so the search is
 skipped and the vertices are ordered by colour, then by index.  In the
-enumeration's lattices this is the common case.  Swapping two twins is
-an automorphism, so the twin groups also tell the enumeration which of
-a parent's extensions give isomorphic children.  Where no search ran,
-the twin swaps are all of the automorphisms, so the labelling also says
-whether it searched: the enumeration then accepts some lattices without
-labelling them at all.
+enumeration's lattices this is the common case.
+
+The labelling also returns the automorphisms, which tell the
+enumeration which of a parent's extensions give isomorphic children.
+Swapping two twins is one.  The search never cuts a branch whose
+matrix prefix equals the best one's, so it reaches every leaf whose
+matrix equals the canonical one, and each such leaf other than the
+canonical order maps the poset onto itself.  Every automorphism keeps
+the colours and the twin groups, so it is a permutation inside the
+twin groups composed with exactly one of those, or with the identity:
+the search places each group's members in index order.  Where no
+search ran, the permutations inside the twin groups are all of them.
 """
 
 from __future__ import annotations
@@ -353,13 +359,15 @@ def _twin_groups(p: Poset, colors: list[int]) -> list[int]:
     ]
 
 
-def _search(p: Poset, colors: list[int], group: list[int]) -> list[int]:
-    """The vertices in canonical order, by search over the colour classes.
+def _search(p: Poset, colors: list[int], group: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The vertices in canonical order, by search over the colour classes,
+    and every later leaf whose relation matrix equals the canonical one.
 
     Among the orders that sort the vertices by colour, finds the first
     whose relation matrix is least, never branching within a twin group.
     A branch is cut as soon as its matrix prefix exceeds the best leaf
-    found so far.
+    found so far; a prefix equal to the best's is never cut, so every
+    leaf with the least matrix is reached.
     """
     n = p.n
     class_of_pos = sorted(colors)
@@ -370,17 +378,22 @@ def _search(p: Poset, colors: list[int], group: list[int]) -> list[int]:
     placed: list[int] = []
     in_place = [False] * n
     flat: list[int] = []
+    ties: list[list[int]] = []
 
     def search(pos: int, equal: bool) -> bool:
         """Whether a new best leaf lies below; equal says flat is the best's prefix.
 
         Otherwise there is no best yet, or flat is below the best's prefix,
-        so the first leaf reached is a new best.
+        so the first leaf reached is a new best.  A leaf equal to the best
+        is kept in ties, which a new best empties.
         """
         if pos == n:
-            if not equal:
+            if equal:
+                ties.append(placed[:])
+            else:
                 best_flat[:] = flat
                 best_perm[:] = placed
+                ties.clear()
             return not equal
         want = class_of_pos[pos]
         seen_groups = set()
@@ -410,7 +423,7 @@ def _search(p: Poset, colors: list[int], group: list[int]) -> list[int]:
         return found
 
     search(0, False)
-    return best_perm
+    return best_perm, ties
 
 
 def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
@@ -430,50 +443,73 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
     return rep, perm
 
 
-def _relabel_with_twins(p: Poset) -> tuple[Poset, tuple[int, ...], tuple[int, ...], bool]:
+def _relabel_with_twins(
+    p: Poset,
+) -> tuple[Poset, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """canonical_relabel(p), the twin groups of two or more vertices, and
-    whether the search ran.
+    the automorphisms the search met, all in the representative's labels.
 
-    Each group is a mask in the representative's labels.  Swapping two
-    twins is an automorphism, so these groups generate a subgroup of the
-    representative's automorphisms.  Where no search ran, every colour
-    class is one twin group, and they generate all of them: an
-    automorphism keeps every colour, so it permutes each twin group
-    within itself.  The representative carries p's down-sets, permuted,
-    where p holds them.
+    Each group is a mask.  Swapping two twins is an automorphism, and
+    every automorphism of the representative is a permutation inside the
+    twin groups composed with exactly one of the listed automorphisms or
+    with the identity (see _canonical_order).  The representative carries
+    p's down-sets, permuted, where p holds them.
     """
     n = p.n
     if n == 0:
-        return p, (), (), False
-    inverse, group, searched = _canonical_order(p)
+        return p, (), (), ()
+    inverse, group, autos = _canonical_order(p)
     twins: tuple[int, ...] = ()
     if len(set(group)) < n:
         masks: dict[int, int] = {}
         for v, g in enumerate(group):
             masks[g] = masks.get(g, 0) | 1 << inverse[v]
         twins = tuple(m for m in masks.values() if m & (m - 1))
-    return relabel(p, inverse), tuple(inverse), twins, searched
+    moved = []
+    for sigma in autos:
+        # Vertex v of p is inverse[v] in the representative.
+        image = [0] * n
+        for v, w in enumerate(sigma):
+            image[inverse[v]] = inverse[w]
+        moved.append(tuple(image))
+    return relabel(p, inverse), tuple(inverse), twins, tuple(moved)
 
 
-def _canonical_order(p: Poset) -> tuple[list[int], list[int], bool]:
+def _canonical_order(p: Poset) -> tuple[list[int], list[int], list[list[int]]]:
     """The canonical position of each vertex of a nonempty poset, its twin
-    group ids (see _twin_groups), and whether the search ran.
+    group ids (see _twin_groups), and automorphisms of p, none where no
+    search ran.
 
     relabel(p, positions) is canonical_relabel's representative; a caller
     that needs only the representative's rows or covers can move p's own
     through the positions instead.
+
+    Each leaf of the search with the canonical matrix gives the
+    automorphism sigma with sigma[order[i]] = leaf[i].  These are all of
+    them up to twin permutations: an automorphism keeps the colours, so
+    it maps the canonical order onto an order with the same matrix, and
+    a permutation inside the twin groups, itself an automorphism, puts
+    each group's members in index order there, as the search places
+    them.  That order is the canonical one or a listed leaf, and only
+    one.  Where no search ran, every colour class is one twin group, so
+    the twin permutations are all of the automorphisms.
     """
     colors = _refined_colors(p)
     group = _twin_groups(p, colors)
-    searched = len(set(group)) != max(colors) + 1
-    if searched:
-        order = _search(p, colors, group)
+    autos: list[list[int]] = []
+    if len(set(group)) != max(colors) + 1:
+        order, leaves = _search(p, colors, group)
+        for leaf in leaves:
+            sigma = [0] * p.n
+            for v, w in zip(order, leaf):
+                sigma[v] = w
+            autos.append(sigma)
     else:
         order = sorted(range(p.n), key=colors.__getitem__)
     inverse = [0] * p.n
     for pos, v in enumerate(order):
         inverse[v] = pos
-    return inverse, group, searched
+    return inverse, group, autos
 
 
 def _encode(p: Poset) -> bytes:

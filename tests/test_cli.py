@@ -187,8 +187,10 @@ def test_verify_rejects_jobs_below_one(capsys):
 
 
 def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
-    """Worker counts above os.cpu_count() are cut down before any pool starts.
-    verify reads verify_theorem from latcon.enumeration when it runs."""
+    """Worker counts above the CPUs this process may run on are cut down
+    before any pool starts: the affinity mask where the platform has one,
+    os.cpu_count() where it has not.  verify reads verify_theorem from
+    latcon.enumeration when it runs."""
     from latcon import cli, enumeration
     from latcon.enumeration import verify_theorem
 
@@ -199,12 +201,20 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
         return verify_theorem(n, max_n=max_n)
 
     monkeypatch.setattr(enumeration, "verify_theorem", serial_verify)
+    # One usable CPU of a machine with eight, as under taskset -c 0.
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert main(["verify", "5", "--jobs", "2"]) == 0
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert main(["verify", "5", "--jobs", "64"]) == 0
+    assert main(["verify", "5", "--jobs", "2"]) == 0
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert main(["verify", "5", "--jobs", "64"]) == 0
     assert main(["verify", "5", "--jobs", "2"]) == 0
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert main(["verify", "5", "--jobs", "8"]) == 0
-    assert asked == [3, 2, 1]
+    assert asked == [1, 3, 2, 3, 2, 1]
     capsys.readouterr()
 
 

@@ -94,10 +94,13 @@ def test_matches_global_seen_growth(n, old_growth):
 
 
 def test_tied_deletions_yield_each_class_once(monkeypatch):
-    """Children whose new element ties with another minimal element on the
-    cheap invariant, and is not the tied element of least canonical
-    position, are settled by comparing C minus that element with the
-    parent; the generator calls canonical_form for nothing else."""
+    """A child whose new element x ties on the cheap invariant with an
+    element that is not its twin, and is not the tied element of least
+    canonical position, is settled by comparing C minus that element with
+    the parent; the generator calls canonical_form for nothing else.  A
+    lattice child whose x ties only with its own twins is accepted as
+    built, unlabelled.  Both paths run, and each class still comes out
+    once: the twin-only acceptance from n = 4, the check from n = 6."""
     checks = []
 
     def counting_form(p):
@@ -105,12 +108,26 @@ def test_tied_deletions_yield_each_class_once(monkeypatch):
         return canonical_form(p)
 
     monkeypatch.setattr(enumeration, "canonical_form", counting_form)
-    monkeypatch.setattr(enumeration, "_lattice_cache", {})
     for n in range(4, 9):
         before = len(checks)
-        forms = [canonical_form(l.poset) for l in enumerate_lattices(n)]
+        leaves = enumeration._sweep(n, n, lambda leaf, form: (leaf, form))
+        forms = [form or canonical_form(leaf) for leaf, form in leaves]
         assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
-        assert len(checks) > before, f"no tied deletion at n={n}"
+        assert (len(checks) > before) == (n >= 6), f"tie checks at n={n}"
+        # x is the last element of a leaf built by the growth; its twins
+        # are the other atoms with its strict up-set.
+        x = n - 1
+        twin_tied = [
+            leaf
+            for leaf, form in leaves
+            if form is None
+            and any(
+                leaf.down[i] == 1 | 1 << i and leaf.up[i] & ~(1 << i) == leaf.up[x] & ~(1 << x)
+                for i in range(1, x)
+            )
+        ]
+        assert twin_tied, f"no twin-only tie accepted unlabelled at n={n}"
+    assert checks and set(checks) <= set(range(4, 7))
 
 
 def test_oracle_guard():
@@ -363,10 +380,11 @@ def test_children_get_their_down_sets_from_the_parent(monkeypatch):
 
 
 def _labelled_in_sweeps(monkeypatch, sizes, per_class=enumeration._labelled):
-    """(rep, twins, searched) for every labelling the sweeps of these sizes
-    make with this per-class function: the semilattice children and roots,
-    and the lattices, which the default labels wherever the growth did not.
-    The flag must say whether the search ran."""
+    """(rep, twins, autos, searched) for every labelling the sweeps of these
+    sizes make with this per-class function: the semilattice children and
+    roots, and the lattices, which the default labels wherever the growth
+    did not.  searched says whether _search ran; where it did not, the
+    labelling must return no automorphisms."""
     calls = []
     relabel_with_twins = enumeration._relabel_with_twins
     search = poset_mod._search
@@ -374,10 +392,10 @@ def _labelled_in_sweeps(monkeypatch, sizes, per_class=enumeration._labelled):
 
     def record(p):
         searched.clear()
-        rep, perm, twins, flag = relabel_with_twins(p)
-        assert flag == bool(searched)
-        calls.append((rep, twins, flag))
-        return rep, perm, twins, flag
+        rep, perm, twins, autos = relabel_with_twins(p)
+        assert searched or autos == ()
+        calls.append((rep, twins, autos, bool(searched)))
+        return rep, perm, twins, autos
 
     monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
     monkeypatch.setattr(poset_mod, "_search", lambda *args: searched.append(1) or search(*args))
@@ -389,12 +407,13 @@ def _labelled_in_sweeps(monkeypatch, sizes, per_class=enumeration._labelled):
 def test_twin_groups_are_automorphisms_of_the_representative(monkeypatch):
     """Every twin group returned beside a representative is a twin class
     of that representative, in its labels, and each transposition inside
-    it maps the representative onto itself: for every class with n <= 8
-    and every semilattice parent it is grown from."""
+    it maps the representative onto itself; so does every automorphism
+    returned beside it, a permutation other than the identity: for every
+    class with n <= 8 and every semilattice parent it is grown from."""
     calls = _labelled_in_sweeps(monkeypatch, range(3, 9))
-    assert {rep.n for rep, _, _ in calls} == set(range(1, 9))
-    assert any(searched and twins for _, twins, searched in calls)
-    for rep, twins, _ in calls:
+    assert {rep.n for rep, _, _, _ in calls} == set(range(1, 9))
+    assert any(autos and twins for _, twins, autos, _ in calls)
+    for rep, twins, autos, _ in calls:
         assert set(twins) == twin_groups_bruteforce(rep)
         assert len(set(twins)) == len(twins)
         for g in twins:
@@ -404,45 +423,45 @@ def test_twin_groups_are_automorphisms_of_the_representative(monkeypatch):
                     swap = list(range(rep.n))
                     swap[u], swap[v] = v, u
                     assert relabel(rep, swap) == rep
+        for sigma in autos:
+            assert sorted(sigma) == list(range(rep.n)) and sigma != tuple(range(rep.n))
+            assert relabel(rep, sigma) == rep
 
 
-def test_twin_swaps_are_all_automorphisms_where_no_search_ran(monkeypatch):
-    """Where the labelling ran no search, every colour class is one twin
-    group, so the automorphisms are exactly the permutations inside twin
-    groups: an exhaustive count agrees with the product of |G|!.  Where
-    the search ran, the twin swaps still form a subgroup, whose order
-    divides the count."""
+def test_twin_permutations_and_listed_automorphisms_give_all_of_them(monkeypatch):
+    """Every automorphism of a representative is a permutation inside its
+    twin groups composed with exactly one listed automorphism or with the
+    identity, so an exhaustive count equals the product of |G|! times one
+    more than the number listed.  Where no search ran, none are listed:
+    the twin permutations are all of them."""
     calls = _labelled_in_sweeps(monkeypatch, range(3, 9))
-    small = {_encode(rep): (rep, twins, searched) for rep, twins, searched in calls if rep.n <= 7}
-    assert sum(not searched for _, _, searched in small.values()) > 100
-    assert sum(searched for _, _, searched in small.values()) > 5
-    for rep, twins, searched in small.values():
+    small = {_encode(call[0]): call for call in calls if call[0].n <= 7}
+    assert sum(not searched for _, _, _, searched in small.values()) > 100
+    assert sum(searched for _, _, _, searched in small.values()) > 5
+    assert sum(bool(autos) for _, _, autos, _ in small.values()) > 5
+    for rep, twins, autos, _ in small.values():
         twin_order = prod(factorial(g.bit_count()) for g in twins)
-        count = count_automorphisms(rep)
-        if searched:
-            assert count % twin_order == 0
-        else:
-            assert count == twin_order
+        assert count_automorphisms(rep) == twin_order * (1 + len(autos))
 
 
-def test_sweep_labels_one_extension_per_twin_orbit(monkeypatch):
-    """The n = 9 sweep that labels every class labels 1,505 posets: 23
-    while growing the 15 roots, each root once, and 1,467 in the
+def test_sweep_labels_one_extension_per_automorphism_orbit(monkeypatch):
+    """The n = 9 sweep that labels every class labels 1,417 posets: 23
+    while growing the 15 roots, each root once, and 1,379 in the
     subtrees, in the growth or for the lattices it accepts unlabelled.
-    Labelling every extension, as the growth did before it kept one per
-    twin orbit, took 2,040."""
+    One extension per orbit of the twin swaps alone took 1,505, and
+    labelling every extension 2,040."""
     calls = _labelled_in_sweeps(monkeypatch, [9])
-    assert len(calls) == 1505
+    assert len(calls) == 1417
 
 
 def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
     """At n = 9, enumerate_lattices and verify_theorem label each class
-    once, 1,505 labellings as before; spectrum labels the semilattices and
-    only the lattices whose acceptance needed a labelling, 684 in all.
-    verify_theorem finds only the canonical order of the 821 lattices
+    once, 1,417 labellings as before; spectrum labels the semilattices and
+    only the lattices whose acceptance needed a labelling, 405 in all.
+    verify_theorem finds only the canonical order of the 1,012 lattices
     accepted unlabelled, and relabels none of them."""
     calls = _labelled_in_sweeps(monkeypatch, [9], lambda leaf, form: None)
-    assert len(calls) == 684
+    assert len(calls) == 405
     count = {"relabel": 0, "order": 0}
 
     def counted(name, f):
@@ -458,14 +477,39 @@ def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
     monkeypatch.setattr(enumeration, "_canonical_order", counted("order", enumeration._canonical_order))
     monkeypatch.setattr(enumeration, "_lattice_cache", {})
     for run, relabels, orders in (
-        (spectrum, 684, 0),
-        (enumerate_lattices, 1505, 0),
-        (verify_theorem, 684, 821),
+        (spectrum, 405, 0),
+        (enumerate_lattices, 1417, 0),
+        (verify_theorem, 405, 1012),
     ):
         count.update(relabel=0, order=0)
         run(9)
         assert count == {"relabel": relabels, "order": orders}, run.__name__
-    assert count["relabel"] + count["order"] == 1505
+    assert count["relabel"] + count["order"] == 1417
+
+
+def test_growth_needs_the_automorphisms_and_the_twin_test(monkeypatch):
+    """Two broken growths give the wrong number of classes at n = 8: one
+    that ignores the automorphisms the labelling met, so it builds
+    isomorphic children that the unlabelled acceptance lets through, and
+    one that treats every tie on the invariant as a tie with a twin of x,
+    so it neither labels those lattices nor checks the tied deletion."""
+    relabel_with_twins = enumeration._relabel_with_twins
+    extend = enumeration._extend_semilattice
+
+    def sweep_size():
+        return len(enumeration._sweep(8, 8, lambda leaf, form: None))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_relabel_with_twins", lambda p: relabel_with_twins(p)[:3] + ((),))
+        assert sweep_size() != KNOWN_COUNTS[8]
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            enumeration,
+            "_extend_semilattice",
+            lambda p, twins, autos: [(upset, []) for upset, _ in extend(p, twins, autos)],
+        )
+        assert sweep_size() != KNOWN_COUNTS[8]
+    assert sweep_size() == KNOWN_COUNTS[8]
 
 
 def _leaf_forms(n):

@@ -563,3 +563,38 @@ def test_search_runs_for_a_minority_of_classes(monkeypatch):
     assert len(classes) == 222
     assert calls["relabel"] >= len(classes)
     assert 0 < calls["search"] < len(classes) // 2
+
+
+def test_labelling_lists_every_automorphism_once():
+    """Every automorphism of a representative is a permutation inside its
+    twin groups composed with exactly one automorphism that
+    _relabel_with_twins lists, or with the identity: an exhaustive count
+    equals the product of |G|! times one more than the number listed, and
+    each listed one maps the representative onto itself.  The inputs
+    include a 10-element lattice whose search meets a leaf equal to its
+    best so far and then a smaller best, whose equal leaves no longer
+    give automorphisms."""
+    from math import factorial, prod
+
+    from latcon import poset as poset_mod
+    from latcon.lattice import make_boolean, make_mk
+    from oracles import count_automorphisms
+
+    rng = random.Random(17)
+    best_changes = poset_mod._poset_from_up([1023, 418, 340, 456, 272, 288, 320, 384, 256, 816])
+    posets = [best_changes] + [relabel(best_changes, rng.sample(range(10), 10)) for _ in range(8)]
+    posets += [_crown(k) for k in range(2, 5)] + [make_boolean(3).poset]
+    posets += [make_mk(k).poset for k in range(1, 6)]
+    for _ in range(150):
+        n = rng.randrange(1, 9)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        posets.append(relabel(poset_from_covers(n, pairs), rng.sample(range(n), n)))
+    listed = 0
+    for p in posets:
+        rep, _, twins, autos = poset_mod._relabel_with_twins(p)
+        for sigma in autos:
+            assert sorted(sigma) == list(range(p.n)) and relabel(rep, sigma) == rep
+        twin_order = prod(factorial(g.bit_count()) for g in twins)
+        assert count_automorphisms(rep) == twin_order * (1 + len(autos))
+        listed += len(autos)
+    assert listed > 20
