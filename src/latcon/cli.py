@@ -28,7 +28,7 @@ from .lattice import (
     make_product,
     validate_lattice,
 )
-from .planarity import is_dismantlable, is_planar_kr, planar_realizer
+from .planarity import is_planar_kr, planar_and_dismantlable
 from .poset import CycleError, canonical_relabel, count_downsets, find_embedding, poset_from_covers
 
 if TYPE_CHECKING:
@@ -142,7 +142,7 @@ def _cmd_analyze(args) -> int:
         print(f"Qu_covers={_fmt_covers(canon.covers)}")
     # planar= and planar_graph= (a key kept from the graph route the
     # 2-realizer replaced) both print the dimension route's verdict.
-    planar = planar_realizer(l) is not None
+    planar, dismantlable = planar_and_dismantlable(l)
     print(f"planar={_fmt_bool(planar)}")
     kr = is_planar_kr(l)
     print(f"planar_kr={_fmt_bool(kr.planar)}")
@@ -152,7 +152,7 @@ def _cmd_analyze(args) -> int:
         mapping = " ".join(f"{i}->{v}" for i, v in enumerate(emb.mapping))
         print(f"witness={name} {side} {mapping}")
     print(f"planar_graph={_fmt_bool(planar)}")
-    print(f"dismantlable={_fmt_bool(is_dismantlable(l))}")
+    print(f"dismantlable={_fmt_bool(dismantlable)}")
     print(f"verdict={'many' if exceeds_threshold(l.n, con) else 'few'}")
     return 0
 

@@ -5,20 +5,20 @@ elements: p is below q when the principal congruence collapsing p with
 its lower cover refines the one collapsing q with its lower cover.  That
 quasiorder is the reflexive-transitive closure of the dependency
 relation p D q (some x has p <= q v x but not p <= q_* v x), which is
-read off the order rows with bitmasks, without computing any
-congruence or join table: p is join-irreducible exactly when its strict
-down-set is the down-row of an element, its lower cover p_*, and q v x
-is the element whose up-row is up[q] & up[x].  Hereditary subsets of
-the quasiorder are in bijection with congruences (Freese, Jezek and
-Nation, Free Lattices, Thm 2.35), so con_count counts the hereditary
-subsets straight from the closed rows and their transpose; no quotient
-poset is built.  jir_quasiorder builds the quotient poset for
-`latcon analyze`, which prints it; counting its downsets is a second
-route to the same number.  The independent routes read only the join
-and meet tables: the partition oracle, a depth-first search over set
-partitions that drops a partial partition at the first compatibility
-implication it breaks, and principal_congruence, the union-find closure
-of one pair that the tests check the dependency rows against.
+read off the arrow relations with bitmasks, without computing any
+congruence or join table: p D q exactly when p up-arrow m and
+q down-arrow m for some meet-irreducible m (see _dependency_rows).
+Hereditary subsets of the quasiorder are in bijection with congruences
+(Freese, Jezek and Nation, Free Lattices, Thm 2.35), so con_count
+counts the hereditary subsets straight from the closed rows and their
+transpose; no quotient poset is built.  jir_quasiorder builds the
+quotient poset for `latcon analyze`, which prints it; counting its
+downsets is a second route to the same number.  The independent routes
+read only the join and meet tables: the partition oracle, a depth-first
+search over set partitions that drops a partial partition at the first
+compatibility implication it breaks, and principal_congruence, the
+union-find closure of one pair that the tests check the dependency rows
+against.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import NamedTuple
 from .lattice import Lattice, SizeError
 from .poset import Poset, _bits, _count_hereditary, quotient_of_quasiorder
 
-# Largest lattice the partition oracle accepts; `latcon analyze` prints
-# its count up to this size.
+# Largest lattice the partition oracle accepts unless told otherwise;
+# `latcon analyze` prints its count up to this size.
 ORACLE_MAX_N = 10
 
 
@@ -37,17 +37,6 @@ class Congruence(NamedTuple):
     """Partition of the element set, blocks sorted by least member."""
 
     blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def block_index(self) -> list[int]:
-        idx = [0] * self.n
-        for b, block in enumerate(self.blocks):
-            for x in block:
-                idx[x] = b
-        return idx
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -117,28 +106,30 @@ def _dependency_rows(l: Lattice) -> tuple[int, list[int], list[int]]:
     holds at (p, q) exactly when con(p_*, p) refines con(q_*, q)
     (Freese, Jezek, Nation, Free Lattices, Thm 2.35 / Lemma 2.36).
 
-    Only meet-irreducible witnesses x with x >= q_* and x not >= q are
-    tried, and for them q_* v x = x.  This loses no pair: given any
-    witness x, take x' maximal among the elements above q_* v x that are
-    not above p (q_* v x itself is one).  Then q_* v x' = x', and x' is a
-    witness, since p <= q v x <= q v x'.  Each element strictly above x'
-    is above q_* v x, so it is above p; two distinct upper covers of x'
-    would then have the meet x' above p, and x' is not the top, so x' has
-    exactly one upper cover: it is meet-irreducible.  It is not above q
-    either, or x' = q v x' would be above p.
+    p D q holds exactly when some meet-irreducible m, with upper cover
+    m*, has p up-arrow m (p <= m*, p not <= m) and q down-arrow m
+    (q_* <= m, q not <= m); each p with p up-arrow m is in the mask
+    down[m*] & ~down[m], built once.  Such an m is a witness, since
+    q_* v m = m and m* <= q v m.  Conversely, given any witness x, take
+    m maximal among the elements above q_* v x that are not above p.
+    Then m is not the top, each element strictly above m is above p, and
+    two upper covers of m would have the meet m above p; so m has one
+    upper cover, which is above p.  And m is not above q, or
+    m = q v m >= q v x would be above p.
     """
     up, down = l.poset.up, l.poset.down
     lower = l.lower_covers
     jmask = sum(1 << p for p in lower)
-    mmask = sum(1 << x for x in l.upper_covers)
-    # q v x is the element whose up-row is up[q] & up[x].
-    by_up = l.up_index
+    mmask = 0
+    arrow = [0] * l.n
+    for m, c in l.upper_covers.items():
+        mmask |= 1 << m
+        arrow[m] = down[c] & ~down[m]
     below = [0] * l.n
     for q, c in lower.items():
-        uq = up[q]
         dep = 1 << q
-        for x in _bits(up[c] & ~uq & mmask):
-            dep |= down[by_up[uq & up[x]]] & ~down[x]
+        for m in _bits(up[c] & ~up[q] & mmask):
+            dep |= arrow[m]
         below[q] = dep & jmask
     jir = _bits(jmask)
     for k in jir:

@@ -80,7 +80,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
 
 from .congruence import con_count, exceeds_threshold
 from .lattice import Lattice, SizeError, validate_lattice
-from .planarity import is_dismantlable, planar_realizer
+from .planarity import planar_and_dismantlable
 from .poset import (
     Poset,
     _bits,
@@ -402,9 +402,10 @@ def _pack(form: bytes, covers: tuple[tuple[int, int], ...], l: Lattice) -> bytes
     and makes no embedding search.  The verdicts do not depend on the
     labels, so l may be any lattice of the class."""
     con = con_count(l)
+    planar, dismantlable = planar_and_dismantlable(l)
     flags = (
-        (_PLANAR if planar_realizer(l) is not None else 0)
-        | (_DISMANTLABLE if is_dismantlable(l) else 0)
+        (_PLANAR if planar else 0)
+        | (_DISMANTLABLE if dismantlable else 0)
         | (_MANY if exceeds_threshold(l.n, con) else 0)
     )
     return b"".join(

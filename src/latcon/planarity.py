@@ -7,7 +7,8 @@ Two independent routes:
   Fishburn and Roberts 1971), and then :func:`planar_realizer` returns
   two linear extensions whose intersection is the order, checked by
   :func:`realizer_is_valid`; ``verify`` and the ``planar=`` and
-  ``planar_graph=`` lines of ``analyze`` read it;
+  ``planar_graph=`` lines of ``analyze`` read it, and it also settles
+  their dismantlability verdicts (see :func:`planar_and_dismantlable`);
 * the forbidden-subposet criterion: a finite lattice is planar exactly
   when no member of the Kelly-Rival catalog embeds as a subposet into it
   or into its dual; a non-planar verdict carries the embedding, checked
@@ -298,6 +299,16 @@ def _is_linear_order(rows: tuple[int, ...], n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Dismantlability
 # ---------------------------------------------------------------------------
+
+def planar_and_dismantlable(l: Lattice) -> tuple[bool, bool]:
+    """Whether l has a checked 2-realizer, and whether it is dismantlable.
+
+    Every finite planar lattice is dismantlable (Kelly and Rival, "Crowns,
+    fences, and dismantlable lattices", 1974), so only the others are
+    dismantled; some of them are dismantlable too."""
+    planar = planar_realizer(l) is not None
+    return planar, planar or is_dismantlable(l)
+
 
 def is_dismantlable(l: Lattice) -> bool:
     """Removal of doubly irreducible elements, in passes, down to a point.

@@ -8,26 +8,21 @@ which colour refinement, the enumeration's growth and the congruence
 count all walk, are read by ``_bits`` from a table of tuples for every
 mask below 2^12, which covers each sweep up to twelve elements.
 
-Canonical labelling refines a vertex colouring by the colours above and
-below each vertex, then searches over the orders that sort the colour
-classes, cutting every branch whose relation matrix already exceeds the
-best leaf found so far (as in nauty: McKay and Piperno, "Practical graph
-isomorphism, II", 2014).  Twin groups, found once per call, are never
-branched over.  When refinement leaves every class a single twin group,
-every such order gives the same relation matrix, so the search is
-skipped and the vertices are ordered by colour, then by index.  In the
+Canonical labelling finds the twin groups, refines a vertex colouring
+by the colours above and below each vertex, then searches over the
+orders that sort the colour classes, cutting every branch whose
+relation matrix already exceeds the best leaf found so far (as in
+nauty: McKay and Piperno, "Practical graph isomorphism, II", 2014).
+Refinement skips a class that is a single twin group, and the search
+never branches within a twin group.  When every class is one, every
+such order gives the same relation matrix, so the search is skipped
+and the vertices are ordered by colour, then by index.  In the
 enumeration's lattices this is the common case.
 
-The labelling also returns the automorphisms, which tell the
-enumeration which of a parent's extensions give isomorphic children.
-Swapping two twins is one.  The search never cuts a branch whose
-matrix prefix equals the best one's, so it reaches every leaf whose
-matrix equals the canonical one, and each such leaf other than the
-canonical order maps the poset onto itself.  Every automorphism keeps
-the colours and the twin groups, so it is a permutation inside the
-twin groups composed with exactly one of those, or with the identity:
-the search places each group's members in index order.  Where no
-search ran, the permutations inside the twin groups are all of them.
+The labelling also returns the automorphisms its search meets, which
+tell the enumeration which of a parent's extensions give isomorphic
+children: with the permutations inside the twin groups they are all of
+them (see _canonical_order).
 """
 
 from __future__ import annotations
@@ -245,7 +240,7 @@ def relabel(p: Poset, perm: Sequence[int]) -> Poset:
 # Canonicalization
 # ---------------------------------------------------------------------------
 
-def _refined_colors(p: Poset) -> list[int]:
+def _refined_colors(p: Poset, group: list[int]) -> list[int]:
     """Iterated iso-invariant vertex colouring (up/down multiset refinement).
 
     Colours start as the dense ranks of (|down|, |up|).  Each round gives
@@ -254,7 +249,9 @@ def _refined_colors(p: Poset) -> list[int]:
     signature, until no colour class splits.  Every signature begins with
     the old colour, so that rank is the number of distinct signatures in
     the classes of smaller colour plus the rank within the vertex's own
-    class: signatures are built only for classes of two or more vertices.
+    class.  Twins (group holds their ids) have equal signatures in every
+    round, so signatures are built only for the classes that are not a
+    single twin group, and no round runs where there are none.
     """
     n = p.n
     up, down = p.up, p.down
@@ -264,15 +261,20 @@ def _refined_colors(p: Poset) -> list[int]:
     cells: list[list[int]] = [[] for _ in ranks]
     for i in range(n):
         cells[cur[i]].append(i)
+    # A class holds whole twin groups, in index order: it is a single one
+    # when its first vertex leads a group as large as the class.
+    size = [0] * n
+    for g in group:
+        size[g] += 1
     # Strict neighbours as index tuples, read once: the rows never change.
     above = {}
     below = {}
     for cell in cells:
-        if len(cell) > 1:
+        if size[cell[0]] < len(cell):
             for i in cell:
                 above[i] = _bits(up[i] & ~(1 << i))
                 below[i] = _bits(down[i] & ~(1 << i))
-    split = len(cells) < n
+    split = bool(above)
     while split:
         split = False
         color = cur.__getitem__
@@ -280,7 +282,7 @@ def _refined_colors(p: Poset) -> list[int]:
         new_cells: list[list[int]] = []
         for cell in cells:
             offset = len(new_cells)
-            if len(cell) > 1:
+            if size[cell[0]] < len(cell):
                 sig = [
                     (tuple(sorted(map(color, above[i]))), tuple(sorted(map(color, below[i]))))
                     for i in cell
@@ -338,25 +340,19 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _twin_groups(p: Poset, colors: list[int]) -> list[int]:
+def _twin_groups(p: Poset) -> list[int]:
     """Group id per vertex, the least vertex of its group; twins share one.
 
     u and v are twins when they are incomparable and relate identically to
     every other element.  Any ordering inside a twin group yields the same
     relation matrix, so canonical search never branches within a group.
-    Twins share a colour, and vertices of one colour class are
-    incomparable (u < v would give u the larger up-set), so u and v are
-    twins exactly when their up rows and their down rows agree outside
-    their class: one dict lookup per vertex.
+    Twins are exactly the vertices with equal strict up rows and equal
+    strict down rows (u < v would put v in u's strict up row but not in
+    its own): one dict lookup per vertex.
     """
-    masks = [0] * p.n
-    for v, c in enumerate(colors):
-        masks[c] |= 1 << v
-    first: dict[tuple[int, int, int], int] = {}
-    return [
-        first.setdefault((c, p.up[v] & ~masks[c], p.down[v] & ~masks[c]), v)
-        for v, c in enumerate(colors)
-    ]
+    up, down = p.up, p.down
+    first: dict[tuple[int, int], int] = {}
+    return [first.setdefault((up[v] & ~(1 << v), down[v] & ~(1 << v)), v) for v in range(p.n)]
 
 
 def _search(p: Poset, colors: list[int], group: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -494,8 +490,8 @@ def _canonical_order(p: Poset) -> tuple[list[int], list[int], list[list[int]]]:
     one.  Where no search ran, every colour class is one twin group, so
     the twin permutations are all of the automorphisms.
     """
-    colors = _refined_colors(p)
-    group = _twin_groups(p, colors)
+    group = _twin_groups(p)
+    colors = _refined_colors(p, group)
     autos: list[list[int]] = []
     if len(set(group)) != max(colors) + 1:
         order, leaves = _search(p, colors, group)

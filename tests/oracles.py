@@ -60,7 +60,7 @@ def dependency_rel_all_x(l: Lattice) -> tuple[int, ...]:
     """The rows of congruence._dependency_rows(l) on the join-irreducibles,
     the i-th as element i, with every element x tried as a witness of
     p D q (p <= q v x, not p <= q_* v x): the loop the quasiorder ran
-    before it tried only meet-irreducible x above q_*."""
+    before it read the arrow relations of the meet-irreducibles."""
     up, down = l.poset.up, l.poset.down
     lower = l.lower_covers
     jir = tuple(lower)
@@ -187,7 +187,7 @@ def is_distributive(l: Lattice) -> bool:
 
 def refines(c1: Congruence, c2: Congruence) -> bool:
     """c1 <= c2 in Con(L): every block of c1 lies inside a block of c2."""
-    idx2 = c2.block_index()
+    idx2 = {x: b for b, block in enumerate(c2.blocks) for x in block}
     return all(len({idx2[x] for x in block}) == 1 for block in c1.blocks)
 
 

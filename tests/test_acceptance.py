@@ -118,6 +118,29 @@ def test_criterion_4_congruence_oracle_equivalence():
     _ok(4, f"FJN count equals partition oracle on all {checked} classes n <= 9 + {sampled} sampled at n = 10")
 
 
+def test_sweep_shortcuts_match_second_routes_at_10():
+    """The verdicts verify_theorem(10) records by its shortcuts, checked on
+    the representatives it prints: |Con| against the partition oracle on
+    every class that is many-congruence or non-planar, the only classes
+    whose theorem verdict rests on |Con|; and the dismantlable flag,
+    which a checked 2-realizer settles by Kelly-Rival, against the full
+    dismantling on every class."""
+    records = list(verify_theorem(10, max_n=10).records)
+    assert len(records) == 5994
+    counted = many = non_planar = 0
+    for r in records:
+        l = lattice_from_covers(10, r.covers)
+        assert is_dismantlable(l) == r.dismantlable, r.covers
+        if r.many or not r.planar:
+            assert con_count_oracle(l) == r.con, r.covers
+            counted += 1
+            many += r.many
+            non_planar += not r.planar
+    assert (counted, many, non_planar) == (598, 348, 250)
+    _ok(4, f"n = 10: |Con| equals the partition oracle on the {counted} many-or-non-planar "
+        "classes, and the dismantlable flag equals full dismantling on all 5,994")
+
+
 def test_criterion_5_planarity_oracle_equivalence():
     # the spec gate is n <= 8; the catalog supports exhausting n <= 10
     checked = 0

@@ -83,9 +83,10 @@ def test_jir_quasiorder_matches_refinement():
 
 
 def test_meet_irreducible_witnesses_match_all_x():
-    """Trying only meet-irreducible witnesses above q_* gives the same
-    quasiorder as trying every element: on every class with n <= 9, their
-    duals and the constructed families."""
+    """Reading p D q off the arrow relations (p up-arrow m and q down-arrow
+    m for a meet-irreducible m) gives the same quasiorder as trying every
+    element as a witness: on every class with n <= 9, their duals and the
+    constructed families."""
     lattices = [l for n in range(1, 10) for l in enumerate_lattices(n)]
     lattices += [make_l_family(11), make_boolean(4), make_mk(10)]
     lattices += [dual_lattice(l) for l in lattices] + _oracle_families()

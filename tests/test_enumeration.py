@@ -346,6 +346,20 @@ def test_down_sets_computed_only_for_roots(monkeypatch):
     assert kr_catalog.cache_info().currsize == 0
 
 
+def test_verify_dismantles_only_the_classes_without_a_realizer(monkeypatch):
+    """A class with a checked 2-realizer is planar, so dismantlable by
+    Kelly-Rival: verify_theorem(9) dismantles only its 17 non-planar
+    classes, and records every other class as dismantlable."""
+    from latcon import planarity
+
+    dismantled = []
+    full = planarity.is_dismantlable
+    monkeypatch.setattr(planarity, "is_dismantlable", lambda l: dismantled.append(l) or full(l))
+    records = list(verify_theorem(9).records)
+    assert len(dismantled) == sum(not r.planar for r in records) == 17
+    assert all(r.dismantlable for r in records if r.planar)
+
+
 def test_children_get_their_down_sets_from_the_parent(monkeypatch):
     """Every poset _grow canonicalises carries down-sets equal to the ones
     computed from its rows, at the inner levels and at the last, where the

@@ -430,11 +430,41 @@ def test_refined_colors_match_per_round_walk(monkeypatch):
         pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
         posets.append(poset_from_covers(n, pairs))
     new = [canonical_relabel(p)[1] for p in posets]
-    assert [poset_mod._refined_colors(p) for p in posets] == [
+    assert [poset_mod._refined_colors(p, poset_mod._twin_groups(p)) for p in posets] == [
         _refined_colors_per_round_walk(p) for p in posets
     ]
-    monkeypatch.setattr(poset_mod, "_refined_colors", _refined_colors_per_round_walk)
+    monkeypatch.setattr(
+        poset_mod, "_refined_colors", lambda p, group: _refined_colors_per_round_walk(p)
+    )
     assert [canonical_relabel(p)[1] for p in posets] == new
+
+
+def test_refinement_skips_classes_that_are_one_twin_group(monkeypatch):
+    """Twins have equal signatures in every round, so refinement builds no
+    signature for a class that is a single twin group, and where every
+    initial (|down|, |up|) class is one it reads no neighbour row and runs
+    no round: on 698 of the 1,078 leaves of the n = 9 sweep.  The colours
+    stay those of the per-round walk."""
+    from latcon import poset as poset_mod
+    from latcon.enumeration import _sweep
+
+    leaves = _sweep(9, 9, lambda leaf, form: leaf)
+    expected = []
+    for p in leaves:
+        colors = _refined_colors_per_round_walk(p)
+        group = _twin_groups_pairwise(p, colors)
+        cells = {}
+        for v in range(p.n):
+            cells.setdefault((p.down[v].bit_count(), p.up[v].bit_count()), set()).add(group[v])
+        expected.append((colors, all(len(groups) == 1 for groups in cells.values())))
+    reads = []
+    bits = poset_mod._bits
+    monkeypatch.setattr(poset_mod, "_bits", lambda mask: reads.append(mask) or bits(mask))
+    for p, (colors, settled) in zip(leaves, expected):
+        reads.clear()
+        assert poset_mod._refined_colors(p, poset_mod._twin_groups(p)) == colors
+        assert (not reads) == settled
+    assert (len(leaves), sum(settled for _, settled in expected)) == (1078, 698)
 
 
 def _twin_groups_pairwise(p, colors):
@@ -529,9 +559,10 @@ def test_canonical_relabel_matches_full_search(monkeypatch):
         poset_mod, "_search", lambda p, colors, group: searched.append(p) or search(p, colors, group)
     )
     for p in posets:
-        colors = poset_mod._refined_colors(p)
+        group = poset_mod._twin_groups(p)
+        colors = poset_mod._refined_colors(p, group)
         assert colors == _refined_colors_per_round_walk(p)
-        assert poset_mod._twin_groups(p, colors) == _twin_groups_pairwise(p, colors)
+        assert group == _twin_groups_pairwise(p, colors)
         rep, perm = canonical_relabel(p)
         old_rep, old_perm = _canonical_relabel_full_search(p)
         assert perm == old_perm and rep == old_rep
