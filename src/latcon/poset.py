@@ -653,28 +653,6 @@ def _count_hereditary(up: Sequence[int], down: Sequence[int], elements: int) -> 
     return rec(elements)
 
 
-def _closed_masks(rows: Sequence[int], order: Sequence[int]) -> list[int]:
-    """Every set S with rows[x] inside S for each x in S, as bitmasks.
-
-    The elements of order decide in turn, leaving x out before taking it
-    in, so the empty set comes first.  order must put every element after
-    the rest of its row: x can then join when the rest of its row has.
-    Built level by level: each element follows every mask with its
-    extension by x, where x may join, so earlier decisions rank first.
-    """
-    masks = [0]
-    for x in order:
-        bit = 1 << x
-        row = rows[x]
-        nxt = []
-        for cur in masks:
-            nxt.append(cur)
-            if row & ~cur == bit:
-                nxt.append(cur | bit)
-        masks = nxt
-    return masks
-
-
 def quotient_of_quasiorder(n: int, rel_rows: Sequence[int]) -> Poset:
     """Collapse mutual pairs of a quasiorder; class k is the k-th class by least member."""
     reps: list[int] = []

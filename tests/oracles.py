@@ -420,3 +420,63 @@ def count_isomorphism_classes(posets: Sequence[Poset]) -> int:
                 reps.append(p)
         classes += len(reps)
     return classes
+
+
+def closed_masks(rows: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Every set S with rows[x] inside S for each x in S, as bitmasks.
+
+    The elements of order decide in turn, leaving x out before taking it
+    in, so the empty set comes first.  order must put every element after
+    the rest of its row: x can then join when the rest of its row has.
+    Built level by level: each element follows every mask with its
+    extension by x, where x may join, so earlier decisions rank first.
+    """
+    masks = [0]
+    for x in order:
+        bit = 1 << x
+        row = rows[x]
+        nxt = []
+        for cur in masks:
+            nxt.append(cur)
+            if row & ~cur == bit:
+                nxt.append(cur | bit)
+        masks = nxt
+    return masks
+
+
+def extend_semilattice_reference(
+    p: Poset, twins: tuple[int, ...], autos: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, list[int]]]:
+    """What enumeration._extend_semilattice returns, by a chain of
+    filters over every nonempty up-set, none of them built into the walk.
+
+    The up-sets come in closed_masks order over p's lowest-index-first
+    linear extension, reversed.  A twin outside U with a smaller index
+    than one inside it drops U; so does a minimal element outside U with
+    a larger invariant (|up|, sum of |up(j)| over j in up) than x's, an
+    automorphism followed by twin swaps that maps U onto a smaller mask,
+    and joins that are not total.  The rivals are the minimal elements
+    outside U with x's invariant, in index order.
+    """
+    from latcon.enumeration import _image, _joins_total
+
+    n = p.n
+    up = p.up
+    size = [row.bit_count() for row in up]
+    weight = [sum(size[j] for j in _bits(row)) for row in up]
+    minimal = [i for i in range(n) if p.down[i] == 1 << i]
+    lowest = [(g, [sum(1 << b for b in _bits(g)[:c]) for c in range(g.bit_count() + 1)]) for g in twins]
+    out = []
+    for upset in closed_masks(up, p._linear_extension[::-1])[1:]:
+        if any(g & ~upset & (1 << (g & upset).bit_length()) - 1 for g in twins):
+            continue
+        members = _bits(upset)
+        fx = (len(members) + 1, len(members) + 1 + sum(size[j] for j in members))
+        rivals = [i for i in minimal if not upset >> i & 1 and (size[i], weight[i]) >= fx]
+        if any((size[i], weight[i]) > fx for i in rivals):
+            continue
+        if any(_image(members, sigma, lowest) < upset for sigma in autos):
+            continue
+        if _joins_total(up, upset):
+            out.append((upset, rivals))
+    return out

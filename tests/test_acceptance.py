@@ -4,6 +4,8 @@ Exhaustive over the full enumerated universe where the criterion says so;
 sampling above is seeded and deterministic.
 """
 
+import pytest
+
 from latcon.congruence import con_count, con_count_oracle, exceeds_threshold, jir_quasiorder
 from latcon.enumeration import (
     enumerate_lattices,
@@ -31,7 +33,7 @@ from latcon.planarity import (
     planar_realizer,
     realizer_is_valid,
 )
-from latcon.poset import dual, embedding_is_valid, find_embedding
+from latcon.poset import canonical_form, dual, embedding_is_valid, find_embedding
 from oracles import (
     enumerate_lattices_oracle,
     is_distributive,
@@ -118,17 +120,22 @@ def test_criterion_4_congruence_oracle_equivalence():
     _ok(4, f"FJN count equals partition oracle on all {checked} classes n <= 9 + {sampled} sampled at n = 10")
 
 
-def test_sweep_shortcuts_match_second_routes_at_10():
+@pytest.fixture(scope="module")
+def records_10():
+    """The class records of verify_theorem(10), one sweep for the tests below."""
+    return list(verify_theorem(10, max_n=10).records)
+
+
+def test_sweep_shortcuts_match_second_routes_at_10(records_10):
     """The verdicts verify_theorem(10) records by its shortcuts, checked on
     the representatives it prints: |Con| against the partition oracle on
     every class that is many-congruence or non-planar, the only classes
     whose theorem verdict rests on |Con|; and the dismantlable flag,
     which a checked 2-realizer settles by Kelly-Rival, against the full
     dismantling on every class."""
-    records = list(verify_theorem(10, max_n=10).records)
-    assert len(records) == 5994
+    assert len(records_10) == 5994
     counted = many = non_planar = 0
-    for r in records:
+    for r in records_10:
         l = lattice_from_covers(10, r.covers)
         assert is_dismantlable(l) == r.dismantlable, r.covers
         if r.many or not r.planar:
@@ -139,6 +146,37 @@ def test_sweep_shortcuts_match_second_routes_at_10():
     assert (counted, many, non_planar) == (598, 348, 250)
     _ok(4, f"n = 10: |Con| equals the partition oracle on the {counted} many-or-non-planar "
         "classes, and the dismantlable flag equals full dismantling on all 5,994")
+
+
+def _b3_between_chains(n):
+    """The ordinal sums C_a + B_3 + C_b with a + b = n - 8, an empty chain
+    left out."""
+    out = []
+    for a in range(n - 7):
+        l = make_boolean(3)
+        if a:
+            l = make_ordinal_sum(make_chain(a), l)
+        if n - 8 - a:
+            l = make_ordinal_sum(l, make_chain(n - 8 - a))
+        out.append(l)
+    return out
+
+
+def test_sharpness_census(records_10):
+    """For n = 8, 9, 10 the non-planar classes with exactly 2^(n-5)
+    congruences, the bound of the theorem, are exactly the n - 7 classes
+    of B_3 with chains stacked below and above it, in every split."""
+    for n in (8, 9, 10):
+        records = records_10 if n == 10 else verify_theorem(n).records
+        sharp = sorted(
+            canonical_form(lattice_from_covers(n, r.covers).poset)
+            for r in records
+            if not r.planar and r.con == 2 ** (n - 5)
+        )
+        built = sorted(canonical_form(l.poset) for l in _b3_between_chains(n))
+        assert len(set(built)) == n - 7
+        assert sharp == built, n
+    _ok(2, "n = 8, 9, 10: the non-planar classes with |Con| = 2^(n-5) are C_a + B_3 + C_b, a + b = n - 8")
 
 
 def test_criterion_5_planarity_oracle_equivalence():

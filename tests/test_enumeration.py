@@ -20,6 +20,7 @@ from oracles import (
     count_automorphisms,
     count_isomorphism_classes,
     enumerate_lattices_oracle,
+    extend_semilattice_reference,
     is_dismantlable_restart,
     twin_groups_bruteforce,
 )
@@ -524,6 +525,50 @@ def test_growth_needs_the_automorphisms_and_the_twin_test(monkeypatch):
         )
         assert sweep_size() != KNOWN_COUNTS[8]
     assert sweep_size() == KNOWN_COUNTS[8]
+
+
+@pytest.fixture(scope="module")
+def sweep_parents():
+    """(p, twins, autos) for every call of _extend_semilattice in the
+    sweeps for n = 3..9 (n = 1 and 2 grow nothing)."""
+    calls = []
+    extend = enumeration._extend_semilattice
+
+    def record(p, twins, autos):
+        calls.append((p, twins, autos))
+        return extend(p, twins, autos)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_extend_semilattice", record)
+        for n in range(3, 10):
+            enumeration._sweep(n, n, lambda leaf, form: None)
+    return calls
+
+
+def test_extension_upsets_match_the_filter_chain(sweep_parents):
+    """The up-set walk, with the twin rule and the invariant built in,
+    returns exactly what the filter chain over every up-set returns, in
+    the same order, for every parent of the sweeps n <= 9: the up-sets
+    with their rivals, some parents with twins, some with automorphisms,
+    some up-sets with rivals."""
+    assert len(sweep_parents) > 400
+    assert any(twins for _, twins, _ in sweep_parents)
+    assert any(autos for _, _, autos in sweep_parents)
+    tried = []
+    for p, twins, autos in sweep_parents:
+        got = enumeration._extend_semilattice(p, twins, autos)
+        assert got == extend_semilattice_reference(p, twins, autos), p.up
+        tried += got
+    assert len(tried) > 1000
+    assert any(rivals for _, rivals in tried)
+
+
+def test_sweep_parents_are_linearly_ordered(sweep_parents):
+    """Every parent the growth extends lists each element after everything
+    below it: bit j of up[i] set implies i <= j.  The up-set walk relies
+    on it (see _extend_semilattice)."""
+    for p, _, _ in sweep_parents:
+        assert all(i <= j for i in range(p.n) for j in _bits(p.up[i])), p.up
 
 
 def _leaf_forms(n):

@@ -7,7 +7,6 @@ from latcon.poset import (
     CycleError,
     Poset,
     _bits,
-    _closed_masks,
     canonical_form,
     canonical_relabel,
     count_downsets,
@@ -18,7 +17,7 @@ from latcon.poset import (
     relabel,
     subposet,
 )
-from oracles import NotQuasiorderError, count_hereditary_quasi
+from oracles import NotQuasiorderError, closed_masks, count_hereditary_quasi
 
 N5_COVERS = [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)]
 
@@ -284,7 +283,7 @@ def test_count_downsets_matches_enumeration():
 
 def _iter_upsets_recursion(p):
     """The nonempty up-sets in the order of the recursion the enumeration
-    used before it built them with _closed_masks."""
+    used before it built them level by level."""
     order = list(reversed(p._linear_extension))
 
     def rec(idx, cur):
@@ -301,11 +300,24 @@ def _iter_upsets_recursion(p):
 
 
 def test_closed_masks_keep_the_upset_order():
-    """On up rows in reverse linear-extension order, _closed_masks gives
-    the empty set, then the up-sets in the old recursion's order."""
+    """On a canonical representative, deciding the elements from n - 1
+    down, as the growth's up-set walk does, gives the empty set, then the
+    up-sets in the old recursion's order, which is increasing mask order."""
     for p in all_posets_upto(6):
-        masks = list(_closed_masks(p.up, p._linear_extension[::-1]))
-        assert masks == [0] + _iter_upsets_recursion(p)
+        rep = canonical_relabel(p)[0]
+        masks = closed_masks(rep.up, range(rep.n - 1, -1, -1))
+        assert masks == [0] + _iter_upsets_recursion(rep) == sorted(masks)
+
+
+def test_canonical_representatives_are_linearly_ordered():
+    """A canonical representative lists every element after everything
+    below it, so its lowest-index-first linear extension is the identity;
+    each poset is passed with its labels reversed, so only an antichain
+    comes in already so listed."""
+    for p in all_posets_upto(6):
+        rep = canonical_relabel(relabel(p, range(p.n - 1, -1, -1)))[0]
+        assert all(i <= j for i in range(rep.n) for j in _bits(rep.up[i])), p.up
+        assert rep._linear_extension == tuple(range(rep.n))
 
 
 def test_hereditary_quasi_identity():
