@@ -8,12 +8,12 @@ from the class of one of its one-smaller semilattices.
 
 Growth is depth-first canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 1998).  Each child C = P + x is
-accepted only when x is the canonical deletion of C: x must maximise a
-cheap invariant over the minimal elements of C, and where several
-elements tie, C minus the tied element of least canonical position must
-be isomorphic to the parent.  Acceptance then depends only on the class
-of C, and the parent of an accepted C is isomorphic to C minus its
-canonical deletion, so each class is accepted under one parent only.
+accepted only when x lies in the orbit of C's canonical deletion under
+the automorphisms of C.  The canonical deletion, star, is the minimal
+element of C with the largest value of a cheap invariant and, where
+several tie, the least canonical position.  Acceptance then depends
+only on the class of C, and the parent of an accepted C is isomorphic
+to C minus star, so each class is accepted under one parent only.
 
 Within one parent, up-sets that an automorphism of the parent maps
 onto each other give isomorphic children, so one per orbit is enough.
@@ -24,28 +24,26 @@ met; together they give all of them.  The up-set walk builds only the
 up-sets that meet every twin group in the group's lowest elements, and
 one is tried only where x's invariant is largest and no automorphism
 followed by twin swaps maps it onto a smaller mask: one up-set per
-orbit (at n = 10, 7,509 of the 25,794 built).  Children can still
-repeat where two deletions that no automorphism relates leave the same
-parent, and the set of children already seen from the parent drops
-those repeats (1 of the 1,799 labelled children at n = 10).  No set of
-the canonical forms of all classes is kept; the independent
-labeled-poset oracle in tests/oracles.py anchors correctness.
+orbit (at n = 10, 7,509 of the 25,794 built).
+
+So no two accepted siblings C = p + x and C' = p + x' (each with its
+bottom, which an isomorphism fixes) are isomorphic.  An isomorphism
+keeps the invariant, so the one that keeps the canonical positions maps
+star to star', the canonical deletion of C', and every other differs
+from it by an automorphism of C'.  So it maps star's orbit in C, which
+holds x, onto the orbit of star' in C', which holds x'.  Followed by an
+automorphism of C' it sends x to x', so it restricts to an automorphism
+of p that maps U onto U'; but one up-set per orbit was tried, so
+U = U'.  The orbits of C are read off its own labelling, which returns
+its twin groups and automorphisms as it does a parent's.  No set of
+children or of canonical forms is kept; the independent labeled-poset
+oracle in tests/oracles.py anchors correctness.
 
 A lattice is labelled only where acceptance needs it: where x ties on
 the invariant with a minimal element that is not its twin.  Otherwise
-every element of C with the largest value is x or a twin of x, and
-deleting any of them leaves a copy of p, so C passes the acceptance
-test and the lattice is accepted as built, unlabelled; for the same
-reason the tie check is skipped wherever the tied element of least
-position is x or a twin of x.  Two such siblings C = p + x and C' = p + x' (each
-with its bottom, which an isomorphism fixes) cannot be isomorphic: an
-isomorphism keeps the invariant and twins, so it maps the elements of
-C with the largest value, x and its twins, onto those of C', x' and its
-twins; followed by a twin swap it sends x to x', restricts to an
-automorphism of p, and maps U onto U'; but one up-set per orbit was
-tried, so U = U'.  Nor is such a C isomorphic to a sibling with a
-non-twin tie, whose elements with the largest value are not all twins.
-So the seen set sees only labelled children.
+every element of C with the largest value is x or a twin of x, all in
+one orbit, so C passes the acceptance test and the lattice is accepted
+as built, unlabelled.
 
 A sweep's per-class function gets each lattice with the labelling the
 growth made, or None, and labels only as far as its output needs.  The
@@ -92,8 +90,6 @@ from .poset import (
     _permuted_rows,
     _poset_from_up,
     _relabel_with_twins,
-    canonical_form,
-    subposet,
 )
 
 DEFAULT_MAX_N = 9
@@ -194,6 +190,17 @@ def _image(
     return image
 
 
+def _same_orbit(u: int, v: int, twins: tuple[int, ...], autos: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether an automorphism of a canonical representative with these
+    twin groups (masks) and listed automorphisms maps u to v: whether v
+    is in the twin group of u or of an image of u under a listed one
+    (see _relabel_with_twins)."""
+    orbit = 0
+    for w in [u, *(sigma[u] for sigma in autos)]:
+        orbit |= next((g for g in twins if g >> w & 1), 1 << w)
+    return bool(orbit >> v & 1)
+
+
 def _joins_total(up: tuple[int, ...], upset: int) -> bool:
     """Whether joins stay total when a new minimal element x goes below
     the up-set U of the semilattice with these up-rows.
@@ -224,11 +231,12 @@ def _grow(
     """Call emit once per class grown from p, with a poset of the class and its form.
 
     p is a canonical semilattice representative with fewer than m
-    elements, so its encoding is its canonical form; twins and autos are
-    its twin groups of two or more elements, as masks, and the
-    automorphisms its labelling met.  One up-set is tried per orbit of
+    elements; twins and autos are its twin groups of two or more
+    elements, as masks, and the automorphisms its labelling met.  One up-set is tried per orbit of
     p's automorphisms (see _extend_semilattice), and a child C = p + x is
-    kept only if x is C's canonical deletion (see the module docstring).
+    kept only if x lies in the orbit of C's canonical deletion under C's
+    automorphisms, which C's labelling returns; no two kept children
+    are isomorphic (see the module docstring).
     Children with m elements are emitted: with a bottom added as
     (m+1)-element lattices, or as they are when bottom is False.
     Smaller children are grown further.
@@ -241,8 +249,6 @@ def _grow(
     k = p.n
     last = k + 1 == m
     lattice = last and bottom
-    parent_form = _encode(p)
-    seen: set[bytes] = set()
     for upset, rivals in _extend_semilattice(p, twins, autos):
         rows = list(p.up) + [upset | 1 << k]
         # C's down-sets are p's, with x added below U, plus x's own.
@@ -257,25 +263,20 @@ def _grow(
             child = _poset_from_up(rows, downs)
         # A rival is minimal, so it is a twin of x when its strict up-set is U.
         if lattice and all(p.up[i] & ~(1 << i) == upset for i in rivals):
-            # x is C's canonical deletion, and no sibling is isomorphic to
-            # C (see the module docstring), so C needs no labelling here.
+            # Every tied element is x or a twin of x, so x lies in the
+            # canonical deletion's orbit and C needs no labelling here.
             emit(child, None)
             continue
         rep, perm, child_twins, child_autos = _relabel_with_twins(child)
-        position = perm[1:] if lattice else perm
-        form = _encode(rep)
-        if form in seen:
-            continue
-        seen.add(form)
         if rivals:
+            position = perm[1:] if lattice else perm
             star = min(rivals + [k], key=position.__getitem__)
-            # Deleting x or a twin of x leaves a copy of p.
-            if star != k and p.up[star] & ~(1 << star) != upset:
-                rest = [i for i in range(k + 1) if i != star]
-                if canonical_form(subposet(_poset_from_up(rows, downs), rest)) != parent_form:
-                    continue
+            # x must lie in the orbit of the canonical deletion, the tied
+            # element of least position.
+            if not _same_orbit(position[k], position[star], child_twins, child_autos):
+                continue
         if last:
-            emit(rep, form)
+            emit(rep, _encode(rep))
         else:
             _grow(rep, child_twins, child_autos, m, emit, bottom)
 

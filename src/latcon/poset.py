@@ -194,26 +194,6 @@ def dual(p: Poset) -> Poset:
     return _poset_from_up(p.down, p.up)
 
 
-def _induced_rows(rows: Sequence[int], elements: Sequence[int]) -> list[int]:
-    """The rows of the given elements, restricted to them and relabelled 0..len-1."""
-    out = []
-    for i in elements:
-        row = rows[i]
-        out.append(sum(1 << b for b, j in enumerate(elements) if row >> j & 1))
-    return out
-
-
-def subposet(p: Poset, elements: Sequence[int]) -> Poset:
-    """Induced subposet on the given elements, relabelled 0..len-1.
-
-    Down-sets p already holds are restricted alike, not recomputed.
-    """
-    down = vars(p).get("down")
-    return _poset_from_up(
-        _induced_rows(p.up, elements), None if down is None else _induced_rows(down, elements)
-    )
-
-
 def _permuted_rows(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
     """Row i, with every bit j moved to perm[j], becomes row perm[i]."""
     out = [0] * len(rows)

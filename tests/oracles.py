@@ -12,7 +12,15 @@ from typing import Sequence
 from latcon.congruence import Congruence, principal_congruence
 from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of
 from latcon.planarity import cover_graph_edges, is_planar_graph_oracle
-from latcon.poset import Poset, _bits, _poset_from_up, canonical_form, count_downsets, quotient_of_quasiorder
+from latcon.poset import (
+    Poset,
+    _bits,
+    _poset_from_up,
+    canonical_form,
+    canonical_relabel,
+    count_downsets,
+    quotient_of_quasiorder,
+)
 
 
 Table = tuple[tuple[int, ...], ...]
@@ -363,6 +371,37 @@ def twin_groups_bruteforce(p: Poset) -> set[int]:
 
     classes = {sum(1 << v for v in range(p.n) if twins(u, v)) for u in range(p.n)}
     return {c for c in classes if c & (c - 1)}
+
+
+def subposet(p: Poset, elements: Sequence[int]) -> Poset:
+    """Induced subposet on the given elements, relabelled 0..len-1."""
+    return _poset_from_up(
+        [sum(1 << b for b, j in enumerate(elements) if p.up[i] >> j & 1) for i in elements]
+    )
+
+
+def passes_tied_deletion_rule(c: Poset, p: Poset) -> bool:
+    """The growth's acceptance rule before its orbit test: C minus its
+    canonical deletion is isomorphic to the parent p.
+
+    c is a child C = p + x as the growth hands it on: a semilattice with
+    one element more than p, or C with a bottom added, a lattice with
+    two more.  The canonical deletion is the minimal element of C (an
+    atom of the lattice) with the largest invariant (|up|, sum of |up(j)|
+    over up) and, among ties, the least position in c's canonical
+    labelling.  This rule lets repeats through: C - star and C - x can be
+    isomorphic without an automorphism of C that maps x to star.
+    """
+    position = canonical_relabel(c)[1]
+    bottom = [i for i in range(c.n) if c.up[i] == c.full_mask] if c.n == p.n + 2 else []
+    floor = sum(1 << i for i in bottom)
+    minimal = [i for i in range(c.n) if i not in bottom and c.down[i] & ~floor == 1 << i]
+    size = [row.bit_count() for row in c.up]
+    invariant = {i: (size[i], sum(size[j] for j in _bits(c.up[i]))) for i in minimal}
+    best = max(invariant.values())
+    star = min((i for i in minimal if invariant[i] == best), key=position.__getitem__)
+    rest = [i for i in range(c.n) if i != star and i not in bottom]
+    return canonical_form(subposet(c, rest)) == canonical_form(p)
 
 
 def count_isomorphisms(p: Poset, q: Poset, limit: int = 0) -> int:

@@ -22,6 +22,7 @@ from oracles import (
     enumerate_lattices_oracle,
     extend_semilattice_reference,
     is_dismantlable_restart,
+    passes_tied_deletion_rule,
     twin_groups_bruteforce,
 )
 
@@ -96,25 +97,29 @@ def test_matches_global_seen_growth(n, old_growth):
 
 def test_tied_deletions_yield_each_class_once(monkeypatch):
     """A child whose new element x ties on the cheap invariant with an
-    element that is not its twin, and is not the tied element of least
-    canonical position, is settled by comparing C minus that element with
-    the parent; the generator calls canonical_form for nothing else.  A
+    element that is not its twin is labelled, and kept only where x lies
+    in the orbit of the tied element of least canonical position.  A
     lattice child whose x ties only with its own twins is accepted as
     built, unlabelled.  Both paths run, and each class still comes out
-    once: the twin-only acceptance from n = 4, the check from n = 6."""
-    checks = []
+    once: the twin-only acceptance from n = 4; orbit tests between x and
+    a tied element that is neither x nor its twin from n = 6, where a
+    listed automorphism relates them, and rejections from n = 7."""
+    tests = []
+    same_orbit = enumeration._same_orbit
 
-    def counting_form(p):
-        checks.append(p.n)
-        return canonical_form(p)
+    def recorded(u, v, twins, autos):
+        kept = same_orbit(u, v, twins, autos)
+        twin = u == v or any(g >> u & 1 and g >> v & 1 for g in twins)
+        tests.append((n, twin, kept))
+        return kept
 
-    monkeypatch.setattr(enumeration, "canonical_form", counting_form)
+    monkeypatch.setattr(enumeration, "_same_orbit", recorded)
     for n in range(4, 9):
-        before = len(checks)
         leaves = enumeration._sweep(n, n, lambda leaf, form: (leaf, form))
         forms = [form or canonical_form(leaf) for leaf, form in leaves]
         assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
-        assert (len(checks) > before) == (n >= 6), f"tie checks at n={n}"
+        assert any(not twin for m, twin, _ in tests if m == n) == (n >= 6), f"non-twin ties at n={n}"
+        assert any(not kept for m, _, kept in tests if m == n) == (n >= 7), f"rejections at n={n}"
         # x is the last element of a leaf built by the growth; its twins
         # are the other atoms with its strict up-set.
         x = n - 1
@@ -128,7 +133,39 @@ def test_tied_deletions_yield_each_class_once(monkeypatch):
             )
         ]
         assert twin_tied, f"no twin-only tie accepted unlabelled at n={n}"
-    assert checks and set(checks) <= set(range(4, 7))
+    # A twin or x itself is always in the orbit.
+    assert all(kept for _, twin, kept in tests if twin)
+
+
+def test_orbit_test_keeps_only_what_the_tied_deletion_rule_keeps(monkeypatch):
+    """Every child the growth keeps in the sweeps n <= 9, semilattice or
+    lattice, labelled or as built, passes the rule the orbit test
+    replaced: C minus its canonical deletion is isomorphic to the parent.
+    That rule alone lets repeats through (5,995 leaves at n = 10, one
+    class twice), so the n = 10 sweep must give 5,994 distinct forms."""
+    parents = []
+    kept = []
+    grow = enumeration._grow
+
+    def recorded(p, *args, **kwargs):
+        if parents:
+            kept.append((parents[-1], p))
+        parents.append(p)
+        try:
+            grow(p, *args, **kwargs)
+        finally:
+            parents.pop()
+
+    monkeypatch.setattr(enumeration, "_grow", recorded)
+    for n in range(3, 10):
+        enumeration._sweep(n, n, lambda leaf, form: kept.append((parents[-1], leaf)))
+    assert len(kept) > 1500
+    assert {c.n - p.n for p, c in kept} == {1, 2}
+    for p, c in kept:
+        assert passes_tied_deletion_rule(c, p), (p.up, c.up)
+    monkeypatch.undo()
+    forms = [_encode(l.poset) for l in enumerate_lattices(10, max_n=10)]
+    assert len(forms) == len(set(forms)) == KNOWN_COUNTS[10]
 
 
 def test_oracle_guard():
@@ -507,7 +544,7 @@ def test_growth_needs_the_automorphisms_and_the_twin_test(monkeypatch):
     that ignores the automorphisms the labelling met, so it builds
     isomorphic children that the unlabelled acceptance lets through, and
     one that treats every tie on the invariant as a tie with a twin of x,
-    so it neither labels those lattices nor checks the tied deletion."""
+    so it neither labels those lattices nor runs the orbit test."""
     relabel_with_twins = enumeration._relabel_with_twins
     extend = enumeration._extend_semilattice
 

@@ -19,12 +19,13 @@ from latcon.planarity import (
     planar_realizer,
     realizer_is_valid,
 )
-from latcon.poset import canonical_form, dual, embedding_is_valid, find_embedding, subposet
+from latcon.poset import canonical_form, dual, embedding_is_valid, find_embedding
 from oracles import (
     cover_graph_edges,
     is_dismantlable_restart,
     is_planar_graph_bruteforce,
     is_planar_graph_oracle,
+    subposet,
 )
 
 N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
