@@ -122,6 +122,10 @@ def _fmt_covers(covers) -> str:
     return ",".join(f"{a}-{b}" for a, b in covers) if covers else "-"
 
 
+def _fmt_embedding(emb) -> str:
+    return " ".join(f"{i}->{v}" for i, v in enumerate(emb.mapping))
+
+
 def _cmd_analyze(args) -> int:
     l = parse_lattice_text(_read_text(args.file))
     jir, mir, jred, mred = irreducibles(l)
@@ -149,8 +153,7 @@ def _cmd_analyze(args) -> int:
     if kr.witness is not None:
         name, emb, into_dual = kr.witness
         side = "dual" if into_dual else "direct"
-        mapping = " ".join(f"{i}->{v}" for i, v in enumerate(emb.mapping))
-        print(f"witness={name} {side} {mapping}")
+        print(f"witness={name} {side} {_fmt_embedding(emb)}")
     print(f"planar_graph={_fmt_bool(planar)}")
     print(f"dismantlable={_fmt_bool(dismantlable)}")
     print(f"verdict={'many' if exceeds_threshold(l.n, con) else 'few'}")
@@ -271,16 +274,9 @@ def _cmd_verify(args) -> int:
 def _cmd_embed(args) -> int:
     k = parse_lattice_text(_read_text(args.kfile))
     l = parse_lattice_text(_read_text(args.lfile))
-    emb = find_embedding(k.poset, l.poset)
-    if emb is None:
-        print("embedding=none")
-    else:
-        print("embedding=" + " ".join(f"{i}->{v}" for i, v in enumerate(emb.mapping)))
-    demb = find_embedding(k.poset, dual_lattice(l).poset)
-    if demb is None:
-        print("dual_embedding=none")
-    else:
-        print("dual_embedding=" + " ".join(f"{i}->{v}" for i, v in enumerate(demb.mapping)))
+    for key, host in (("embedding", l), ("dual_embedding", dual_lattice(l))):
+        emb = find_embedding(k.poset, host.poset)
+        print(f"{key}={'none' if emb is None else _fmt_embedding(emb)}")
     return 0
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .lattice import Lattice, SizeError
-from .poset import Poset, _bits, _count_hereditary, quotient_of_quasiorder
+from .poset import Poset, _bits, _close_rows, _count_hereditary, quotient_of_quasiorder
 
 # Largest lattice the partition oracle accepts unless told otherwise;
 # `latcon analyze` prints its count up to this size.
@@ -132,11 +132,7 @@ def _dependency_rows(l: Lattice) -> tuple[int, list[int], list[int]]:
             dep |= arrow[m]
         below[q] = dep & jmask
     jir = _bits(jmask)
-    for k in jir:
-        row_k, bit_k = below[k], 1 << k
-        for i in jir:
-            if below[i] & bit_k:
-                below[i] |= row_k
+    _close_rows(below, jir)
     above = [0] * l.n
     for q in jir:
         bit = 1 << q

@@ -16,11 +16,13 @@ Two independent routes:
   ``witness=`` lines read it, and the tests compare it with the first
   route.
 
-The catalog is built from the table in ``_kr_data`` and the A family.
-The cover lists were recovered by exhaustive computation (every minimal
-non-planar lattice through thirteen elements, modulo duality, against
-graph planarity of the cover graph) and every entry is proven
-non-planar by the dimension route when it is built.  The covering-graph
+The catalog is built from the table in ``_kr_data`` and the A family,
+and every entry is proven non-planar by the dimension route when it is
+built.  Its reference is the oracle ``minimal_nonplanar`` in
+``tests/oracles.py``, which sweeps every class, keeps the non-planar
+ones into which no smaller obstruction embeds, directly or dually, and
+gives exactly the catalog's entries: through ten elements in the tests,
+eleven in CI and thirteen by a manual run.  The covering-graph
 route, :func:`is_planar_graph_oracle`, needs networkx and serves the
 tests as a third, external cross-check.
 """

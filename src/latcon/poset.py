@@ -172,17 +172,22 @@ def poset_from_covers(n: int, pairs: Sequence[tuple[int, int]]) -> Poset:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair ({i}, {j}) out of range for n={n}")
         up[i] |= 1 << j
-    for k in range(n):
-        row_k = up[k]
-        bit_k = 1 << k
-        for i in range(n):
-            if up[i] & bit_k:
-                up[i] |= row_k
+    _close_rows(up, range(n))
     for i in range(n):
         for j in range(i + 1, n):
             if up[i] >> j & 1 and up[j] >> i & 1:
                 raise CycleError(f"elements {i} and {j} are mutually related")
     return _poset_from_up(up)
+
+
+def _close_rows(rows: list[int], members: Sequence[int]) -> None:
+    """Transitively close the bit rows of members in place (Warshall):
+    row i gains row k wherever it has bit k, for i and k in members."""
+    for k in members:
+        row_k, bit_k = rows[k], 1 << k
+        for i in members:
+            if rows[i] & bit_k:
+                rows[i] |= row_k
 
 
 def dual(p: Poset) -> Poset:

@@ -10,8 +10,8 @@ from itertools import combinations
 from typing import Sequence
 
 from latcon.congruence import Congruence, principal_congruence
-from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of
-from latcon.planarity import cover_graph_edges, is_planar_graph_oracle
+from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of, validate_lattice
+from latcon.planarity import cover_graph_edges, is_planar_graph_oracle, planar_realizer
 from latcon.poset import (
     Poset,
     _bits,
@@ -19,6 +19,8 @@ from latcon.poset import (
     canonical_form,
     canonical_relabel,
     count_downsets,
+    dual,
+    find_embedding,
     quotient_of_quasiorder,
 )
 
@@ -519,3 +521,33 @@ def extend_semilattice_reference(
         if _joins_total(up, upset):
             out.append((upset, rivals))
     return out
+
+
+def minimal_nonplanar(max_n: int) -> list[Poset]:
+    """The minimal non-planar lattices with at most max_n elements, one
+    per dual pair, as the sweep finds them: the Kelly-Rival catalog
+    reproduced from the enumerator.
+
+    The sizes m = 1, ..., max_n are swept in turn.  A class is non-planar
+    when it has no 2-realizer, and it is kept when no lattice kept so far,
+    of a smaller size or of its own, embeds into it or into its dual.
+    Order dimension does not grow on subposets, so every lattice that
+    contains a kept one, directly or dually, is non-planar; what is kept
+    are the minimal ones, and the dual of a kept class that is not
+    self-dual is found as a copy of it.  No prefilter on the reducible
+    counts is applied, so this route shares nothing with the catalog
+    search but find_embedding.
+    """
+    from latcon.enumeration import _sweep
+
+    kept: list[Poset] = []
+
+    def keep_if_minimal(leaf: Poset, form) -> None:
+        if planar_realizer(validate_lattice(leaf)) is None:
+            hosts = (leaf, dual(leaf))
+            if all(find_embedding(k, host) is None for k in kept for host in hosts):
+                kept.append(leaf)
+
+    for m in range(1, max_n + 1):
+        _sweep(m, m, keep_if_minimal)
+    return kept

@@ -8,7 +8,9 @@ The package resolves the enumeration's names on first use.
 
 import ast
 import importlib
+import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +71,11 @@ def _exports():
 
 
 def test_every_export_is_its_home_module_attribute():
+    """Also once every submodule is loaded, whatever the tests ran
+    before: a submodule named like an export would replace it."""
+    for module in pkgutil.walk_packages(latcon.__path__, "latcon."):
+        importlib.import_module(module.name)
+    assert importlib.util.find_spec("latcon.kr_catalog") is None
     for name, home in _exports():
         assert getattr(latcon, name) is getattr(importlib.import_module(f"latcon.{home}"), name), name
 

@@ -25,6 +25,7 @@ from oracles import (
     is_dismantlable_restart,
     is_planar_graph_bruteforce,
     is_planar_graph_oracle,
+    minimal_nonplanar,
     subposet,
 )
 
@@ -192,13 +193,13 @@ def test_catalog_small_empty():
 
 
 def test_catalog_entries_validate():
-    entries = kr_catalog(12)
+    entries = kr_catalog(13)
     assert [e.name for e in entries if e.size == 8] == ["A_0"]
     for e in entries:
         l = validate_lattice(e.poset)
         assert not is_planar_graph_oracle(l)
         assert planar_realizer(l) is None
-        assert e.size <= 12
+        assert e.size <= 13
 
 
 def test_catalog_e0_f0_reducible_counts():
@@ -284,14 +285,9 @@ def test_catalog_members_pairwise_incomparable():
     entries = kr_catalog(12)
     for a in entries:
         for b in entries:
-            if a.name == b.name or a.size > b.size:
-                continue
-            if a.size == b.size and a.name == b.name:
-                continue
-            emb = find_embedding(a.poset, b.poset)
-            demb = find_embedding(a.poset, dual(b.poset))
-            if a.name != b.name:
-                assert emb is None and demb is None, (a.name, b.name)
+            if a.name != b.name and a.size <= b.size:
+                hosts = (b.poset, dual(b.poset))
+                assert all(find_embedding(a.poset, host) is None for host in hosts), (a.name, b.name)
 
 
 def test_dismantlable_chain():
@@ -375,30 +371,36 @@ def test_kr_catalog_rejects_bad_max():
 
 
 def test_catalog_matches_golden_fixtures():
-    """Generated members equal the shipped fixture files, byte for byte."""
-    from importlib import resources
+    """The members through 13 elements, in catalog order, each as its
+    size and then one "a b" line per cover (the CLI lattice format),
+    hash to the recorded sha256: a changed, dropped or reordered cover
+    of any member shows here."""
+    import hashlib
 
-    fixture_dir = resources.files("latcon.kr_catalog") / "v1"
     entries = kr_catalog(13)
-    names = {e.name for e in entries}
-    files = {p.name[:-4] for p in fixture_dir.iterdir() if p.name.endswith(".lat")}
-    assert names == files
-    for e in entries:
-        text = (fixture_dir / f"{e.name}.lat").read_text()
-        lines = [str(e.size)] + [f"{a} {b}" for a, b in e.poset.covers]
-        assert text == "\n".join(lines) + "\n"
+    assert [e.name for e in entries] == [
+        "A_0", "B", "C", "D", "E_0", "F_0", "A_1", "G_0", "E_1", "F_1", "H_0", "A_2", "E_2", "F_2"
+    ]
+    text = "".join(f"{e.size}\n" + "".join(f"{a} {b}\n" for a, b in e.poset.covers) for e in entries)
+    want = "7adcf35408ed2f1da399ca27462d0aeda5605a48fea522529b2c0a7f11372b74"
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
-def test_fixtures_parse_as_lattices():
-    from importlib import resources
+def test_minimal_nonplanar_lattices_are_the_catalog():
+    """The sweep's minimal non-planar lattices through ten elements are
+    kr_catalog(10), up to isomorphism and duality: the catalog
+    reproduced from the enumerator, and each entry non-planar by the
+    covering-graph oracle too."""
+    found = minimal_nonplanar(10)
+    entries = kr_catalog(10)
+    assert [e.name for e in entries] == ["A_0", "B", "C", "D", "E_0", "F_0", "A_1", "G_0"]
 
-    from latcon.cli import parse_lattice_text
+    def up_to_duality(p):
+        return min(canonical_form(p), canonical_form(dual(p)))
 
-    fixture_dir = resources.files("latcon.kr_catalog") / "v1"
-    for p in sorted(fixture_dir.iterdir(), key=lambda q: q.name):
-        if p.name.endswith(".lat"):
-            l = parse_lattice_text(p.read_text())
-            assert not is_planar_graph_oracle(l)
+    assert sorted(map(up_to_duality, found)) == sorted(up_to_duality(e.poset) for e in entries)
+    for p in found:
+        assert not is_planar_graph_oracle(validate_lattice(p))
 
 
 def test_catalog_g0_documented_exception():
