@@ -8,7 +8,8 @@ lattices under induced-subposet containment modulo duality through 13
 elements: the oracle ``minimal_nonplanar`` in ``tests/oracles.py``
 reproduces exactly these from the enumerator's sweep (2,018,305 classes
 at 13 elements), through 10 elements in the tests, 11 in CI and 13 by a
-manual run, and the cross-oracle acceptance tests gate every entry.
+manual run. ``test_catalog_entries_validate`` checks every entry of
+``kr_catalog(13)`` against the 2-realizer route and the networkx oracle.
 Entries are one orientation per dual pair; planarity checks always
 probe the dual side too, so dual orientations are redundant.
 """

@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import Sequence
 
 from latcon.congruence import Congruence, principal_congruence
-from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of, validate_lattice
+from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of, lattice_from_covers, validate_lattice
 from latcon.planarity import cover_graph_edges, is_planar_graph_oracle, planar_realizer
 from latcon.poset import (
     Poset,
@@ -26,6 +26,9 @@ from latcon.poset import (
 
 
 Table = tuple[tuple[int, ...], ...]
+
+# The pentagon: 0 < 1 < 3 < 4 and 0 < 2 < 4.
+N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
 
 def validate_lattice_eager(p: Poset) -> tuple[Table, Table, int, int]:

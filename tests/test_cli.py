@@ -100,13 +100,9 @@ def test_dot_deterministic_shape():
     assert "v0 -> v1;" in out
 
 
-def test_analyze_n5(capsys):
-    sys_stdin = sys.stdin
-    sys.stdin = io.StringIO(N5_TEXT)
-    try:
-        rc = main(["analyze", "-"])
-    finally:
-        sys.stdin = sys_stdin
+def test_analyze_n5(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(N5_TEXT))
+    rc = main(["analyze", "-"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "Con=5" in out
@@ -166,12 +162,18 @@ def test_verify_exit_code_and_output(capsys):
     assert len(lines) == 5
 
 
-def test_verify_jobs_identical(capsys):
-    main(["verify", "6"])
-    serial = capsys.readouterr().out
-    main(["verify", "6", "--jobs", "2"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def test_verify_exits_1_on_violations(monkeypatch, capsys):
+    """A many-congruence class reported non-planar is a violation: verify
+    counts it and exits 1."""
+    from latcon import enumeration
+
+    monkeypatch.setattr(enumeration, "planar_and_dismantlable", lambda l: (False, True))
+    assert main(["verify", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "violations=5\n" in out
+    rows = [ln.split(";") for ln in out.splitlines()[5:]]
+    assert len(rows) == 5
+    assert all(planar == "false" and many == "true" for _, _, planar, _, many in rows)
 
 
 def test_verify_rejects_jobs_below_one(capsys):

@@ -19,10 +19,8 @@ from latcon.lattice import (
     validate_lattice,
 )
 from latcon.poset import canonical_form, dual, poset_from_covers
-from oracles import IntervalError, is_distributive, transposes_up, validate_lattice_eager
+from oracles import N5, IntervalError, is_distributive, transposes_up, validate_lattice_eager
 from test_poset import all_posets_upto
-
-N5 = lattice_from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)])
 
 
 def test_validate_chain():
