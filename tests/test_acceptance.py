@@ -6,7 +6,8 @@ sampling above is seeded and deterministic.
 
 import pytest
 
-from latcon.congruence import con_count, con_count_oracle, exceeds_threshold, jir_quasiorder
+from latcon import congruence
+from latcon.congruence import _dependency_rows, con_count, con_count_oracle, exceeds_threshold, jir_quasiorder
 from latcon.enumeration import (
     enumerate_lattices,
     sample_lattices,
@@ -33,7 +34,7 @@ from latcon.planarity import (
     planar_realizer,
     realizer_is_valid,
 )
-from latcon.poset import canonical_form, dual, embedding_is_valid, find_embedding
+from latcon.poset import canonical_form, count_downsets, dual, embedding_is_valid, find_embedding
 from oracles import (
     N5,
     is_distributive,
@@ -49,27 +50,29 @@ def _ok(num: int, text: str) -> None:
 
 
 def constructed_families():
-    """The constructor-built lattices of at most 12 elements, and their
-    duals, used by the cross-oracle criteria."""
+    """The constructor-built lattices and their duals used by the
+    cross-oracle criteria; B_3 + M_3, B_4 and B_5 have more than 12
+    elements."""
     fams: list[Lattice] = []
     fams += [make_chain(n) for n in (1, 2, 3, 5, 8, 12)]
-    fams += [make_boolean(k) for k in range(4)]
+    fams += [make_boolean(k) for k in range(6)]
     fams += [make_mk(k) for k in range(1, 11)]
     fams += [make_l_family(n) for n in range(8, 13)]
     fams += [
         make_ordinal_sum(make_mk(3), make_mk(3)),
+        make_ordinal_sum(make_mk(3), make_mk(4)),
         make_ordinal_sum(make_mk(4), make_mk(4)),
         make_ordinal_sum(N5, N5),
         make_ordinal_sum(make_boolean(2), make_boolean(2)),
         make_ordinal_sum(make_chain(2), make_boolean(3)),
+        make_ordinal_sum(make_boolean(3), make_mk(3)),
         make_product(make_chain(2), make_chain(6)),
         make_product(make_chain(3), make_chain(4)),
         make_product(make_chain(2), make_chain(2)),
         make_product(make_mk(3), make_chain(2)),
         make_product(make_boolean(2), make_chain(3)),
     ]
-    fams += [dual_lattice(l) for l in fams[:]]
-    return [l for l in fams if l.n <= 12]
+    return fams + [dual_lattice(l) for l in fams]
 
 
 def test_criterion_1_theorem_sweep():
@@ -105,45 +108,64 @@ def test_criterion_3_spectrum_top_five():
 
 
 def test_criterion_4_congruence_oracle_equivalence():
-    checked = 0
-    for n in range(1, 10):
-        for l in enumerate_lattices(n):
-            assert con_count(l) == con_count_oracle(l)
-            checked += 1
-    assert checked == 1 + 1 + 1 + 2 + 5 + 15 + 53 + 222 + 1078
-    sampled = 0
-    for l in sample_lattices(10, 60, seed=2024, max_n=10):
-        assert con_count(l) == con_count_oracle(l)
-        sampled += 1
-    assert sampled == 60
-    _ok(4, f"FJN count equals partition oracle on all {checked} classes n <= 9 + {sampled} sampled at n = 10")
+    """con_count counts the hereditary sets straight from the closed
+    dependency rows and their transpose; counting the downsets of the
+    quotient poset jir_quasiorder builds, and the partition oracle, give
+    the same number on every class with n <= 9 and its dual, and on 60
+    classes sampled at n = 10."""
+    lattices = [l for n in range(1, 10) for rep in enumerate_lattices(n) for l in (rep, dual_lattice(rep))]
+    assert len(lattices) == 2 * (1 + 1 + 1 + 2 + 5 + 15 + 53 + 222 + 1078)
+    sampled = sample_lattices(10, 60, seed=2024, max_n=10)
+    assert len(sampled) == 60
+    for l in lattices + sampled:
+        jmask, above, below = _dependency_rows(l)
+        assert jmask == sum(1 << p for p in l.lower_covers)
+        for x in range(l.n):
+            assert above[x] | below[x] == 0 or jmask >> x & 1
+            assert below[x] == sum(1 << p for p in range(l.n) if above[p] >> x & 1)
+        assert con_count(l) == count_downsets(jir_quasiorder(l)) == con_count_oracle(l)
+    _ok(4, f"FJN count equals the quotient route and the partition oracle on all {len(lattices)} "
+        f"classes n <= 9 and their duals + {len(sampled)} sampled at n = 10")
 
 
 @pytest.fixture(scope="module")
-def records_10():
-    """The class records of verify_theorem(10), one sweep for the tests below."""
-    return list(verify_theorem(10, max_n=10).records)
+def report_10():
+    """verify_theorem(10), one sweep for the tests below."""
+    return verify_theorem(10, max_n=10)
 
 
-def test_sweep_shortcuts_match_second_routes_at_10(records_10):
-    """The verdicts verify_theorem(10) records by its shortcuts, checked on
+def check_sweep_shortcuts(report, classes, oracle, many, non_planar):
+    """The verdicts verify_theorem records by its shortcuts, checked on
     the representatives it prints: |Con| against the partition oracle on
     every class that is many-congruence or non-planar, the only classes
     whose theorem verdict rests on |Con|; and the dismantlable flag,
     which a checked 2-realizer settles by Kelly-Rival, against the full
-    dismantling on every class."""
-    assert len(records_10) == 5994
-    counted = many = non_planar = 0
-    for r in records_10:
-        l = lattice_from_covers(10, r.covers)
-        assert is_dismantlable(l) == r.dismantlable, r.covers
-        if r.many or not r.planar:
-            assert con_count_oracle(l) == r.con, r.covers
-            counted += 1
-            many += r.many
-            non_planar += not r.planar
-    assert (counted, many, non_planar) == (598, 348, 250)
-    _ok(4, f"n = 10: |Con| equals the partition oracle on the {counted} many-or-non-planar "
+    dismantling on every class.  The report has `classes` classes, and
+    the oracle checks `oracle` of them: `many` many-congruence ones and
+    `non_planar` non-planar ones."""
+    records = list(report.records)
+    assert len(records) == classes, f"{len(records)} classes"
+    counted = found_many = found_non_planar = 0
+    with pytest.MonkeyPatch.context() as patch:
+        # the partition oracle's cap, raised to the report's n for this check only
+        patch.setattr(congruence, "ORACLE_MAX_N", max(report.n, congruence.ORACLE_MAX_N))
+        for r in records:
+            l = lattice_from_covers(r.n, r.covers)
+            assert is_dismantlable(l) == r.dismantlable, r.covers
+            if r.many or not r.planar:
+                assert con_count_oracle(l) == r.con, r.covers
+                counted += 1
+                found_many += r.many
+                found_non_planar += not r.planar
+    assert (counted, found_many, found_non_planar) == (oracle, many, non_planar), (
+        f"oracle on {counted} classes: {found_many} many, {found_non_planar} non-planar"
+    )
+
+
+def test_sweep_shortcuts_match_second_routes_at_10(report_10):
+    """check_sweep_shortcuts at n = 10; CI runs it at n = 11 too."""
+    check_sweep_shortcuts(report_10, classes=5994, oracle=598, many=348, non_planar=250)
+    _ok(4, "n = 10: |Con| equals the partition oracle on the 598 many-or-non-planar "
         "classes, and the dismantlable flag equals full dismantling on all 5,994")
 
 
@@ -161,12 +183,12 @@ def _b3_between_chains(n):
     return out
 
 
-def test_sharpness_census(records_10):
+def test_sharpness_census(report_10):
     """For n = 8, 9, 10 the non-planar classes with exactly 2^(n-5)
     congruences, the bound of the theorem, are exactly the n - 7 classes
     of B_3 with chains stacked below and above it, in every split."""
     for n in (8, 9, 10):
-        records = records_10 if n == 10 else verify_theorem(n).records
+        records = (report_10 if n == 10 else verify_theorem(n)).records
         sharp = sorted(
             canonical_form(lattice_from_covers(n, r.covers).poset)
             for r in records
@@ -179,24 +201,27 @@ def test_sharpness_census(records_10):
 
 
 def test_criterion_5_planarity_oracle_equivalence():
+    """The catalog verdict, the covering-graph oracle and the 2-realizer
+    route, whose realizer is checked, agree on every class n <= 10 and on
+    the constructed families; a lattice is planar iff the catalog finds
+    no witness.  The Kuratowski subdivision search agrees with the graph
+    oracle on every class n <= 8 and every family of at most 12
+    elements."""
     # the spec gate is n <= 8; the catalog supports exhausting n <= 10
-    checked = 0
-    for n in range(1, 11):
-        for l in enumerate_lattices(n, max_n=10):
+    classes = [l for n in range(1, 11) for l in enumerate_lattices(n, max_n=10)]
+    families = constructed_families()
+    for lattices, kuratowski_max_n in ((classes, 8), (families, 12)):
+        for l in lattices:
             graph = is_planar_graph_oracle(l)
             v = is_planar_kr(l)
-            assert v.planar == graph
-            assert v.planar == (v.witness is None)
+            assert v.planar == graph == (v.witness is None)
             realizer = planar_realizer(l)
             assert (realizer is not None) == graph
             assert realizer is None or realizer_is_valid(l.poset, *realizer)
-            checked += 1
-    for l in constructed_families():
-        assert is_planar_kr(l).planar == is_planar_graph_oracle(l)
-        assert is_planar_graph_oracle(l) == is_planar_graph_bruteforce(l)
-        checked += 1
-    _ok(5, f"Kelly-Rival verdict equals covering-graph oracle on {checked} lattices, "
-           "and the 2-realizer route on every class n <= 10")
+            if l.n <= kuratowski_max_n:
+                assert graph == is_planar_graph_bruteforce(l)
+    _ok(5, f"Kelly-Rival verdict equals covering-graph oracle and the 2-realizer route "
+           f"on {len(classes) + len(families)} lattices, every class n <= 10 among them")
 
 
 def _unpruned_witness(l: Lattice):
@@ -310,33 +335,26 @@ def test_criterion_7_property_suites():
 
     # Lemma 4.1 consistency, exhaustive n <= 8: four or more join- or
     # meet-reducible elements, or three join-reducible ones and two
-    # join-irreducibles in one block of the quasiorder, mean few congruences
-    for n in range(1, 9):
-        for l in enumerate_lattices(n):
-            jred, mred = _reducible_counts(l)
-            many = exceeds_threshold(l.n, con_count(l))
-            if jred >= 4 or mred >= 4:
-                assert not many
-            if jred == 3 and jir_quasiorder(l).n < len(l.lower_covers):
-                assert not many
+    # join-irreducibles in one block of the quasiorder, mean few
+    # congruences; and planar implies dismantlable
+    upto_8 = [l for n in range(1, 9) for l in enumerate_lattices(n)]
+    for l in upto_8:
+        jred, mred = _reducible_counts(l)
+        many = exceeds_threshold(l.n, con_count(l))
+        if jred >= 4 or mred >= 4:
+            assert not many
+        if jred == 3 and jir_quasiorder(l).n < len(l.lower_covers):
+            assert not many
+        if is_planar_kr(l).planar:
+            assert is_dismantlable(l)
 
-    # planar implies dismantlable, exhaustive n <= 8
-    for n in range(1, 9):
-        for l in enumerate_lattices(n):
-            if is_planar_kr(l).planar:
-                assert is_dismantlable(l)
-
-    # duality invariance of |Con| and planarity
-    for n in range(1, 8):
-        for l in enumerate_lattices(n):
-            d = dual_lattice(l)
-            assert con_count(l) == con_count(d)
-            assert is_planar_kr(l).planar == is_planar_kr(d).planar
-    for n, take in ((8, 30), (9, 30)):
-        for l in sample_lattices(n, take, seed=13):
-            d = dual_lattice(l)
-            assert con_count(l) == con_count(d)
-            assert is_planar_kr(l).planar == is_planar_kr(d).planar
+    # duality invariance of |Con| and the catalog verdict
+    for l in upto_8 + sample_lattices(9, 30, seed=13) + [
+        N5, make_mk(4), make_boolean(3), make_l_family(9), make_chain(6)
+    ]:
+        d = dual_lattice(l)
+        assert con_count(l) == con_count(d)
+        assert is_planar_kr(l).planar == is_planar_kr(d).planar
 
     _ok(7, f"property suites hold (eq bounds, transposition, {found} embeddings, "
            "lemma consistency, planar=>dismantlable, duality)")

@@ -57,6 +57,8 @@ def test_parse_errors():
         parse_lattice_text("2\n0\n")
     with pytest.raises(ParseError):
         parse_lattice_text("2\n0 5\n")
+    with pytest.raises(ParseError, match="nonnegative"):
+        parse_lattice_text("-1\n")
 
 
 def test_parse_rejects_oversized_count():
@@ -110,6 +112,13 @@ def test_analyze_n5(monkeypatch, capsys):
     assert "dismantlable=true" in out
     assert "verdict=many" in out
     assert "Con_oracle=5" in out
+    # the one-element lattice has no quasiorder to count or print
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1\n"))
+    assert main(["analyze", "-"]) == 0
+    assert capsys.readouterr().out == (
+        "n=1\nJir=0\nMir=0\nJred=0\nMred=0\nCon=1\nCon_oracle=1\n"
+        "planar=true\nplanar_kr=true\nplanar_graph=true\ndismantlable=true\nverdict=many\n"
+    )
 
 
 def test_analyze_lfamily_pipeline(capsys):

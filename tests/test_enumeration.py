@@ -564,10 +564,10 @@ def test_growth_needs_the_automorphisms_and_the_twin_test(monkeypatch):
     assert sweep_size() == KNOWN_COUNTS[8]
 
 
-@pytest.fixture(scope="module")
-def sweep_parents():
+def sweep_parents(n):
     """(p, twins, autos) for every call of _extend_semilattice in the
-    sweeps for n = 3..9 (n = 1 and 2 grow nothing)."""
+    n-element sweep, and the number of classes the sweep gives.  The
+    sweep for n grows every parent the sweeps for smaller sizes grow."""
     calls = []
     extend = enumeration._extend_semilattice
 
@@ -577,22 +577,23 @@ def sweep_parents():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration, "_extend_semilattice", record)
-        for n in range(3, 10):
-            enumeration._sweep(n, n, lambda leaf, form: None)
-    return calls
+        classes = len(enumeration._sweep(n, n, lambda leaf, form: None))
+    return calls, classes
 
 
-def test_extension_upsets_match_the_filter_chain(sweep_parents):
+def check_extension_upsets(n, parents, classes):
     """The up-set walk, with the twin rule and the invariant built in,
     returns exactly what the filter chain over every up-set returns, in
-    the same order, for every parent of the sweeps n <= 9: the up-sets
-    with their rivals, some parents with twins, some with automorphisms,
-    some up-sets with rivals."""
-    assert len(sweep_parents) > 400
-    assert any(twins for _, twins, _ in sweep_parents)
-    assert any(autos for _, _, autos in sweep_parents)
+    the same order, for every parent of the n-element sweep, which has
+    `parents` parents and gives `classes` classes: the up-sets with their
+    rivals, some parents with twins, some with automorphisms, some
+    up-sets with rivals."""
+    calls, found = sweep_parents(n)
+    assert (len(calls), found) == (parents, classes), f"{len(calls)} parents, {found} classes"
+    assert any(twins for _, twins, _ in calls)
+    assert any(autos for _, _, autos in calls)
     tried = []
-    for p, twins, autos in sweep_parents:
+    for p, twins, autos in calls:
         got = enumeration._extend_semilattice(p, twins, autos)
         assert got == extend_semilattice_reference(p, twins, autos), p.up
         tried += got
@@ -600,11 +601,17 @@ def test_extension_upsets_match_the_filter_chain(sweep_parents):
     assert any(rivals for _, rivals in tried)
 
 
-def test_sweep_parents_are_linearly_ordered(sweep_parents):
+def test_extension_upsets_match_the_filter_chain():
+    """check_extension_upsets on the n = 9 sweep, whose parents are those
+    of every sweep n <= 9; CI runs it on the n = 11 sweep."""
+    check_extension_upsets(9, parents=299, classes=KNOWN_COUNTS[9])
+
+
+def test_sweep_parents_are_linearly_ordered():
     """Every parent the growth extends lists each element after everything
     below it: bit j of up[i] set implies i <= j.  The up-set walk relies
     on it (see _extend_semilattice)."""
-    for p, _, _ in sweep_parents:
+    for p, _, _ in sweep_parents(9)[0]:
         assert all(i <= j for i in range(p.n) for j in _bits(p.up[i])), p.up
 
 
