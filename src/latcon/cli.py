@@ -223,10 +223,10 @@ def _cmd_construct(args) -> int:
 # never call it.
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import DEFAULT_MAX_N, enumerate_lattices
+    from .enumeration import DEFAULT_MAX_N, _record_covers, _sorted_records
 
-    for l in enumerate_lattices(args.n, max_n=max(args.n, DEFAULT_MAX_N)):
-        print(_fmt_covers(l.poset.covers))
+    for record in _sorted_records(args.n, max(args.n, DEFAULT_MAX_N)):
+        print(_fmt_covers(_record_covers(record)))
     return 0
 
 

@@ -48,33 +48,33 @@ as built, unlabelled.
 A sweep's per-class function gets each lattice with the labelling the
 growth made, or None, and labels only as far as its output needs.  The
 spectrum needs only a congruence count and labels none of the rest
-(5,710 of the 5,994 classes at n = 10).
-enumerate_lattices returns representatives, so it relabels each of
-them once.  verify_theorem sorts its records by canonical form and
-prints each representative's covers, so for each of them it finds only
-the canonical order, moves the lattice's rows and covers through it,
-and computes every verdict on the lattice as grown: none depends on
-the labels.
+(5,710 of the 5,994 classes at n = 10).  Every other sweep keeps one
+class record per class, sorted by canonical form, and reads the
+representative's covers off it; so for a lattice accepted unlabelled it
+finds only the canonical order and moves the lattice's rows and covers
+through it.  verify_theorem computes every verdict on the lattice as
+grown: none depends on the labels.
 
 Because acceptance needs nothing outside a parent's own subtree, the
 sweeps split the growth tree at the canonical semilattices with
 max(1, n - 4) elements and run each subtree end to end: growth,
 validation and the per-class function.  Only the per-class results
-leave a subtree, so the theorem sweep and the spectrum never hold a
-list of lattices, and the subtrees can run in worker processes.  A
-theorem record is one bytes object: the canonical form, the congruence
-count, a flag byte for the three verdicts and the representative's
-covers.  Forms of one size have one length and differ between classes,
-so sorting the records sorts them by form and gives the same report for
-any number of workers; the report decodes a record only when it is
-read.
+leave a subtree, so no sweep holds a list of lattices, and the
+subtrees can run in worker processes.  A class record is one bytes
+object: the canonical form, then the representative's covers; a
+theorem record adds the congruence count and a flag byte for the three
+verdicts at its end.  Forms of one size have one length and differ
+between classes, so sorting the records sorts them by form and gives
+the same output for any number of workers; a record is decoded only
+when it is read.  enumerate_lattices builds its lattices from the
+forms of the sorted records, and the enumerate command prints their
+covers without building any.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
 
 from .congruence import con_count, exceeds_threshold
@@ -84,6 +84,7 @@ from .poset import (
     Poset,
     _bits,
     _canonical_order,
+    _decode_rows,
     _encode,
     _encode_rows,
     _encoded_length,
@@ -320,11 +321,12 @@ def _sweep(n: int, max_n: int, per_class: Callable[[Poset, Optional[bytes]], T],
     leaf is a lattice poset of the class.  form is _encode(leaf) where
     leaf is the class's canonical representative, and None where the
     growth accepted the class without labelling it (see _grow);
-    _labelled settles both cases.  The growth tree is split at the
-    parents of _parents(n); each subtree runs end to end, in this process
-    or, with jobs > 1, in a pool of worker processes (per_class must then
-    be a module-level function).  Only the results are kept, in the order
-    of the parents, so the merged list does not depend on jobs.
+    _form_and_covers builds the class record in both cases.  The growth
+    tree is split at the parents of _parents(n); each subtree runs end to
+    end, in this process or, with jobs > 1, in a pool of worker processes
+    (per_class must then be a module-level function).  Only the results
+    are kept, in the order of the parents, so the merged list does not
+    depend on jobs.
     """
     _check_size(n, max_n)
     if n <= 2:
@@ -342,21 +344,6 @@ def _sweep(n: int, max_n: int, per_class: Callable[[Poset, Optional[bytes]], T],
     return [out for part in map(_subtree, tasks) for out in part]
 
 
-def _labelled(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, Poset]:
-    """The form and canonical representative of a leaf's class, labelling
-    leaf only where the growth did not."""
-    if form is None:
-        leaf = _relabel_with_twins(leaf)[0]
-        form = _encode(leaf)
-    return form, leaf
-
-
-def _by_form(pairs: list[tuple[bytes, T]]) -> list[T]:
-    """The values of (form, value) pairs, ordered by form."""
-    pairs.sort(key=itemgetter(0))
-    return [value for _, value in pairs]
-
-
 def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
     """All n-element lattices, one canonical representative per class.
 
@@ -368,7 +355,9 @@ def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
     """
     _check_size(n, max_n)
     if n not in _lattice_cache:
-        _lattice_cache[n] = _by_form(_sweep(n, max_n, _class_lattice))
+        _lattice_cache[n] = [
+            validate_lattice(_poset_from_up(_decode_rows(r))) for r in _sorted_records(n, max_n)
+        ]
     return _lattice_cache[n]
 
 
@@ -406,9 +395,11 @@ class SpectrumReport(NamedTuple):
 class TheoremReport(NamedTuple):
     """The sweep's counts, its violations, and one packed record per class.
 
-    ``packed`` holds the records as bytes (see _pack), sorted, which is
-    the order of the canonical forms; ``records`` decodes them one at a
-    time.
+    ``packed`` holds the theorem records as bytes (see _class_record):
+    the canonical form, the representative's covers as byte pairs, the
+    congruence count in 4 bytes and a flag byte.  They are sorted, which
+    is the order of the canonical forms; ``records`` decodes them one at
+    a time.
     """
 
     n: int
@@ -422,40 +413,24 @@ class TheoremReport(NamedTuple):
         return map(_unpack, self.packed)
 
 
-# Flag bits of a packed record.
+# Flag bits of a theorem record.
 _PLANAR, _DISMANTLABLE, _MANY = 1, 2, 4
 
 
-def _pack(form: bytes, covers: tuple[tuple[int, int], ...], l: Lattice) -> bytes:
-    """The record of l's class: its canonical form, the congruence count
-    in 4 bytes, one flag byte, then the representative's covers as byte
-    pairs.  Forms of one size have one length and differ between
-    classes, so the records sort as their forms do.  The planar flag
-    says that l has a checked 2-realizer; the sweep builds no catalog
-    and makes no embedding search.  The verdicts do not depend on the
-    labels, so l may be any lattice of the class."""
-    con = con_count(l)
-    planar, dismantlable = planar_and_dismantlable(l)
-    flags = (
-        (_PLANAR if planar else 0)
-        | (_DISMANTLABLE if dismantlable else 0)
-        | (_MANY if exceeds_threshold(l.n, con) else 0)
-    )
-    return b"".join(
-        (form, con.to_bytes(4, "big"), bytes((flags,)), bytes([x for pair in covers for x in pair]))
-    )
+def _record_covers(record: bytes) -> tuple[tuple[int, int], ...]:
+    """The covers a class record holds; a theorem record less its last
+    five bytes is one."""
+    covers = record[_encoded_length(record[0]) :]
+    return tuple(zip(covers[::2], covers[1::2]))
 
 
 def _unpack(record: bytes) -> ClassRecord:
-    """The ClassRecord a packed record holds."""
-    n = record[0]
-    at = _encoded_length(n)
-    flags = record[at + 4]
-    covers = record[at + 5 :]
+    """The ClassRecord a theorem record holds."""
+    flags = record[-1]
     return ClassRecord(
-        covers=tuple(zip(covers[::2], covers[1::2])),
-        n=n,
-        con=int.from_bytes(record[at : at + 4], "big"),
+        covers=_record_covers(record[:-5]),
+        n=record[0],
+        con=int.from_bytes(record[-5:-1], "big"),
         planar=bool(flags & _PLANAR),
         dismantlable=bool(flags & _DISMANTLABLE),
         many=bool(flags & _MANY),
@@ -463,39 +438,53 @@ def _unpack(record: bytes) -> ClassRecord:
 
 
 # The per-class functions of the sweeps.  A congruence count does not
-# depend on the labels, so the spectrum labels no leaf; the lattices
-# carry labels and are ordered by form, so every leaf is labelled; a
-# record needs only the form and the covers of the representative.
+# depend on the labels, so the spectrum labels no leaf; a record needs
+# only the form and the covers of the representative.
 
-def _class_lattice(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, Lattice]:
-    form, rep = _labelled(leaf, form)
-    l = validate_lattice(rep)
-    # enumerate_lattices keeps every lattice, so it drops the up-row index
-    # that validation built; up_index rebuilds it where it is read.
-    del vars(l)["up_index"]
-    return form, l
-
-
-def _form_and_covers(leaf: Poset, form: Optional[bytes]) -> tuple[bytes, tuple[tuple[int, int], ...]]:
-    """The form of a leaf's class and its representative's covers.
+def _form_and_covers(leaf: Poset, form: Optional[bytes]) -> bytes:
+    """The class record of a leaf's class: its canonical form, then the
+    representative's covers as byte pairs.  Forms of one size have one
+    length and differ between classes, so the records sort as their
+    forms do.
 
     A leaf accepted unlabelled is not relabelled: its rows and covers
     are moved through its canonical order, as relabel would move them.
     """
-    if form is not None:
-        return form, leaf.covers
-    position = _canonical_order(leaf)[0]
-    covers = sorted([(position[a], position[b]) for a, b in leaf.covers])
-    return _encode_rows(_permuted_rows(leaf.up, position)), tuple(covers)
+    if form is None:
+        position = _canonical_order(leaf)[0]
+        form = _encode_rows(_permuted_rows(leaf.up, position))
+        covers = sorted([(position[a], position[b]) for a, b in leaf.covers])
+    else:
+        covers = leaf.covers
+    return form + bytes([x for pair in covers for x in pair])
 
 
 def _class_record(leaf: Poset, form: Optional[bytes]) -> bytes:
+    """The theorem record of a leaf's class: its class record, then the
+    congruence count in 4 bytes and one flag byte.  The planar flag says
+    that the leaf has a checked 2-realizer; the sweep builds no catalog
+    and makes no embedding search.  The verdicts do not depend on the
+    labels, so they are computed on the leaf as grown."""
     l = validate_lattice(leaf)
-    return _pack(*_form_and_covers(leaf, form), l)
+    con = con_count(l)
+    planar, dismantlable = planar_and_dismantlable(l)
+    flags = (
+        (_PLANAR if planar else 0)
+        | (_DISMANTLABLE if dismantlable else 0)
+        | (_MANY if exceeds_threshold(l.n, con) else 0)
+    )
+    return b"".join((_form_and_covers(leaf, form), con.to_bytes(4, "big"), bytes((flags,))))
 
 
 def _class_con(leaf: Poset, form: Optional[bytes]) -> int:
     return con_count(validate_lattice(leaf))
+
+
+def _sorted_records(n: int, max_n: int) -> list[bytes]:
+    """The class record of every class of n-element lattices, sorted by form."""
+    records = _sweep(n, max_n, _form_and_covers)
+    records.sort()
+    return records
 
 
 def spectrum(n: int, max_n: int = DEFAULT_MAX_N) -> SpectrumReport:
@@ -516,12 +505,11 @@ def verify_theorem(n: int, max_n: int = DEFAULT_MAX_N, jobs: int = 1) -> Theorem
     """
     packed = _sweep(n, max_n, _class_record, jobs)
     packed.sort()
-    at = _encoded_length(n) + 4
-    many = [r for r in packed if r[at] & _MANY]
+    many = [r for r in packed if r[-1] & _MANY]
     return TheoremReport(
         n=n,
         classes_checked=len(packed),
         many_congruence_classes=len(many),
-        violations=tuple(_unpack(r) for r in many if not r[at] & _PLANAR),
+        violations=tuple(_unpack(r) for r in many if not r[-1] & _PLANAR),
         packed=tuple(packed),
     )

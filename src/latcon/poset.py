@@ -514,6 +514,13 @@ def _encoded_length(n: int) -> int:
     return 1 + n * ((n + 7) // 8 or 1)
 
 
+def _decode_rows(encoded: bytes) -> list[int]:
+    """The up-rows that _encode_rows wrote at the start of encoded."""
+    n = encoded[0]
+    width = (n + 7) // 8 or 1
+    return [int.from_bytes(encoded[at : at + width], "little") for at in range(1, 1 + n * width, width)]
+
+
 def canonical_form(p: Poset) -> bytes:
     """Canonical byte string: equal iff order-isomorphic."""
     return _encode(canonical_relabel(p)[0])

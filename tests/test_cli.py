@@ -237,10 +237,15 @@ def test_spectrum_output(capsys):
 
 
 def test_enumerate_output(capsys):
-    rc = main(["enumerate", "4"])
-    out = capsys.readouterr().out.strip().splitlines()
-    assert rc == 0
-    assert len(out) == 2
+    """One cover list per class, `-` where there is none: the chains of
+    n <= 2, which the sweep does not grow, and the two 4-element classes."""
+    for n, lines in (
+        ("1", ["-"]),
+        ("2", ["0-1"]),
+        ("4", ["0-1,0-2,1-3,2-3", "0-1,1-2,2-3"]),
+    ):
+        assert main(["enumerate", n]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 # sha256 of the stdout of each command at n = 9: a change to the

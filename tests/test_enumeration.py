@@ -272,14 +272,19 @@ def test_parents_are_the_smaller_semilattice_classes():
         assert all(canonical_relabel(p)[0] == p for p in parents)
 
 
-def test_sweeps_keep_no_lattices(monkeypatch):
-    """verify_theorem and spectrum run their own walk, not enumerate_lattices,
-    so its cache stays empty; enumerate_lattices still fills it."""
+def test_sweeps_keep_no_lattices(monkeypatch, capsys):
+    """verify_theorem, spectrum and the enumerate command run their own
+    walk, not enumerate_lattices, so its cache stays empty;
+    enumerate_lattices still fills it."""
+    from latcon import cli
+
     cache = {}
     monkeypatch.setattr(enumeration, "_lattice_cache", cache)
     assert verify_theorem(7, jobs=2).classes_checked == 53
     assert verify_theorem(7).classes_checked == 53
     assert spectrum(7).total_classes == 53
+    assert cli.main(["enumerate", "7"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 53
     assert cache == {}
     assert len(enumerate_lattices(7)) == 53
     assert list(cache) == [7]
@@ -346,16 +351,19 @@ def test_decoded_records_match_direct_computation(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_leaf_order_gives_the_relabelled_form_and_covers(n):
-    """For every leaf of the n-element sweep, the form and covers a record
-    reads off the leaf's canonical order are those of the representative
-    _relabel_with_twins builds; a leaf that comes labelled keeps its own."""
+    """For every leaf of the n-element sweep, the class record read off
+    the leaf's canonical order holds the form and covers of the
+    representative _relabel_with_twins builds, and decodes to those
+    covers; a leaf that comes labelled keeps its own."""
     leaves = enumeration._sweep(n, n, lambda leaf, form: (leaf, form))
     assert (sum(form is None for _, form in leaves) > 0) == (n >= 3)
     for leaf, form in leaves:
         rep = poset_mod._relabel_with_twins(leaf)[0]
-        assert enumeration._form_and_covers(leaf, None) == (_encode(rep), rep.covers)
+        record = _encode(rep) + bytes([x for pair in rep.covers for x in pair])
+        assert enumeration._form_and_covers(leaf, None) == record
+        assert enumeration._record_covers(record) == rep.covers
         if form is not None:
-            assert enumeration._form_and_covers(leaf, form) == (form, rep.covers)
+            assert enumeration._form_and_covers(leaf, form) == record
 
 
 def test_down_sets_computed_only_for_roots(monkeypatch):
@@ -431,7 +439,9 @@ def test_children_get_their_down_sets_from_the_parent(monkeypatch):
         assert down == _poset_from_up(p.up).down
 
 
-def _labelled_in_sweeps(monkeypatch, sizes, per_class=enumeration._labelled):
+def _labelled_in_sweeps(
+    monkeypatch, sizes, per_class=lambda leaf, form: form or enumeration._relabel_with_twins(leaf)
+):
     """(rep, twins, autos, searched) for every labelling the sweeps of these
     sizes make with this per-class function: the semilattice children and
     roots, and the lattices, which the default labels wherever the growth
@@ -507,11 +517,11 @@ def test_sweep_labels_one_extension_per_automorphism_orbit(monkeypatch):
 
 
 def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
-    """At n = 9, enumerate_lattices and verify_theorem label each class
-    once, 1,417 labellings as before; spectrum labels the semilattices and
-    only the lattices whose acceptance needed a labelling, 405 in all.
-    verify_theorem finds only the canonical order of the 1,012 lattices
-    accepted unlabelled, and relabels none of them."""
+    """At n = 9, spectrum labels the semilattices and only the lattices
+    whose acceptance needed a labelling, 405 in all.  enumerate_lattices
+    and verify_theorem label the same ones and find only the canonical
+    order of the 1,012 lattices accepted unlabelled: each class once,
+    1,417 in all, as a sweep that labels every class does."""
     calls = _labelled_in_sweeps(monkeypatch, [9], lambda leaf, form: None)
     assert len(calls) == 405
     count = {"relabel": 0, "order": 0}
@@ -530,7 +540,7 @@ def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
     monkeypatch.setattr(enumeration, "_lattice_cache", {})
     for run, relabels, orders in (
         (spectrum, 405, 0),
-        (enumerate_lattices, 1417, 0),
+        (enumerate_lattices, 405, 1012),
         (verify_theorem, 405, 1012),
     ):
         count.update(relabel=0, order=0)

@@ -599,7 +599,7 @@ def test_search_runs_for_a_minority_of_classes(monkeypatch):
         enumeration, "_relabel_with_twins", counted("relabel", poset_mod._relabel_with_twins)
     )
     monkeypatch.setattr(poset_mod, "_search", counted("search", poset_mod._search))
-    classes = enumeration._sweep(8, 8, enumeration._labelled)
+    classes = enumeration._sweep(8, 8, lambda leaf, form: form or enumeration._relabel_with_twins(leaf))
     assert len(classes) == 222
     assert calls["relabel"] >= len(classes)
     assert 0 < calls["search"] < len(classes) // 2
