@@ -223,17 +223,17 @@ def _cmd_construct(args) -> int:
 # never call it.
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import DEFAULT_MAX_N, _record_covers, _sorted_records
+    from .enumeration import _record_covers, _sorted_records
 
-    for record in _sorted_records(args.n, max(args.n, DEFAULT_MAX_N)):
+    for record in _sorted_records(args.n):
         print(_fmt_covers(_record_covers(record)))
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    from .enumeration import DEFAULT_MAX_N, spectrum
+    from .enumeration import spectrum
 
-    rep = spectrum(args.n, max_n=max(args.n, DEFAULT_MAX_N))
+    rep = spectrum(args.n)
     print(f"spectrum n={rep.n}")
     print(f"classes={rep.total_classes}")
     print("value count")
@@ -257,7 +257,7 @@ def _render_verify(rep: TheoremReport) -> Iterator[str]:
 
 
 def _cmd_verify(args) -> int:
-    from .enumeration import DEFAULT_MAX_N, verify_theorem
+    from .enumeration import verify_theorem
 
     # The CPUs this process may run on, which taskset or a container can
     # make fewer than the machine's.
@@ -266,7 +266,7 @@ def _cmd_verify(args) -> int:
     else:
         cpus = os.cpu_count() or 1
     jobs = min(args.jobs, cpus)
-    rep = verify_theorem(args.n, max_n=max(args.n, DEFAULT_MAX_N), jobs=jobs)
+    rep = verify_theorem(args.n, jobs=jobs)
     sys.stdout.writelines(_render_verify(rep))
     return 0 if not rep.violations else 1
 

@@ -45,10 +45,10 @@ every element of C with the largest value is x or a twin of x, all in
 one orbit, so C passes the acceptance test and the lattice is accepted
 as built, unlabelled.
 
-A sweep's per-class function gets each lattice with the labelling the
-growth made, or None, and labels only as far as its output needs.  The
-spectrum needs only a congruence count and labels none of the rest
-(5,710 of the 5,994 classes at n = 10).  Every other sweep keeps one
+A sweep validates each leaf once; its per-class function gets the
+lattice with the labelling the growth made, or None, and labels only as
+far as its output needs.  The spectrum needs only a congruence count
+and labels none of the rest (5,710 of the 5,994 classes at n = 10).  Every other sweep keeps one
 class record per class, sorted by canonical form, and reads the
 representative's covers off it; so for a lattice accepted unlabelled it
 finds only the canonical order and moves the lattice's rows and covers
@@ -93,7 +93,6 @@ from .poset import (
     _relabel_with_twins,
 )
 
-DEFAULT_MAX_N = 9
 HARD_MAX_N = 12
 
 _lattice_cache: dict[int, list[Lattice]] = {}
@@ -282,11 +281,11 @@ def _grow(
             _grow(rep, child_twins, child_autos, m, emit, bottom)
 
 
-def _check_size(n: int, max_n: int) -> None:
+def _check_size(n: int) -> None:
     if n < 1:
         raise SizeError("lattices need n >= 1")
-    if n > max_n or n > HARD_MAX_N:
-        raise SizeError(f"n={n} beyond configured maximum {min(max_n, HARD_MAX_N)}")
+    if n > HARD_MAX_N:
+        raise SizeError(f"n={n} beyond configured maximum {HARD_MAX_N}")
 
 
 def _parents(n: int) -> list[Poset]:
@@ -304,23 +303,24 @@ def _parents(n: int) -> list[Poset]:
     return out
 
 
-def _subtree(task: tuple[tuple[int, ...], int, Callable[[Poset, Optional[bytes]], T]]) -> list[T]:
-    """per_class(leaf, form) for every n-element lattice grown from one parent."""
+def _subtree(task: tuple[tuple[int, ...], int, Callable[[Lattice, Optional[bytes]], T]]) -> list[T]:
+    """per_class(validate_lattice(leaf), form) for every n-element leaf grown from one parent."""
     parent_up, n, per_class = task
     # The root is canonical, so it is its own representative and its twin
     # groups and automorphisms are given in its own labels.
     root, _, twins, autos = _relabel_with_twins(_poset_from_up(parent_up))
     out: list[T] = []
-    _grow(root, twins, autos, n - 1, lambda leaf, form: out.append(per_class(leaf, form)))
+    _grow(root, twins, autos, n - 1, lambda leaf, form: out.append(per_class(validate_lattice(leaf), form)))
     return out
 
 
-def _sweep(n: int, max_n: int, per_class: Callable[[Poset, Optional[bytes]], T], jobs: int = 1) -> list[T]:
-    """per_class(leaf, form) for every class of n-element lattices, in growth order.
+def _sweep(n: int, per_class: Callable[[Lattice, Optional[bytes]], T], jobs: int = 1) -> list[T]:
+    """per_class(l, form) for every class of n-element lattices, in growth order.
 
-    leaf is a lattice poset of the class.  form is _encode(leaf) where
-    leaf is the class's canonical representative, and None where the
-    growth accepted the class without labelling it (see _grow);
+    l is a lattice of the class, each leaf the growth emits validated
+    once, here or in _subtree.  form is _encode(l.poset) where l.poset
+    is the class's canonical representative, and None where the growth
+    accepted the class without labelling it (see _grow);
     _form_and_covers builds the class record in both cases.  The growth
     tree is split at the parents of _parents(n); each subtree runs end to
     end, in this process or, with jobs > 1, in a pool of worker processes
@@ -328,12 +328,12 @@ def _sweep(n: int, max_n: int, per_class: Callable[[Poset, Optional[bytes]], T],
     are kept, in the order of the parents, so the merged list does not
     depend on jobs.
     """
-    _check_size(n, max_n)
+    _check_size(n)
     if n <= 2:
         # The one- and two-element chains, already canonical; growth
         # starts from the one-element semilattice and needs n >= 3.
         rep = _poset_from_up([1] if n == 1 else [3, 2])
-        return [per_class(rep, _encode(rep))]
+        return [per_class(validate_lattice(rep), _encode(rep))]
     tasks = [(p.up, n, per_class) for p in _parents(n)]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: multiprocessing adds to every command's start-up.
@@ -344,26 +344,25 @@ def _sweep(n: int, max_n: int, per_class: Callable[[Poset, Optional[bytes]], T],
     return [out for part in map(_subtree, tasks) for out in part]
 
 
-def enumerate_lattices(n: int, max_n: int = DEFAULT_MAX_N) -> list[Lattice]:
+def enumerate_lattices(n: int, max_n: int = HARD_MAX_N) -> list[Lattice]:
     """All n-element lattices, one canonical representative per class.
 
     Deterministic order (sorted by canonical form).  Raises SizeError
-    when n is above min(max_n, HARD_MAX_N): a max_n above HARD_MAX_N is
-    accepted, but n is still capped at HARD_MAX_N, because per-class
-    cost dominates long before generation does.
+    when n is outside 1..min(max_n, HARD_MAX_N).  The max_n keyword is
+    kept only for perfbench/make_pool.py, which passes max_n=10; it goes
+    with _lattice_cache when the perfbench-only helpers move there.
     The result is cached per n; the sweeps below do not use it.
     """
-    _check_size(n, max_n)
+    if n > max_n:
+        raise SizeError(f"n={n} beyond configured maximum {max_n}")
     if n not in _lattice_cache:
-        _lattice_cache[n] = [
-            validate_lattice(_poset_from_up(_decode_rows(r))) for r in _sorted_records(n, max_n)
-        ]
+        _lattice_cache[n] = [validate_lattice(_poset_from_up(_decode_rows(r))) for r in _sorted_records(n)]
     return _lattice_cache[n]
 
 
-def sample_lattices(n: int, count: int, seed: int, max_n: int = 10) -> list[Lattice]:
-    """Deterministic uniform sample of isomorphism classes."""
-    reps = enumerate_lattices(n, max_n=max_n)
+def sample_lattices(n: int, count: int, seed: int) -> list[Lattice]:
+    """Deterministic uniform sample of the classes enumerate_lattices(n) lists."""
+    reps = enumerate_lattices(n)
     if count >= len(reps):
         return list(reps)
     rng = random.Random(seed)
@@ -437,11 +436,11 @@ def _unpack(record: bytes) -> ClassRecord:
     )
 
 
-# The per-class functions of the sweeps.  A congruence count does not
-# depend on the labels, so the spectrum labels no leaf; a record needs
-# only the form and the covers of the representative.
+# The per-class functions of the sweeps, given validated lattices.  A
+# congruence count does not depend on the labels, so the spectrum labels
+# no leaf; a record needs only the form and covers of the representative.
 
-def _form_and_covers(leaf: Poset, form: Optional[bytes]) -> bytes:
+def _form_and_covers(l: Lattice, form: Optional[bytes]) -> bytes:
     """The class record of a leaf's class: its canonical form, then the
     representative's covers as byte pairs.  Forms of one size have one
     length and differ between classes, so the records sort as their
@@ -450,6 +449,7 @@ def _form_and_covers(leaf: Poset, form: Optional[bytes]) -> bytes:
     A leaf accepted unlabelled is not relabelled: its rows and covers
     are moved through its canonical order, as relabel would move them.
     """
+    leaf = l.poset
     if form is None:
         position = _canonical_order(leaf)[0]
         form = _encode_rows(_permuted_rows(leaf.up, position))
@@ -459,13 +459,12 @@ def _form_and_covers(leaf: Poset, form: Optional[bytes]) -> bytes:
     return form + bytes([x for pair in covers for x in pair])
 
 
-def _class_record(leaf: Poset, form: Optional[bytes]) -> bytes:
+def _class_record(l: Lattice, form: Optional[bytes]) -> bytes:
     """The theorem record of a leaf's class: its class record, then the
     congruence count in 4 bytes and one flag byte.  The planar flag says
     that the leaf has a checked 2-realizer; the sweep builds no catalog
     and makes no embedding search.  The verdicts do not depend on the
     labels, so they are computed on the leaf as grown."""
-    l = validate_lattice(leaf)
     con = con_count(l)
     planar, dismantlable = planar_and_dismantlable(l)
     flags = (
@@ -473,37 +472,37 @@ def _class_record(leaf: Poset, form: Optional[bytes]) -> bytes:
         | (_DISMANTLABLE if dismantlable else 0)
         | (_MANY if exceeds_threshold(l.n, con) else 0)
     )
-    return b"".join((_form_and_covers(leaf, form), con.to_bytes(4, "big"), bytes((flags,))))
+    return b"".join((_form_and_covers(l, form), con.to_bytes(4, "big"), bytes((flags,))))
 
 
-def _class_con(leaf: Poset, form: Optional[bytes]) -> int:
-    return con_count(validate_lattice(leaf))
+def _class_con(l: Lattice, form: Optional[bytes]) -> int:
+    return con_count(l)
 
 
-def _sorted_records(n: int, max_n: int) -> list[bytes]:
+def _sorted_records(n: int) -> list[bytes]:
     """The class record of every class of n-element lattices, sorted by form."""
-    records = _sweep(n, max_n, _form_and_covers)
+    records = _sweep(n, _form_and_covers)
     records.sort()
     return records
 
 
-def spectrum(n: int, max_n: int = DEFAULT_MAX_N) -> SpectrumReport:
+def spectrum(n: int) -> SpectrumReport:
     counts: dict[int, int] = {}
     total = 0
-    for c in _sweep(n, max_n, _class_con):
+    for c in _sweep(n, _class_con):
         counts[c] = counts.get(c, 0) + 1
         total += 1
     values = tuple(sorted(counts, reverse=True))
     return SpectrumReport(n=n, values=values, counts=counts, total_classes=total)
 
 
-def verify_theorem(n: int, max_n: int = DEFAULT_MAX_N, jobs: int = 1) -> TheoremReport:
+def verify_theorem(n: int, jobs: int = 1) -> TheoremReport:
     """Sweep all classes; violations are many-congruence non-planar classes.
 
     With jobs > 1 the enumeration subtrees run in that many worker
     processes; the report is the same.
     """
-    packed = _sweep(n, max_n, _class_record, jobs)
+    packed = _sweep(n, _class_record, jobs)
     packed.sort()
     many = [r for r in packed if r[-1] & _MANY]
     return TheoremReport(

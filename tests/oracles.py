@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import Sequence
 
 from latcon.congruence import Congruence, principal_congruence
-from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of, lattice_from_covers, validate_lattice
+from latcon.lattice import Lattice, NotLatticeError, SizeError, _minimal_of, lattice_from_covers
 from latcon.planarity import cover_graph_edges, is_planar_graph_oracle, planar_realizer
 from latcon.poset import (
     Poset,
@@ -545,12 +545,13 @@ def minimal_nonplanar(max_n: int) -> list[Poset]:
 
     kept: list[Poset] = []
 
-    def keep_if_minimal(leaf: Poset, form) -> None:
-        if planar_realizer(validate_lattice(leaf)) is None:
+    def keep_if_minimal(l: Lattice, form) -> None:
+        if planar_realizer(l) is None:
+            leaf = l.poset
             hosts = (leaf, dual(leaf))
             if all(find_embedding(k, host) is None for k in kept for host in hosts):
                 kept.append(leaf)
 
     for m in range(1, max_n + 1):
-        _sweep(m, m, keep_if_minimal)
+        _sweep(m, keep_if_minimal)
     return kept

@@ -115,7 +115,7 @@ def test_criterion_4_congruence_oracle_equivalence():
     classes sampled at n = 10."""
     lattices = [l for n in range(1, 10) for rep in enumerate_lattices(n) for l in (rep, dual_lattice(rep))]
     assert len(lattices) == 2 * (1 + 1 + 1 + 2 + 5 + 15 + 53 + 222 + 1078)
-    sampled = sample_lattices(10, 60, seed=2024, max_n=10)
+    sampled = sample_lattices(10, 60, seed=2024)
     assert len(sampled) == 60
     for l in lattices + sampled:
         jmask, above, below = _dependency_rows(l)
@@ -131,7 +131,7 @@ def test_criterion_4_congruence_oracle_equivalence():
 @pytest.fixture(scope="module")
 def report_10():
     """verify_theorem(10), one sweep for the tests below."""
-    return verify_theorem(10, max_n=10)
+    return verify_theorem(10)
 
 
 def check_sweep_shortcuts(report, classes, oracle, many, non_planar):
@@ -208,7 +208,7 @@ def test_criterion_5_planarity_oracle_equivalence():
     oracle on every class n <= 8 and every family of at most 12
     elements."""
     # the spec gate is n <= 8; the catalog supports exhausting n <= 10
-    classes = [l for n in range(1, 11) for l in enumerate_lattices(n, max_n=10)]
+    classes = [l for n in range(1, 11) for l in enumerate_lattices(n)]
     families = constructed_families()
     for lattices, kuratowski_max_n in ((classes, 8), (families, 12)):
         for l in lattices:
@@ -288,7 +288,7 @@ def test_criterion_7_property_suites():
                 assert con_count(l) == 2 ** len(l.lower_covers)
     # sampled above
     for n, take in ((8, 40), (9, 40), (10, 30)):
-        for l in sample_lattices(n, take, seed=7, max_n=10):
+        for l in sample_lattices(n, take, seed=7):
             assert con_count(l) <= 2 ** jir_quasiorder(l).n <= 2 ** len(l.lower_covers)
             if is_distributive(l):
                 assert con_count(l) == 2 ** len(l.lower_covers)

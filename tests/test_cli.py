@@ -207,9 +207,9 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch, capsys):
 
     asked = []
 
-    def serial_verify(n, max_n, jobs):
+    def serial_verify(n, jobs):
         asked.append(jobs)
-        return verify_theorem(n, max_n=max_n)
+        return verify_theorem(n)
 
     monkeypatch.setattr(enumeration, "verify_theorem", serial_verify)
     # One usable CPU of a machine with eight, as under taskset -c 0.
@@ -373,6 +373,39 @@ def test_not_lattice_error_exit(tmp_path):
     bad.write_text("2\n")
     proc = run_cli(["analyze", str(bad)])
     assert proc.returncode == 2
+
+
+def test_sweeps_reject_a_leaf_that_is_not_a_lattice(monkeypatch, capsys):
+    """Every sweep command validates each leaf the growth emits: with the
+    growth's join check broken, the grown non-lattices stop all three
+    before they print anything."""
+    from latcon import enumeration
+
+    monkeypatch.setattr(enumeration, "_joins_total", lambda up, upset: True)
+    for command in ("enumerate", "spectrum", "verify"):
+        assert main([command, "6"]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert "NotLatticeError" in err, command
+
+
+def test_sweeps_reject_sizes_outside_the_cap(monkeypatch, capsys):
+    """The sweep commands take n in 1..HARD_MAX_N = 12 and reject the
+    rest before any growth starts."""
+    from latcon import enumeration
+
+    def never(n):
+        raise AssertionError(f"a sweep of n={n} started")
+
+    monkeypatch.setattr(enumeration, "_parents", never)
+    for argv in (
+        *([command, n] for command in ("enumerate", "spectrum", "verify") for n in ("0", "13")),
+        ["verify", "13", "--jobs", "2"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: SizeError:"), argv
 
 
 def test_parser_builds():

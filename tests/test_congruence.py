@@ -73,7 +73,7 @@ def test_jir_quasiorder_matches_refinement():
     """The dependency-relation route gives the refinement quasiorder, row for row."""
     lattices = [l for n in range(1, 8) for l in enumerate_lattices(n)]
     for n in (8, 9, 10):
-        lattices += sample_lattices(n, 60, seed=2024, max_n=10)
+        lattices += sample_lattices(n, 60, seed=2024)
     lattices += [N5, make_l_family(11), dual_lattice(make_l_family(11))]
     for l in lattices:
         assert _jir_rows(l) == _rel_by_refinement(l)

@@ -86,7 +86,7 @@ def test_generator_matches_oracle(n):
 def test_counts_extend():
     assert len(enumerate_lattices(8)) == KNOWN_COUNTS[8]
     assert len(enumerate_lattices(9)) == KNOWN_COUNTS[9]
-    assert len(enumerate_lattices(10, max_n=10)) == KNOWN_COUNTS[10]
+    assert len(enumerate_lattices(10)) == KNOWN_COUNTS[10]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -115,7 +115,7 @@ def test_tied_deletions_yield_each_class_once(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_same_orbit", recorded)
     for n in range(4, 9):
-        leaves = enumeration._sweep(n, n, lambda leaf, form: (leaf, form))
+        leaves = enumeration._sweep(n, lambda l, form: (l.poset, form))
         forms = [form or canonical_form(leaf) for leaf, form in leaves]
         assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
         assert any(not twin for m, twin, _ in tests if m == n) == (n >= 6), f"non-twin ties at n={n}"
@@ -158,13 +158,13 @@ def test_orbit_test_keeps_only_what_the_tied_deletion_rule_keeps(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_grow", recorded)
     for n in range(3, 10):
-        enumeration._sweep(n, n, lambda leaf, form: kept.append((parents[-1], leaf)))
+        enumeration._sweep(n, lambda l, form: kept.append((parents[-1], l.poset)))
     assert len(kept) > 1500
     assert {c.n - p.n for p, c in kept} == {1, 2}
     for p, c in kept:
         assert passes_tied_deletion_rule(c, p), (p.up, c.up)
     monkeypatch.undo()
-    forms = [_encode(l.poset) for l in enumerate_lattices(10, max_n=10)]
+    forms = [_encode(l.poset) for l in enumerate_lattices(10)]
     assert len(forms) == len(set(forms)) == KNOWN_COUNTS[10]
 
 
@@ -172,9 +172,7 @@ def test_oracle_guard():
     with pytest.raises(SizeError):
         enumerate_lattices_oracle(8)
     with pytest.raises(SizeError):
-        enumerate_lattices(10)  # default max is 9
-    with pytest.raises(SizeError):
-        enumerate_lattices(13, max_n=13)
+        enumerate_lattices(13)
 
 
 def test_stream_is_deterministic_and_distinct():
@@ -355,15 +353,15 @@ def test_leaf_order_gives_the_relabelled_form_and_covers(n):
     the leaf's canonical order holds the form and covers of the
     representative _relabel_with_twins builds, and decodes to those
     covers; a leaf that comes labelled keeps its own."""
-    leaves = enumeration._sweep(n, n, lambda leaf, form: (leaf, form))
+    leaves = enumeration._sweep(n, lambda l, form: (l, form))
     assert (sum(form is None for _, form in leaves) > 0) == (n >= 3)
-    for leaf, form in leaves:
-        rep = poset_mod._relabel_with_twins(leaf)[0]
+    for l, form in leaves:
+        rep = poset_mod._relabel_with_twins(l.poset)[0]
         record = _encode(rep) + bytes([x for pair in rep.covers for x in pair])
-        assert enumeration._form_and_covers(leaf, None) == record
+        assert enumeration._form_and_covers(l, None) == record
         assert enumeration._record_covers(record) == rep.covers
         if form is not None:
-            assert enumeration._form_and_covers(leaf, form) == record
+            assert enumeration._form_and_covers(l, form) == record
 
 
 def test_down_sets_computed_only_for_roots(monkeypatch):
@@ -426,7 +424,7 @@ def test_children_get_their_down_sets_from_the_parent(monkeypatch):
         return labelled
 
     monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
-    leaves = enumeration._sweep(8, 8, lambda leaf, form: (leaf, form, vars(leaf).get("down")))
+    leaves = enumeration._sweep(8, lambda l, form: (l.poset, form, vars(l.poset).get("down")))
     assert len(leaves) == KNOWN_COUNTS[8]
     assert all(form == _encode(leaf) for leaf, form, _ in leaves if form is not None)
     assert any(form is None for _, form, _ in leaves)
@@ -440,7 +438,7 @@ def test_children_get_their_down_sets_from_the_parent(monkeypatch):
 
 
 def _labelled_in_sweeps(
-    monkeypatch, sizes, per_class=lambda leaf, form: form or enumeration._relabel_with_twins(leaf)
+    monkeypatch, sizes, per_class=lambda l, form: form or enumeration._relabel_with_twins(l.poset)
 ):
     """(rep, twins, autos, searched) for every labelling the sweeps of these
     sizes make with this per-class function: the semilattice children and
@@ -462,7 +460,7 @@ def _labelled_in_sweeps(
     monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
     monkeypatch.setattr(poset_mod, "_search", lambda *args: searched.append(1) or search(*args))
     for n in sizes:
-        assert len(enumeration._sweep(n, n, per_class)) == KNOWN_COUNTS[n]
+        assert len(enumeration._sweep(n, per_class)) == KNOWN_COUNTS[n]
     return calls
 
 
@@ -522,7 +520,7 @@ def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
     and verify_theorem label the same ones and find only the canonical
     order of the 1,012 lattices accepted unlabelled: each class once,
     1,417 in all, as a sweep that labels every class does."""
-    calls = _labelled_in_sweeps(monkeypatch, [9], lambda leaf, form: None)
+    calls = _labelled_in_sweeps(monkeypatch, [9], lambda l, form: None)
     assert len(calls) == 405
     count = {"relabel": 0, "order": 0}
 
@@ -559,7 +557,7 @@ def test_growth_needs_the_automorphisms_and_the_twin_test(monkeypatch):
     extend = enumeration._extend_semilattice
 
     def sweep_size():
-        return len(enumeration._sweep(8, 8, lambda leaf, form: None))
+        return len(enumeration._sweep(8, lambda l, form: None))
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_relabel_with_twins", lambda p: relabel_with_twins(p)[:3] + ((),))
@@ -587,7 +585,7 @@ def sweep_parents(n):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration, "_extend_semilattice", record)
-        classes = len(enumeration._sweep(n, n, lambda leaf, form: None))
+        classes = len(enumeration._sweep(n, lambda l, form: None))
     return calls, classes
 
 
@@ -630,7 +628,7 @@ def _leaf_forms(n):
     leaves the growth accepted unlabelled are labelled here."""
     return [
         (leaf, form if form is not None else canonical_form(leaf), form is None)
-        for leaf, form in enumeration._sweep(n, n, lambda leaf, form: (leaf, form))
+        for leaf, form in enumeration._sweep(n, lambda l, form: (l.poset, form))
     ]
 
 
@@ -651,5 +649,5 @@ def test_sweep_leaves_are_pairwise_non_isomorphic(n):
     """Without any canonical labelling: the leaves of the sweep, as
     handed to the per-class function, fall into KNOWN_COUNTS[n]
     isomorphism classes by a brute-force isomorphism test."""
-    leaves = enumeration._sweep(n, n, lambda leaf, form: leaf)
+    leaves = enumeration._sweep(n, lambda l, form: l.poset)
     assert len(leaves) == count_isomorphism_classes(leaves) == KNOWN_COUNTS[n]
