@@ -34,26 +34,27 @@ from it by an automorphism of C'.  So it maps star's orbit in C, which
 holds x, onto the orbit of star' in C', which holds x'.  Followed by an
 automorphism of C' it sends x to x', so it restricts to an automorphism
 of p that maps U onto U'; but one up-set per orbit was tried, so
-U = U'.  The orbits of C are read off its own labelling, which returns
-its twin groups and automorphisms as it does a parent's.  No set of
+U = U'.  The orbits of C are read off its own canonical order, which
+returns its twin groups and automorphisms in C's own labels.  No set of
 children or of canonical forms is kept; the independent labeled-poset
 oracle in tests/oracles.py anchors correctness.
 
-A lattice is labelled only where acceptance needs it: where x ties on
-the invariant with a minimal element that is not its twin.  Otherwise
-every element of C with the largest value is x or a twin of x, all in
-one orbit, so C passes the acceptance test and the lattice is accepted
-as built, unlabelled.
+Each node of the growth tree is labelled at most once.  A lattice, or a
+semilattice that roots a subtree, is labelled only where acceptance
+needs it: where x ties on the invariant with a minimal element that is
+not its twin.  Otherwise every element of C with the largest value is x
+or a twin of x, all in one orbit, so C passes the acceptance test as
+built.  An accepted child grown further gets its representative from
+the same canonical order, and a root comes with the labelling made for it.
 
-A sweep validates each leaf once; its per-class function gets the
-lattice with the labelling the growth made, or None, and labels only as
-far as its output needs.  The spectrum needs only a congruence count
-and labels none of the rest (5,710 of the 5,994 classes at n = 10).  Every other sweep keeps one
-class record per class, sorted by canonical form, and reads the
-representative's covers off it; so for a lattice accepted unlabelled it
-finds only the canonical order and moves the lattice's rows and covers
-through it.  verify_theorem computes every verdict on the lattice as
-grown: none depends on the labels.
+A sweep validates each leaf once and hands its per-class function the
+lattice as grown, with its canonical order or None.  The spectrum needs
+only a congruence count and labels none of the rest (5,710 of the 5,994
+classes at n = 10).  Every other sweep keeps one class record per class,
+sorted by canonical form: it moves the lattice's rows and covers through
+its order, found where the growth found none, so no leaf is relabelled.
+verify_theorem computes every verdict on the lattice as grown: none
+depends on the labels.
 
 Because acceptance needs nothing outside a parent's own subtree, the
 sweeps split the growth tree at the canonical semilattices with
@@ -85,7 +86,6 @@ from .poset import (
     _bits,
     _canonical_order,
     _decode_rows,
-    _encode,
     _encode_rows,
     _encoded_length,
     _permuted_rows,
@@ -190,15 +190,12 @@ def _image(
     return image
 
 
-def _same_orbit(u: int, v: int, twins: tuple[int, ...], autos: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether an automorphism of a canonical representative with these
-    twin groups (masks) and listed automorphisms maps u to v: whether v
-    is in the twin group of u or of an image of u under a listed one
-    (see _relabel_with_twins)."""
-    orbit = 0
-    for w in [u, *(sigma[u] for sigma in autos)]:
-        orbit |= next((g for g in twins if g >> w & 1), 1 << w)
-    return bool(orbit >> v & 1)
+def _same_orbit(u: int, v: int, group: list[int], autos: list[list[int]]) -> bool:
+    """Whether an automorphism of a poset with these twin group ids and
+    listed automorphisms, as _canonical_order returns them, maps u to v:
+    whether v is in the twin group of u or of an image of u under a
+    listed one."""
+    return group[v] in {group[u], *(group[sigma[u]] for sigma in autos)}
 
 
 def _joins_total(up: tuple[int, ...], upset: int) -> bool:
@@ -225,60 +222,57 @@ def _grow(
     twins: tuple[int, ...],
     autos: tuple[tuple[int, ...], ...],
     m: int,
-    emit: Callable[[Poset, Optional[bytes]], None],
+    emit: Callable[[Poset, Optional[tuple]], None],
     bottom: bool = True,
 ) -> None:
-    """Call emit once per class grown from p, with a poset of the class and its form.
+    """Call emit(child, order) once per class grown from p.
 
     p is a canonical semilattice representative with fewer than m
     elements; twins and autos are its twin groups of two or more
-    elements, as masks, and the automorphisms its labelling met.  One up-set is tried per orbit of
-    p's automorphisms (see _extend_semilattice), and a child C = p + x is
-    kept only if x lies in the orbit of C's canonical deletion under C's
-    automorphisms, which C's labelling returns; no two kept children
-    are isomorphic (see the module docstring).
-    Children with m elements are emitted: with a bottom added as
-    (m+1)-element lattices, or as they are when bottom is False.
-    Smaller children are grown further.
+    elements, as masks, and the automorphisms its labelling met.  One
+    up-set is tried per orbit of p's automorphisms (see
+    _extend_semilattice), and a child C = p + x is kept only if x lies in
+    the orbit of C's canonical deletion under C's automorphisms, which
+    C's canonical order returns; no two kept children are isomorphic (see
+    the module docstring).  Smaller children are grown further from
+    their representatives.  Children with m elements are emitted as
+    built, with their down-sets: with a bottom added as (m+1)-element
+    lattices, or as they are when bottom is False.
 
-    An emitted class comes as its canonical representative and its
-    encoding, except a lattice accepted without labelling: a child whose
-    x ties with nothing but its own twins is emitted as built, with its
-    down-sets, and None.
+    Each child is labelled at most once.  order is the child's
+    _canonical_order, or None where x ties with nothing but its own
+    twins, so acceptance needed no labelling.
     """
     k = p.n
     last = k + 1 == m
-    lattice = last and bottom
     for upset, rivals in _extend_semilattice(p, twins, autos):
         rows = list(p.up) + [upset | 1 << k]
         # C's down-sets are p's, with x added below U, plus x's own.
         downs = [row | 1 << k if upset >> j & 1 else row for j, row in enumerate(p.down)]
         downs.append(1 << k)
-        if lattice:
-            # C + bottom: the bottom is element 0 and C's element i is i + 1.
-            child = _poset_from_up(
-                [(1 << k + 2) - 1] + [row << 1 for row in rows], [1] + [row << 1 | 1 for row in downs]
-            )
-        else:
-            child = _poset_from_up(rows, downs)
+        if last and bottom:
+            # C + bottom: the bottom is element k + 1, so C keeps its labels.
+            rows.append((1 << k + 2) - 1)
+            downs = [row | 1 << k + 1 for row in downs] + [1 << k + 1]
+        child = _poset_from_up(rows, downs)
         # A rival is minimal, so it is a twin of x when its strict up-set is U.
-        if lattice and all(p.up[i] & ~(1 << i) == upset for i in rivals):
+        if last and all(p.up[i] & ~(1 << i) == upset for i in rivals):
             # Every tied element is x or a twin of x, so x lies in the
             # canonical deletion's orbit and C needs no labelling here.
             emit(child, None)
             continue
-        rep, perm, child_twins, child_autos = _relabel_with_twins(child)
+        order = _canonical_order(child)
         if rivals:
-            position = perm[1:] if lattice else perm
+            position, group, child_autos = order
             star = min(rivals + [k], key=position.__getitem__)
             # x must lie in the orbit of the canonical deletion, the tied
             # element of least position.
-            if not _same_orbit(position[k], position[star], child_twins, child_autos):
+            if not _same_orbit(k, star, group, child_autos):
                 continue
         if last:
-            emit(rep, _encode(rep))
+            emit(child, order)
         else:
-            _grow(rep, child_twins, child_autos, m, emit, bottom)
+            _grow(*_relabel_with_twins(child, order), m, emit, bottom)
 
 
 def _check_size(n: int) -> None:
@@ -288,53 +282,53 @@ def _check_size(n: int) -> None:
         raise SizeError(f"n={n} beyond configured maximum {HARD_MAX_N}")
 
 
-def _parents(n: int) -> list[Poset]:
-    """The roots of the sweep's subtrees: canonical max(1, n-4)-element semilattices.
+def _parents(n: int) -> list[tuple[Poset, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The roots of the sweep's subtrees: canonical max(1, n-4)-element
+    semilattices, each with its twin groups and automorphisms.
 
     Every class of n-element lattices (n >= 3) is grown from exactly one
-    of them, so their subtrees can run independently.
+    of them, so their subtrees can run independently.  Each is labelled
+    once, from the canonical order its acceptance found where it needed
+    one.
     """
     root = _poset_from_up([1])
     k = max(1, n - 4)
     if k == 1:
-        return [root]
-    out: list[Poset] = []
-    _grow(root, (), (), k, lambda rep, form: out.append(rep), bottom=False)
+        return [(root, (), ())]
+    out: list[tuple] = []
+    _grow(root, (), (), k, lambda child, order: out.append(_relabel_with_twins(child, order)), bottom=False)
     return out
 
 
-def _subtree(task: tuple[tuple[int, ...], int, Callable[[Lattice, Optional[bytes]], T]]) -> list[T]:
-    """per_class(validate_lattice(leaf), form) for every n-element leaf grown from one parent."""
-    parent_up, n, per_class = task
-    # The root is canonical, so it is its own representative and its twin
-    # groups and automorphisms are given in its own labels.
-    root, _, twins, autos = _relabel_with_twins(_poset_from_up(parent_up))
+def _subtree(task: tuple) -> list[T]:
+    """per_class(validate_lattice(leaf), order) for every n-element leaf
+    grown from one root of _parents; task is (root, twins, autos, n,
+    per_class), the root labelled as _parents left it."""
+    root, twins, autos, n, per_class = task
     out: list[T] = []
-    _grow(root, twins, autos, n - 1, lambda leaf, form: out.append(per_class(validate_lattice(leaf), form)))
+    _grow(root, twins, autos, n - 1, lambda leaf, order: out.append(per_class(validate_lattice(leaf), order)))
     return out
 
 
-def _sweep(n: int, per_class: Callable[[Lattice, Optional[bytes]], T], jobs: int = 1) -> list[T]:
-    """per_class(l, form) for every class of n-element lattices, in growth order.
+def _sweep(n: int, per_class: Callable[[Lattice, Optional[tuple]], T], jobs: int = 1) -> list[T]:
+    """per_class(l, order) for every class of n-element lattices, in growth order.
 
-    l is a lattice of the class, each leaf the growth emits validated
-    once, here or in _subtree.  form is _encode(l.poset) where l.poset
-    is the class's canonical representative, and None where the growth
-    accepted the class without labelling it (see _grow);
-    _form_and_covers builds the class record in both cases.  The growth
-    tree is split at the parents of _parents(n); each subtree runs end to
+    l is a lattice of the class as the growth built it, validated once,
+    here or in _subtree, and order is its _canonical_order, or None where
+    the growth accepted it without labelling it (see _grow);
+    _form_and_covers builds the class record from either.  The growth
+    tree is split at the roots of _parents(n); each subtree runs end to
     end, in this process or, with jobs > 1, in a pool of worker processes
     (per_class must then be a module-level function).  Only the results
-    are kept, in the order of the parents, so the merged list does not
+    are kept, in the order of the roots, so the merged list does not
     depend on jobs.
     """
     _check_size(n)
     if n <= 2:
-        # The one- and two-element chains, already canonical; growth
-        # starts from the one-element semilattice and needs n >= 3.
-        rep = _poset_from_up([1] if n == 1 else [3, 2])
-        return [per_class(validate_lattice(rep), _encode(rep))]
-    tasks = [(p.up, n, per_class) for p in _parents(n)]
+        # The one- and two-element chains; growth starts from the
+        # one-element semilattice and needs n >= 3.
+        return [per_class(validate_lattice(_poset_from_up([1] if n == 1 else [3, 2])), None)]
+    tasks = [(root, twins, autos, n, per_class) for root, twins, autos in _parents(n)]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: multiprocessing adds to every command's start-up.
         from concurrent.futures import ProcessPoolExecutor
@@ -436,30 +430,29 @@ def _unpack(record: bytes) -> ClassRecord:
     )
 
 
-# The per-class functions of the sweeps, given validated lattices.  A
-# congruence count does not depend on the labels, so the spectrum labels
-# no leaf; a record needs only the form and covers of the representative.
+# The per-class functions of the sweeps, given validated lattices as
+# grown and their canonical orders or None.  A congruence count does not
+# depend on the labels, so the spectrum labels no leaf; a record needs
+# only the form and covers of the representative.
 
-def _form_and_covers(l: Lattice, form: Optional[bytes]) -> bytes:
+def _form_and_covers(l: Lattice, order: Optional[tuple]) -> bytes:
     """The class record of a leaf's class: its canonical form, then the
     representative's covers as byte pairs.  Forms of one size have one
     length and differ between classes, so the records sort as their
     forms do.
 
-    A leaf accepted unlabelled is not relabelled: its rows and covers
-    are moved through its canonical order, as relabel would move them.
+    No leaf is relabelled: its rows and covers are moved through its
+    canonical order, found here where the growth found none, as relabel
+    would move them.
     """
     leaf = l.poset
-    if form is None:
-        position = _canonical_order(leaf)[0]
-        form = _encode_rows(_permuted_rows(leaf.up, position))
-        covers = sorted([(position[a], position[b]) for a, b in leaf.covers])
-    else:
-        covers = leaf.covers
+    position = (order or _canonical_order(leaf))[0]
+    form = _encode_rows(_permuted_rows(leaf.up, position))
+    covers = sorted([(position[a], position[b]) for a, b in leaf.covers])
     return form + bytes([x for pair in covers for x in pair])
 
 
-def _class_record(l: Lattice, form: Optional[bytes]) -> bytes:
+def _class_record(l: Lattice, order: Optional[tuple]) -> bytes:
     """The theorem record of a leaf's class: its class record, then the
     congruence count in 4 bytes and one flag byte.  The planar flag says
     that the leaf has a checked 2-realizer; the sweep builds no catalog
@@ -472,10 +465,10 @@ def _class_record(l: Lattice, form: Optional[bytes]) -> bytes:
         | (_DISMANTLABLE if dismantlable else 0)
         | (_MANY if exceeds_threshold(l.n, con) else 0)
     )
-    return b"".join((_form_and_covers(l, form), con.to_bytes(4, "big"), bytes((flags,))))
+    return b"".join((_form_and_covers(l, order), con.to_bytes(4, "big"), bytes((flags,))))
 
 
-def _class_con(l: Lattice, form: Optional[bytes]) -> int:
+def _class_con(l: Lattice, order: Optional[tuple]) -> int:
     return con_count(l)
 
 

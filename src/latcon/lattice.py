@@ -26,7 +26,7 @@ from .poset import Poset, _Immutable, dual, poset_from_covers
 
 
 class NotLatticeError(ValueError):
-    """Carries the first pair (in index order) missing a lub or glb."""
+    """Carries a pair missing a lub or glb, as validate_lattice picks it."""
 
     def __init__(self, message: str, witness: tuple[int, int] | None = None):
         super().__init__(message)
@@ -135,9 +135,13 @@ def _single_covers(rows: tuple[int, ...], index: dict[int, int]) -> dict[int, in
 def validate_lattice(p: Poset) -> Lattice:
     """Check a unique bottom and top and a lub for every pair.
 
-    Raises NotLatticeError with the first failing pair in index order,
-    checking its lub before its glb.  The returned lattice keeps the
-    up-row index built here as its ``up_index``.
+    Raises NotLatticeError naming a failing pair: without a unique
+    bottom the first two minimal elements, as missing a glb, else without
+    a unique top the first two maximal ones, as missing a lub (on
+    0, 1 < 2, 3 that is "no glb for (0, 1)", though (0, 1) has no lub
+    either); otherwise the first pair in index order missing a lub or a
+    glb, its lub checked first.  The returned lattice keeps the up-row
+    index built here as its ``up_index``.
     """
     n = p.n
     if n == 0:

@@ -420,15 +420,19 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
     would follow one path, so no search runs: the vertices are ordered by
     colour, then by index, exactly as the search would place them.
     """
-    rep, perm, _, _ = _relabel_with_twins(p)
-    return rep, perm
+    if p.n == 0:
+        return p, ()
+    inverse = _canonical_order(p)[0]
+    return relabel(p, inverse), tuple(inverse)
 
 
 def _relabel_with_twins(
-    p: Poset,
-) -> tuple[Poset, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """canonical_relabel(p), the twin groups of two or more vertices, and
-    the automorphisms the search met, all in the representative's labels.
+    p: Poset, order: Optional[tuple[list[int], list[int], list[list[int]]]] = None
+) -> tuple[Poset, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The representative of canonical_relabel(p), the twin groups of two
+    or more vertices, and the automorphisms the search met, all in the
+    representative's labels; order is _canonical_order(p), found here
+    when not given.
 
     Each group is a mask.  Swapping two twins is an automorphism, and
     every automorphism of the representative is a permutation inside the
@@ -437,9 +441,7 @@ def _relabel_with_twins(
     p's down-sets, permuted, where p holds them.
     """
     n = p.n
-    if n == 0:
-        return p, (), (), ()
-    inverse, group, autos = _canonical_order(p)
+    inverse, group, autos = order or _canonical_order(p)
     twins: tuple[int, ...] = ()
     if len(set(group)) < n:
         masks: dict[int, int] = {}
@@ -453,7 +455,7 @@ def _relabel_with_twins(
         for v, w in enumerate(sigma):
             image[inverse[v]] = inverse[w]
         moved.append(tuple(image))
-    return relabel(p, inverse), tuple(inverse), twins, tuple(moved)
+    return relabel(p, inverse), twins, tuple(moved)
 
 
 def _canonical_order(p: Poset) -> tuple[list[int], list[int], list[list[int]]]:
@@ -493,15 +495,11 @@ def _canonical_order(p: Poset) -> tuple[list[int], list[int], list[list[int]]]:
     return inverse, group, autos
 
 
-def _encode(p: Poset) -> bytes:
-    """Byte string of p's relation rows as labelled; canonical_form encodes the representative."""
-    return _encode_rows(p.up)
-
-
 def _encode_rows(up: Sequence[int]) -> bytes:
-    """_encode of the poset with these up-rows: the element count, then
-    each row in (n + 7) // 8 bytes, so all encodings of one size have one
-    length, _encoded_length(n)."""
+    """Byte string of the relation rows up, as labelled: the element
+    count, then each row in (n + 7) // 8 bytes, so all encodings of one
+    size have one length, _encoded_length(n).  canonical_form encodes the
+    representative's rows."""
     n = len(up)
     width = (n + 7) // 8 or 1
     body = bytearray([min(n, 255)])
@@ -523,7 +521,7 @@ def _decode_rows(encoded: bytes) -> list[int]:
 
 def canonical_form(p: Poset) -> bytes:
     """Canonical byte string: equal iff order-isomorphic."""
-    return _encode(canonical_relabel(p)[0])
+    return _encode_rows(canonical_relabel(p)[0].up)
 
 
 # ---------------------------------------------------------------------------

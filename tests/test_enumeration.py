@@ -15,7 +15,7 @@ from latcon.enumeration import (
 )
 from latcon.lattice import SizeError, validate_lattice
 from latcon.planarity import is_planar_kr, kr_catalog
-from latcon.poset import _bits, _encode, _poset_from_up, canonical_form, canonical_relabel, relabel
+from latcon.poset import _bits, _encode_rows, _poset_from_up, canonical_form, canonical_relabel, relabel
 from oracles import (
     count_automorphisms,
     count_isomorphism_classes,
@@ -69,7 +69,7 @@ def _global_seen_growth(max_n):
     out = {1: semis[1]}
     for n in range(2, max_n + 1):
         posets = [_poset_from_up([(1 << n) - 1] + [row << 1 for row in s.up]) for s in semis[n - 1]]
-        out[n] = sorted((canonical_relabel(q)[0] for q in posets), key=_encode)
+        out[n] = sorted((canonical_relabel(q)[0] for q in posets), key=lambda q: _encode_rows(q.up))
     return out
 
 
@@ -107,29 +107,28 @@ def test_tied_deletions_yield_each_class_once(monkeypatch):
     tests = []
     same_orbit = enumeration._same_orbit
 
-    def recorded(u, v, twins, autos):
-        kept = same_orbit(u, v, twins, autos)
-        twin = u == v or any(g >> u & 1 and g >> v & 1 for g in twins)
-        tests.append((n, twin, kept))
+    def recorded(u, v, group, autos):
+        kept = same_orbit(u, v, group, autos)
+        tests.append((n, group[u] == group[v], kept))
         return kept
 
     monkeypatch.setattr(enumeration, "_same_orbit", recorded)
     for n in range(4, 9):
-        leaves = enumeration._sweep(n, lambda l, form: (l.poset, form))
-        forms = [form or canonical_form(leaf) for leaf, form in leaves]
+        leaves = enumeration._sweep(n, lambda l, order: (l.poset, order))
+        forms = [canonical_form(leaf) for leaf, _ in leaves]
         assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
         assert any(not twin for m, twin, _ in tests if m == n) == (n >= 6), f"non-twin ties at n={n}"
         assert any(not kept for m, _, kept in tests if m == n) == (n >= 7), f"rejections at n={n}"
-        # x is the last element of a leaf built by the growth; its twins
-        # are the other atoms with its strict up-set.
-        x = n - 1
+        # A leaf built by the growth ends with x and then the bottom; the
+        # twins of x are the other atoms with its strict up-set.
+        x, bottom = n - 2, 1 << n - 1
         twin_tied = [
             leaf
-            for leaf, form in leaves
-            if form is None
+            for leaf, order in leaves
+            if order is None
             and any(
-                leaf.down[i] == 1 | 1 << i and leaf.up[i] & ~(1 << i) == leaf.up[x] & ~(1 << x)
-                for i in range(1, x)
+                leaf.down[i] == bottom | 1 << i and leaf.up[i] & ~(1 << i) == leaf.up[x] & ~(1 << x)
+                for i in range(x)
             )
         ]
         assert twin_tied, f"no twin-only tie accepted unlabelled at n={n}"
@@ -158,13 +157,13 @@ def test_orbit_test_keeps_only_what_the_tied_deletion_rule_keeps(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_grow", recorded)
     for n in range(3, 10):
-        enumeration._sweep(n, lambda l, form: kept.append((parents[-1], l.poset)))
+        enumeration._sweep(n, lambda l, order: kept.append((parents[-1], l.poset)))
     assert len(kept) > 1500
     assert {c.n - p.n for p, c in kept} == {1, 2}
     for p, c in kept:
         assert passes_tied_deletion_rule(c, p), (p.up, c.up)
     monkeypatch.undo()
-    forms = [_encode(l.poset) for l in enumerate_lattices(10)]
+    forms = [_encode_rows(l.poset.up) for l in enumerate_lattices(10)]
     assert len(forms) == len(set(forms)) == KNOWN_COUNTS[10]
 
 
@@ -254,7 +253,7 @@ def test_verify_parallel_identical():
 def test_sweep_from_the_root(n):
     """Up to n = 5 the split point is the one-element semilattice (n >= 3)
     or no growth at all (n <= 2); every route still sees every class."""
-    assert [p.up for p in enumeration._parents(n)] == [(1,)]
+    assert [(root.up, twins, autos) for root, twins, autos in enumeration._parents(n)] == [((1,), (), ())]
     assert verify_theorem(n, jobs=2) == verify_theorem(n)
     assert verify_theorem(n).classes_checked == spectrum(n).total_classes == KNOWN_COUNTS[n]
     assert len(enumerate_lattices(n)) == KNOWN_COUNTS[n]
@@ -262,12 +261,13 @@ def test_sweep_from_the_root(n):
 
 def test_parents_are_the_smaller_semilattice_classes():
     """The parents of n are the canonical (n-4)-element semilattices, one
-    per class of (n-3)-element lattices."""
+    per class of (n-3)-element lattices, each with its twin groups."""
     for n in range(6, 13):
         parents = enumeration._parents(n)
-        assert all(p.n == n - 4 for p in parents)
-        assert len({_encode(p) for p in parents}) == len(parents) == KNOWN_COUNTS[n - 3]
-        assert all(canonical_relabel(p)[0] == p for p in parents)
+        assert all(p.n == n - 4 for p, _, _ in parents)
+        assert len({_encode_rows(p.up) for p, _, _ in parents}) == len(parents) == KNOWN_COUNTS[n - 3]
+        assert all(canonical_relabel(p)[0] == p for p, _, _ in parents)
+        assert all(set(twins) == twin_groups_bruteforce(p) for p, twins, _ in parents)
 
 
 def test_sweeps_keep_no_lattices(monkeypatch, capsys):
@@ -313,11 +313,11 @@ def test_report_keeps_one_packed_record_per_class():
     and decode to the representatives' covers."""
     rep = verify_theorem(7)
     reps = enumerate_lattices(7)
-    length = len(_encode(reps[0].poset))
+    length = len(_encode_rows(reps[0].poset.up))
     assert len(rep.packed) == rep.classes_checked == 53
     assert all(type(r) is bytes and not gc.is_tracked(r) for r in rep.packed)
     assert list(rep.packed) == sorted(rep.packed)
-    assert [r[:length] for r in rep.packed] == [_encode(l.poset) for l in reps]
+    assert [r[:length] for r in rep.packed] == [_encode_rows(l.poset.up) for l in reps]
     assert [r.covers for r in rep.records] == [l.poset.covers for l in reps]
 
 
@@ -352,26 +352,27 @@ def test_leaf_order_gives_the_relabelled_form_and_covers(n):
     """For every leaf of the n-element sweep, the class record read off
     the leaf's canonical order holds the form and covers of the
     representative _relabel_with_twins builds, and decodes to those
-    covers; a leaf that comes labelled keeps its own."""
-    leaves = enumeration._sweep(n, lambda l, form: (l, form))
-    assert (sum(form is None for _, form in leaves) > 0) == (n >= 3)
-    for l, form in leaves:
+    covers; a leaf that comes with an order comes with its own."""
+    leaves = enumeration._sweep(n, lambda l, order: (l, order))
+    for l, order in leaves:
         rep = poset_mod._relabel_with_twins(l.poset)[0]
-        record = _encode(rep) + bytes([x for pair in rep.covers for x in pair])
+        record = _encode_rows(rep.up) + bytes([x for pair in rep.covers for x in pair])
         assert enumeration._form_and_covers(l, None) == record
         assert enumeration._record_covers(record) == rep.covers
-        if form is not None:
-            assert enumeration._form_and_covers(l, form) == record
+        if order is not None:
+            assert order == poset_mod._canonical_order(l.poset)
+            assert enumeration._form_and_covers(l, order) == record
 
 
 def test_down_sets_computed_only_for_roots(monkeypatch):
     """No lattice of a sweep computes its down-sets: the growth hands
     them down, and the congruence count reads the transposed dependency
     rows, not a quotient poset.  spectrum(9) and verify_theorem(9)
-    compute them for the one-element root of _parents and the 15
-    subtree roots only; verify_theorem decides planarity by the
-    2-realizer, so it builds no catalog."""
-    roots = [(1,)] + [p.up for p in enumeration._parents(9)]
+    compute them for the one-element root of _parents only: the 15
+    subtree roots come with the down-sets their growth handed them.
+    verify_theorem decides planarity by the 2-realizer, so it builds no
+    catalog."""
+    roots = [(1,)]
     computed = []
     down = poset_mod.Poset.__dict__["down"]
     func = down.func
@@ -405,63 +406,88 @@ def test_verify_dismantles_only_the_classes_without_a_realizer(monkeypatch):
 
 
 def test_children_get_their_down_sets_from_the_parent(monkeypatch):
-    """Every poset _grow canonicalises carries down-sets equal to the ones
+    """Every poset the growth labels carries down-sets equal to the ones
     computed from its rows, at the inner levels and at the last, where the
-    bottom is added, and so does every representative it gets back and
-    every leaf it emits, labelled or as built; each emitted form is the
-    representative's encoding.  The roots of the subtrees are labelled
-    from their rows alone, once each, and their representatives get the
-    down-sets the labelling computed."""
-    roots = sorted(p.up for p in enumeration._parents(8))
-    children = []
+    bottom is added, and so does every representative it builds and every
+    leaf it emits, with an order or as built.  The subtree roots come
+    labelled, so nothing is labelled from its rows alone, and no lattice
+    leaf is relabelled."""
+    labelled = []
     reps = []
+    canonical_order = poset_mod._canonical_order
     relabel_with_twins = enumeration._relabel_with_twins
 
-    def record(p):
-        children.append((p, vars(p).get("down")))
-        labelled = relabel_with_twins(p)
-        reps.append((labelled[0], vars(labelled[0]).get("down")))
-        return labelled
+    def order(p):
+        labelled.append((p, vars(p).get("down")))
+        return canonical_order(p)
 
+    def record(p, order=None):
+        node = relabel_with_twins(p, order)
+        reps.append((node[0], vars(node[0]).get("down")))
+        return node
+
+    for module in (enumeration, poset_mod):
+        monkeypatch.setattr(module, "_canonical_order", order)
     monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
-    leaves = enumeration._sweep(8, lambda l, form: (l.poset, form, vars(l.poset).get("down")))
+    leaves = enumeration._sweep(8, lambda l, order: (l.poset, order, vars(l.poset).get("down")))
     assert len(leaves) == KNOWN_COUNTS[8]
-    assert all(form == _encode(leaf) for leaf, form, _ in leaves if form is not None)
-    assert any(form is None for _, form, _ in leaves)
-    assert {p.n for p, _ in children} == {2, 3, 4, 5, 6, 8}
-    assert sorted(p.up for p, down in children if down is None) == roots
-    for p, down in children:
-        assert down in (None, _poset_from_up(p.up).down)
-    # Labelling reads p's down-sets, so every representative carries them.
-    for p, down in reps + [(leaf, down) for leaf, _, down in leaves]:
+    assert any(order is None for _, order, _ in leaves)
+    assert any(order is not None for _, order, _ in leaves)
+    assert {p.n for p, _ in labelled} == {2, 3, 4, 5, 6, 8}
+    assert {p.n for p, _ in reps} == {2, 3, 4, 5, 6}
+    for p, down in labelled + reps + [(leaf, down) for leaf, _, down in leaves]:
         assert down == _poset_from_up(p.up).down
 
 
 def _labelled_in_sweeps(
-    monkeypatch, sizes, per_class=lambda l, form: form or enumeration._relabel_with_twins(l.poset)
+    monkeypatch, sizes, per_class=lambda l, order: enumeration._relabel_with_twins(l.poset, order)
 ):
-    """(rep, twins, autos, searched) for every labelling the sweeps of these
-    sizes make with this per-class function: the semilattice children and
-    roots, and the lattices, which the default labels wherever the growth
-    did not.  searched says whether _search ran; where it did not, the
-    labelling must return no automorphisms."""
+    """(rep, twins, autos, searched) for every representative the sweeps
+    of these sizes build with this per-class function: the semilattice
+    children and roots, and the lattices, which the default relabels from
+    the order the growth found or from none.  searched says whether
+    _search ran on the poset; where it did not, the labelling must return
+    no automorphisms."""
     calls = []
     relabel_with_twins = enumeration._relabel_with_twins
     search = poset_mod._search
-    searched = []
+    searched = {}
 
-    def record(p):
-        searched.clear()
-        rep, perm, twins, autos = relabel_with_twins(p)
-        assert searched or autos == ()
-        calls.append((rep, twins, autos, bool(searched)))
-        return rep, perm, twins, autos
+    def record(p, order=None):
+        rep, twins, autos = relabel_with_twins(p, order)
+        assert id(p) in searched or autos == ()
+        calls.append((rep, twins, autos, id(p) in searched))
+        return rep, twins, autos
+
+    def recorded_search(p, *args):
+        searched[id(p)] = p
+        return search(p, *args)
 
     monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
-    monkeypatch.setattr(poset_mod, "_search", lambda *args: searched.append(1) or search(*args))
+    monkeypatch.setattr(poset_mod, "_search", recorded_search)
     for n in sizes:
         assert len(enumeration._sweep(n, per_class)) == KNOWN_COUNTS[n]
     return calls
+
+
+def _labelling_counts(monkeypatch, run, n):
+    """The canonical orders found and the representatives built by run(n)."""
+    count = {"orders": 0, "reps": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            count[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for module in (enumeration, poset_mod):
+            patch.setattr(module, "_canonical_order", counted("orders", module._canonical_order))
+        patch.setattr(enumeration, "_relabel_with_twins", counted("reps", enumeration._relabel_with_twins))
+        patch.setattr(enumeration, "_lattice_cache", {})
+        run(n)
+    return count
 
 
 def test_twin_groups_are_automorphisms_of_the_representative(monkeypatch):
@@ -469,9 +495,10 @@ def test_twin_groups_are_automorphisms_of_the_representative(monkeypatch):
     of that representative, in its labels, and each transposition inside
     it maps the representative onto itself; so does every automorphism
     returned beside it, a permutation other than the identity: for every
-    class with n <= 8 and every semilattice parent it is grown from."""
+    class with n <= 8 and every semilattice it is grown from but the
+    one-element root."""
     calls = _labelled_in_sweeps(monkeypatch, range(3, 9))
-    assert {rep.n for rep, _, _, _ in calls} == set(range(1, 9))
+    assert {rep.n for rep, _, _, _ in calls} == set(range(2, 9))
     assert any(autos and twins for _, twins, autos, _ in calls)
     for rep, twins, autos, _ in calls:
         assert set(twins) == twin_groups_bruteforce(rep)
@@ -495,7 +522,7 @@ def test_twin_permutations_and_listed_automorphisms_give_all_of_them(monkeypatch
     more than the number listed.  Where no search ran, none are listed:
     the twin permutations are all of them."""
     calls = _labelled_in_sweeps(monkeypatch, range(3, 9))
-    small = {_encode(call[0]): call for call in calls if call[0].n <= 7}
+    small = {_encode_rows(call[0].up): call for call in calls if call[0].n <= 7}
     assert sum(not searched for _, _, _, searched in small.values()) > 100
     assert sum(searched for _, _, _, searched in small.values()) > 5
     assert sum(bool(autos) for _, _, autos, _ in small.values()) > 5
@@ -505,62 +532,66 @@ def test_twin_permutations_and_listed_automorphisms_give_all_of_them(monkeypatch
 
 
 def test_sweep_labels_one_extension_per_automorphism_orbit(monkeypatch):
-    """The n = 9 sweep that labels every class labels 1,417 posets: 23
-    while growing the 15 roots, each root once, and 1,379 in the
-    subtrees, in the growth or for the lattices it accepts unlabelled.
-    One extension per orbit of the twin swaps alone took 1,505, and
-    labelling every extension 2,040."""
-    calls = _labelled_in_sweeps(monkeypatch, [9])
-    assert len(calls) == 1417
+    """The n = 9 sweep that labels every class finds 1,402 canonical
+    orders: 23 while growing the 15 roots, each root once, and 1,379 in
+    the subtrees, in the growth or for the lattices it accepts
+    unlabelled.  One extension per orbit of the twin swaps alone took
+    1,505 labellings, and labelling every extension 2,040, both counted
+    when each root was labelled a second time in its subtree."""
+
+    def sweep(n):
+        return enumeration._sweep(n, lambda l, order: order or enumeration._canonical_order(l.poset))
+
+    assert _labelling_counts(monkeypatch, enumeration._parents, 9)["orders"] == 23
+    assert _labelling_counts(monkeypatch, sweep, 9)["orders"] == 1402
 
 
 def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
-    """At n = 9, spectrum labels the semilattices and only the lattices
-    whose acceptance needed a labelling, 405 in all.  enumerate_lattices
-    and verify_theorem label the same ones and find only the canonical
-    order of the 1,012 lattices accepted unlabelled: each class once,
-    1,417 in all, as a sweep that labels every class does."""
-    calls = _labelled_in_sweeps(monkeypatch, [9], lambda l, form: None)
-    assert len(calls) == 405
-    count = {"relabel": 0, "order": 0}
+    """At n = 9, spectrum finds the canonical orders of the semilattices
+    and only of the lattices whose acceptance needed one, 390 in all,
+    and builds the representatives of the 298 semilattices it grows
+    further or roots a subtree at.  enumerate_lattices and
+    verify_theorem build the same ones and find only the canonical order
+    of the 1,012 lattices accepted unlabelled: each class once, 1,402 in
+    all, as a sweep that labels every class does.  No node is labelled
+    twice: a subtree labels nothing before it extends its root, which
+    _parents labelled."""
+    for run, orders in ((spectrum, 390), (enumerate_lattices, 1402), (verify_theorem, 1402)):
+        assert _labelling_counts(monkeypatch, run, 9) == {"orders": orders, "reps": 298}, run.__name__
+    events = []
 
-    def counted(name, f):
-        def wrapper(p):
-            count[name] += 1
-            return f(p)
+    def logged(name, f):
+        def wrapper(*args):
+            events.append(name)
+            return f(*args)
 
         return wrapper
 
-    monkeypatch.setattr(
-        enumeration, "_relabel_with_twins", counted("relabel", enumeration._relabel_with_twins)
-    )
-    monkeypatch.setattr(enumeration, "_canonical_order", counted("order", enumeration._canonical_order))
-    monkeypatch.setattr(enumeration, "_lattice_cache", {})
-    for run, relabels, orders in (
-        (spectrum, 405, 0),
-        (enumerate_lattices, 405, 1012),
-        (verify_theorem, 405, 1012),
-    ):
-        count.update(relabel=0, order=0)
-        run(9)
-        assert count == {"relabel": relabels, "order": orders}, run.__name__
-    assert count["relabel"] + count["order"] == 1417
+    for module in (enumeration, poset_mod):
+        monkeypatch.setattr(module, "_canonical_order", logged("label", module._canonical_order))
+    monkeypatch.setattr(enumeration, "_relabel_with_twins", logged("label", enumeration._relabel_with_twins))
+    monkeypatch.setattr(enumeration, "_extend_semilattice", logged("extend", enumeration._extend_semilattice))
+    monkeypatch.setattr(enumeration, "_subtree", logged("subtree", enumeration._subtree))
+    spectrum(9)
+    starts = [i for i, event in enumerate(events) if event == "subtree"]
+    assert len(starts) == 15
+    assert all(events[i + 1] == "extend" for i in starts)
 
 
 def test_growth_needs_the_automorphisms_and_the_twin_test(monkeypatch):
     """Two broken growths give the wrong number of classes at n = 8: one
-    that ignores the automorphisms the labelling met, so it builds
-    isomorphic children that the unlabelled acceptance lets through, and
-    one that treats every tie on the invariant as a tie with a twin of x,
-    so it neither labels those lattices nor runs the orbit test."""
-    relabel_with_twins = enumeration._relabel_with_twins
+    whose labellings drop the automorphisms their search met, so its
+    orbit tests and up-set walks see too small a group, and one that
+    treats every tie on the invariant as a tie with a twin of x, so it
+    neither labels those lattices nor runs the orbit test."""
+    canonical_order = enumeration._canonical_order
     extend = enumeration._extend_semilattice
 
     def sweep_size():
-        return len(enumeration._sweep(8, lambda l, form: None))
+        return len(enumeration._sweep(8, lambda l, order: None))
 
     with monkeypatch.context() as patch:
-        patch.setattr(enumeration, "_relabel_with_twins", lambda p: relabel_with_twins(p)[:3] + ((),))
+        patch.setattr(enumeration, "_canonical_order", lambda p: canonical_order(p)[:2] + ([],))
         assert sweep_size() != KNOWN_COUNTS[8]
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -585,7 +616,7 @@ def sweep_parents(n):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration, "_extend_semilattice", record)
-        classes = len(enumeration._sweep(n, lambda l, form: None))
+        classes = len(enumeration._sweep(n, lambda l, order: None))
     return calls, classes
 
 
@@ -623,25 +654,18 @@ def test_sweep_parents_are_linearly_ordered():
         assert all(i <= j for i in range(p.n) for j in _bits(p.up[i])), p.up
 
 
-def _leaf_forms(n):
-    """Each leaf of the n-element sweep with its canonical form; the
-    leaves the growth accepted unlabelled are labelled here."""
-    return [
-        (leaf, form if form is not None else canonical_form(leaf), form is None)
-        for leaf, form in enumeration._sweep(n, lambda l, form: (l.poset, form))
-    ]
-
-
 @pytest.mark.parametrize("n", range(1, 10))
 def test_unlabelled_leaves_complete_the_labelled_ones(n):
     """The leaves the growth accepted as built, once labelled, and the
     leaves it labelled give every canonical form of enumerate_lattices(n)
-    exactly once; from n = 3 on some leaves are accepted as built."""
-    leaves = _leaf_forms(n)
-    forms = sorted(form for _, form, _ in leaves)
-    assert forms == [_encode(l.poset) for l in enumerate_lattices(n)]
+    exactly once; every sweep has leaves that come without an order, and
+    from n = 6 on some come with one."""
+    leaves = enumeration._sweep(n, lambda l, order: (canonical_form(l.poset), order is None))
+    forms = sorted(form for form, _ in leaves)
+    assert forms == [_encode_rows(l.poset.up) for l in enumerate_lattices(n)]
     assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
-    assert (sum(unlabelled for _, _, unlabelled in leaves) > 0) == (n >= 3)
+    assert any(unlabelled for _, unlabelled in leaves)
+    assert any(not unlabelled for _, unlabelled in leaves) == (n >= 6)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -649,5 +673,5 @@ def test_sweep_leaves_are_pairwise_non_isomorphic(n):
     """Without any canonical labelling: the leaves of the sweep, as
     handed to the per-class function, fall into KNOWN_COUNTS[n]
     isomorphism classes by a brute-force isomorphism test."""
-    leaves = enumeration._sweep(n, lambda l, form: l.poset)
+    leaves = enumeration._sweep(n, lambda l, order: l.poset)
     assert len(leaves) == count_isomorphism_classes(leaves) == KNOWN_COUNTS[n]

@@ -457,7 +457,7 @@ def test_refinement_skips_classes_that_are_one_twin_group(monkeypatch):
     from latcon import poset as poset_mod
     from latcon.enumeration import _sweep
 
-    leaves = _sweep(9, lambda l, form: l.poset)
+    leaves = _sweep(9, lambda l, order: l.poset)
     expected = []
     for p in leaves:
         colors = _refined_colors_per_round_walk(p)
@@ -599,7 +599,7 @@ def test_search_runs_for_a_minority_of_classes(monkeypatch):
         enumeration, "_relabel_with_twins", counted("relabel", poset_mod._relabel_with_twins)
     )
     monkeypatch.setattr(poset_mod, "_search", counted("search", poset_mod._search))
-    classes = enumeration._sweep(8, lambda l, form: form or enumeration._relabel_with_twins(l.poset))
+    classes = enumeration._sweep(8, lambda l, order: enumeration._relabel_with_twins(l.poset, order))
     assert len(classes) == 222
     assert calls["relabel"] >= len(classes)
     assert 0 < calls["search"] < len(classes) // 2
@@ -631,7 +631,7 @@ def test_labelling_lists_every_automorphism_once():
         posets.append(relabel(poset_from_covers(n, pairs), rng.sample(range(n), n)))
     listed = 0
     for p in posets:
-        rep, _, twins, autos = poset_mod._relabel_with_twins(p)
+        rep, twins, autos = poset_mod._relabel_with_twins(p)
         for sigma in autos:
             assert sorted(sigma) == list(range(p.n)) and relabel(rep, sigma) == rep
         twin_order = prod(factorial(g.bit_count()) for g in twins)
