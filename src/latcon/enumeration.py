@@ -47,14 +47,20 @@ or a twin of x, all in one orbit, so C passes the acceptance test as
 built.  An accepted child grown further gets its representative from
 the same canonical order, and a root comes with the labelling made for it.
 
-A sweep validates each leaf once and hands its per-class function the
-lattice as grown, with its canonical order or None.  The spectrum needs
-only a congruence count and labels none of the rest (5,710 of the 5,994
-classes at n = 10).  Every other sweep keeps one class record per class,
-sorted by canonical form: it moves the lattice's rows and covers through
-its order, found where the growth found none, so no leaf is relabelled.
-verify_theorem computes every verdict on the lattice as grown: none
-depends on the labels.
+A sweep validates each leaf once and hands its per-class function three
+things: the lattice as grown, its canonical order or None, and its
+parent, the semilattice it was grown from, whose labels it keeps.  The
+spectrum needs only a congruence count and labels none of the rest
+(5,710 of the 5,994 classes at n = 10).  Every other sweep keeps one
+class record per class, sorted by canonical form: it moves the
+lattice's rows and covers through its order, found where the growth
+found none, so no leaf is relabelled.  verify_theorem computes every
+verdict on the lattice as grown: none depends on the labels.  Its
+planarity verdict places the leaf into its parent's 2-realizer where it
+fits, and runs TRO on the leaf only where it does not (see
+planarity.planar_and_dismantlable): at n = 10, 2,439 TROs instead of
+5,994.  The parent's realizer is found the first time one of its
+leaves asks for it, so the spectrum and enumerate run no TRO.
 
 Because acceptance needs nothing outside a parent's own subtree, the
 sweeps split the growth tree at the canonical semilattices with
@@ -222,10 +228,10 @@ def _grow(
     twins: tuple[int, ...],
     autos: tuple[tuple[int, ...], ...],
     m: int,
-    emit: Callable[[Poset, Optional[tuple]], None],
+    emit: Callable[[Poset, Optional[tuple], Poset], None],
     bottom: bool = True,
 ) -> None:
-    """Call emit(child, order) once per class grown from p.
+    """Call emit(child, order, parent) once per class grown from p.
 
     p is a canonical semilattice representative with fewer than m
     elements; twins and autos are its twin groups of two or more
@@ -241,7 +247,9 @@ def _grow(
 
     Each child is labelled at most once.  order is the child's
     _canonical_order, or None where x ties with nothing but its own
-    twins, so acceptance needed no labelling.
+    twins, so acceptance needed no labelling.  parent is the node the
+    child was grown from, whose labels the child keeps: x is element
+    parent.n, and a bottom parent.n + 1.
     """
     k = p.n
     last = k + 1 == m
@@ -259,7 +267,7 @@ def _grow(
         if last and all(p.up[i] & ~(1 << i) == upset for i in rivals):
             # Every tied element is x or a twin of x, so x lies in the
             # canonical deletion's orbit and C needs no labelling here.
-            emit(child, None)
+            emit(child, None, p)
             continue
         order = _canonical_order(child)
         if rivals:
@@ -270,7 +278,7 @@ def _grow(
             if not _same_orbit(k, star, group, child_autos):
                 continue
         if last:
-            emit(child, order)
+            emit(child, order, p)
         else:
             _grow(*_relabel_with_twins(child, order), m, emit, bottom)
 
@@ -296,27 +304,38 @@ def _parents(n: int) -> list[tuple[Poset, tuple[int, ...], tuple[tuple[int, ...]
     if k == 1:
         return [(root, (), ())]
     out: list[tuple] = []
-    _grow(root, (), (), k, lambda child, order: out.append(_relabel_with_twins(child, order)), bottom=False)
+    _grow(
+        root, (), (), k,
+        lambda child, order, parent: out.append(_relabel_with_twins(child, order)),
+        bottom=False,
+    )
     return out
 
 
 def _subtree(task: tuple) -> list[T]:
-    """per_class(validate_lattice(leaf), order) for every n-element leaf
-    grown from one root of _parents; task is (root, twins, autos, n,
-    per_class), the root labelled as _parents left it."""
+    """per_class(validate_lattice(leaf), order, parent) for every
+    n-element leaf grown from one root of _parents; task is (root, twins,
+    autos, n, per_class), the root labelled as _parents left it."""
     root, twins, autos, n, per_class = task
     out: list[T] = []
-    _grow(root, twins, autos, n - 1, lambda leaf, order: out.append(per_class(validate_lattice(leaf), order)))
+    _grow(
+        root, twins, autos, n - 1,
+        lambda leaf, order, parent: out.append(per_class(validate_lattice(leaf), order, parent)),
+    )
     return out
 
 
-def _sweep(n: int, per_class: Callable[[Lattice, Optional[tuple]], T], jobs: int = 1) -> list[T]:
-    """per_class(l, order) for every class of n-element lattices, in growth order.
+def _sweep(
+    n: int, per_class: Callable[[Lattice, Optional[tuple], Optional[Poset]], T], jobs: int = 1
+) -> list[T]:
+    """per_class(l, order, parent) for every class of n-element lattices, in growth order.
 
     l is a lattice of the class as the growth built it, validated once,
     here or in _subtree, and order is its _canonical_order, or None where
     the growth accepted it without labelling it (see _grow);
-    _form_and_covers builds the class record from either.  The growth
+    _form_and_covers builds the class record from either.  parent is the
+    semilattice l was grown from, l less its last two elements, x and the
+    bottom; None for n <= 2, which the growth does not build.  The growth
     tree is split at the roots of _parents(n); each subtree runs end to
     end, in this process or, with jobs > 1, in a pool of worker processes
     (per_class must then be a module-level function).  Only the results
@@ -327,7 +346,7 @@ def _sweep(n: int, per_class: Callable[[Lattice, Optional[tuple]], T], jobs: int
     if n <= 2:
         # The one- and two-element chains; growth starts from the
         # one-element semilattice and needs n >= 3.
-        return [per_class(validate_lattice(_poset_from_up([1] if n == 1 else [3, 2])), None)]
+        return [per_class(validate_lattice(_poset_from_up([1] if n == 1 else [3, 2])), None, None)]
     tasks = [(root, twins, autos, n, per_class) for root, twins, autos in _parents(n)]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: multiprocessing adds to every command's start-up.
@@ -431,11 +450,12 @@ def _unpack(record: bytes) -> ClassRecord:
 
 
 # The per-class functions of the sweeps, given validated lattices as
-# grown and their canonical orders or None.  A congruence count does not
-# depend on the labels, so the spectrum labels no leaf; a record needs
-# only the form and covers of the representative.
+# grown, their canonical orders or None, and their parents.  A congruence
+# count does not depend on the labels, so the spectrum labels no leaf; a
+# record needs only the form and covers of the representative, and only
+# the theorem record reads the parent.
 
-def _form_and_covers(l: Lattice, order: Optional[tuple]) -> bytes:
+def _form_and_covers(l: Lattice, order: Optional[tuple], parent: Optional[Poset]) -> bytes:
     """The class record of a leaf's class: its canonical form, then the
     representative's covers as byte pairs.  Forms of one size have one
     length and differ between classes, so the records sort as their
@@ -452,23 +472,24 @@ def _form_and_covers(l: Lattice, order: Optional[tuple]) -> bytes:
     return form + bytes([x for pair in covers for x in pair])
 
 
-def _class_record(l: Lattice, order: Optional[tuple]) -> bytes:
+def _class_record(l: Lattice, order: Optional[tuple], parent: Optional[Poset]) -> bytes:
     """The theorem record of a leaf's class: its class record, then the
     congruence count in 4 bytes and one flag byte.  The planar flag says
-    that the leaf has a checked 2-realizer; the sweep builds no catalog
-    and makes no embedding search.  The verdicts do not depend on the
-    labels, so they are computed on the leaf as grown."""
+    that the leaf has a checked 2-realizer, placed into its parent's
+    where it fits; the sweep builds no catalog and makes no embedding
+    search.  The verdicts do not depend on the labels, so they are
+    computed on the leaf as grown."""
     con = con_count(l)
-    planar, dismantlable = planar_and_dismantlable(l)
+    planar, dismantlable = planar_and_dismantlable(l, parent)
     flags = (
         (_PLANAR if planar else 0)
         | (_DISMANTLABLE if dismantlable else 0)
         | (_MANY if exceeds_threshold(l.n, con) else 0)
     )
-    return b"".join((_form_and_covers(l, order), con.to_bytes(4, "big"), bytes((flags,))))
+    return b"".join((_form_and_covers(l, order, parent), con.to_bytes(4, "big"), bytes((flags,))))
 
 
-def _class_con(l: Lattice, order: Optional[tuple]) -> int:
+def _class_con(l: Lattice, order: Optional[tuple], parent: Optional[Poset]) -> int:
     return con_count(l)
 
 

@@ -138,11 +138,13 @@ def check_sweep_shortcuts(report, classes, oracle, many, non_planar):
     """The verdicts verify_theorem records by its shortcuts, checked on
     the representatives it prints: |Con| against the partition oracle on
     every class that is many-congruence or non-planar, the only classes
-    whose theorem verdict rests on |Con|; and the dismantlable flag,
-    which a checked 2-realizer settles by Kelly-Rival, against the full
-    dismantling on every class.  The report has `classes` classes, and
-    the oracle checks `oracle` of them: `many` many-congruence ones and
-    `non_planar` non-planar ones."""
+    whose theorem verdict rests on |Con|; the dismantlable flag, which a
+    checked 2-realizer settles by Kelly-Rival, against the full
+    dismantling on every class; and the planar flag, which a realizer
+    placed into the parent's settles for most classes, against
+    planar_realizer run from scratch on every class.  The report has
+    `classes` classes, and the oracle checks `oracle` of them: `many`
+    many-congruence ones and `non_planar` non-planar ones."""
     records = list(report.records)
     assert len(records) == classes, f"{len(records)} classes"
     counted = found_many = found_non_planar = 0
@@ -152,6 +154,7 @@ def check_sweep_shortcuts(report, classes, oracle, many, non_planar):
         for r in records:
             l = lattice_from_covers(r.n, r.covers)
             assert is_dismantlable(l) == r.dismantlable, r.covers
+            assert (planar_realizer(l) is not None) == r.planar, r.covers
             if r.many or not r.planar:
                 assert con_count_oracle(l) == r.con, r.covers
                 counted += 1
@@ -166,7 +169,8 @@ def test_sweep_shortcuts_match_second_routes_at_10(report_10):
     """check_sweep_shortcuts at n = 10; CI runs it at n = 11 too."""
     check_sweep_shortcuts(report_10, classes=5994, oracle=598, many=348, non_planar=250)
     _ok(4, "n = 10: |Con| equals the partition oracle on the 598 many-or-non-planar "
-        "classes, and the dismantlable flag equals full dismantling on all 5,994")
+        "classes, and the dismantlable flag equals full dismantling and the planar flag "
+        "planar_realizer from scratch on all 5,994")
 
 
 def _b3_between_chains(n):

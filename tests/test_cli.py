@@ -176,7 +176,7 @@ def test_verify_exits_1_on_violations(monkeypatch, capsys):
     counts it and exits 1."""
     from latcon import enumeration
 
-    monkeypatch.setattr(enumeration, "planar_and_dismantlable", lambda l: (False, True))
+    monkeypatch.setattr(enumeration, "planar_and_dismantlable", lambda l, parent: (False, True))
     assert main(["verify", "5"]) == 1
     out = capsys.readouterr().out
     assert "violations=5\n" in out

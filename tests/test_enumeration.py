@@ -114,7 +114,7 @@ def test_tied_deletions_yield_each_class_once(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_same_orbit", recorded)
     for n in range(4, 9):
-        leaves = enumeration._sweep(n, lambda l, order: (l.poset, order))
+        leaves = enumeration._sweep(n, lambda l, order, parent: (l.poset, order))
         forms = [canonical_form(leaf) for leaf, _ in leaves]
         assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
         assert any(not twin for m, twin, _ in tests if m == n) == (n >= 6), f"non-twin ties at n={n}"
@@ -157,7 +157,7 @@ def test_orbit_test_keeps_only_what_the_tied_deletion_rule_keeps(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_grow", recorded)
     for n in range(3, 10):
-        enumeration._sweep(n, lambda l, order: kept.append((parents[-1], l.poset)))
+        enumeration._sweep(n, lambda l, order, parent: kept.append((parents[-1], l.poset)))
     assert len(kept) > 1500
     assert {c.n - p.n for p, c in kept} == {1, 2}
     for p, c in kept:
@@ -353,15 +353,15 @@ def test_leaf_order_gives_the_relabelled_form_and_covers(n):
     the leaf's canonical order holds the form and covers of the
     representative _relabel_with_twins builds, and decodes to those
     covers; a leaf that comes with an order comes with its own."""
-    leaves = enumeration._sweep(n, lambda l, order: (l, order))
+    leaves = enumeration._sweep(n, lambda l, order, parent: (l, order))
     for l, order in leaves:
         rep = poset_mod._relabel_with_twins(l.poset)[0]
         record = _encode_rows(rep.up) + bytes([x for pair in rep.covers for x in pair])
-        assert enumeration._form_and_covers(l, None) == record
+        assert enumeration._form_and_covers(l, None, None) == record
         assert enumeration._record_covers(record) == rep.covers
         if order is not None:
             assert order == poset_mod._canonical_order(l.poset)
-            assert enumeration._form_and_covers(l, order) == record
+            assert enumeration._form_and_covers(l, order, None) == record
 
 
 def test_down_sets_computed_only_for_roots(monkeypatch):
@@ -429,7 +429,7 @@ def test_children_get_their_down_sets_from_the_parent(monkeypatch):
     for module in (enumeration, poset_mod):
         monkeypatch.setattr(module, "_canonical_order", order)
     monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
-    leaves = enumeration._sweep(8, lambda l, order: (l.poset, order, vars(l.poset).get("down")))
+    leaves = enumeration._sweep(8, lambda l, order, parent: (l.poset, order, vars(l.poset).get("down")))
     assert len(leaves) == KNOWN_COUNTS[8]
     assert any(order is None for _, order, _ in leaves)
     assert any(order is not None for _, order, _ in leaves)
@@ -440,7 +440,7 @@ def test_children_get_their_down_sets_from_the_parent(monkeypatch):
 
 
 def _labelled_in_sweeps(
-    monkeypatch, sizes, per_class=lambda l, order: enumeration._relabel_with_twins(l.poset, order)
+    monkeypatch, sizes, per_class=lambda l, order, parent: enumeration._relabel_with_twins(l.poset, order)
 ):
     """(rep, twins, autos, searched) for every representative the sweeps
     of these sizes build with this per-class function: the semilattice
@@ -540,7 +540,7 @@ def test_sweep_labels_one_extension_per_automorphism_orbit(monkeypatch):
     when each root was labelled a second time in its subtree."""
 
     def sweep(n):
-        return enumeration._sweep(n, lambda l, order: order or enumeration._canonical_order(l.poset))
+        return enumeration._sweep(n, lambda l, order, parent: order or enumeration._canonical_order(l.poset))
 
     assert _labelling_counts(monkeypatch, enumeration._parents, 9)["orders"] == 23
     assert _labelling_counts(monkeypatch, sweep, 9)["orders"] == 1402
@@ -588,7 +588,7 @@ def test_growth_needs_the_automorphisms_and_the_twin_test(monkeypatch):
     extend = enumeration._extend_semilattice
 
     def sweep_size():
-        return len(enumeration._sweep(8, lambda l, order: None))
+        return len(enumeration._sweep(8, lambda l, order, parent: None))
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_canonical_order", lambda p: canonical_order(p)[:2] + ([],))
@@ -616,7 +616,7 @@ def sweep_parents(n):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration, "_extend_semilattice", record)
-        classes = len(enumeration._sweep(n, lambda l, order: None))
+        classes = len(enumeration._sweep(n, lambda l, order, parent: None))
     return calls, classes
 
 
@@ -660,7 +660,7 @@ def test_unlabelled_leaves_complete_the_labelled_ones(n):
     leaves it labelled give every canonical form of enumerate_lattices(n)
     exactly once; every sweep has leaves that come without an order, and
     from n = 6 on some come with one."""
-    leaves = enumeration._sweep(n, lambda l, order: (canonical_form(l.poset), order is None))
+    leaves = enumeration._sweep(n, lambda l, order, parent: (canonical_form(l.poset), order is None))
     forms = sorted(form for form, _ in leaves)
     assert forms == [_encode_rows(l.poset.up) for l in enumerate_lattices(n)]
     assert len(forms) == len(set(forms)) == KNOWN_COUNTS[n]
@@ -673,5 +673,5 @@ def test_sweep_leaves_are_pairwise_non_isomorphic(n):
     """Without any canonical labelling: the leaves of the sweep, as
     handed to the per-class function, fall into KNOWN_COUNTS[n]
     isomorphism classes by a brute-force isomorphism test."""
-    leaves = enumeration._sweep(n, lambda l, order: l.poset)
+    leaves = enumeration._sweep(n, lambda l, order, parent: l.poset)
     assert len(leaves) == count_isomorphism_classes(leaves) == KNOWN_COUNTS[n]

@@ -156,7 +156,7 @@ def test_irreducibles_computed_once_per_class(monkeypatch):
     monkeypatch.setattr(lattice.Lattice, "up_index", None)
     l = validate_lattice(p)
     assert l.up_index == {row: i for i, row in enumerate(p.up)}
-    _class_record(l, None)
+    _class_record(l, None, None)
     assert sorted(calls) == sorted([p.up, p.down])
     calls.clear()
     l = validate_lattice(p)

@@ -104,6 +104,88 @@ def test_invalid_realizer_raises(monkeypatch):
         planar_realizer(N5)
 
 
+def _suffixes(rows):
+    """The suffixes of a linear order given as up-rows: its rows and the empty set."""
+    return set(rows) | {0}
+
+
+def test_placement_finds_every_fitting_pair_of_suffixes():
+    """On every leaf of the sweeps n = 3..9, a realizer is placed exactly
+    when the parent has one, (L1, L2), and some suffix S1 of L1 and S2 of
+    L2 meet in the up-set of x and together hold the parent, by a search
+    over all pairs of suffixes; a placed realizer is one of the leaf.
+    Leaves of a parent without a 2-realizer get none."""
+    from latcon import enumeration, planarity
+
+    placed = unplaced = non_planar_parent = 0
+    for n in range(3, 10):
+        for l, parent in enumeration._sweep(n, lambda l, order, parent: (l, parent)):
+            k = parent.n
+            upset = l.poset.up[k] ^ 1 << k
+            realizer = planarity._placed_realizer(l, parent)
+            parent_realizer = planarity._realizer(parent)
+            if parent_realizer is None:
+                assert realizer is None
+                assert planar_realizer(l) is None
+                non_planar_parent += 1
+                continue
+            l1, l2 = parent_realizer
+            assert planarity._parent_realizer(parent) == (l1, l2)
+            fits = any(
+                s1 & s2 == upset and s1 | s2 == parent.full_mask
+                for s1 in _suffixes(l1)
+                for s2 in _suffixes(l2)
+            )
+            assert (realizer is not None) == fits, (l.poset.up, parent.up)
+            if realizer is not None:
+                assert realizer_is_valid(l.poset, *realizer)
+                placed += 1
+            else:
+                unplaced += 1
+    assert (placed, unplaced, non_planar_parent) == (1171, 203, 2)
+
+
+def test_planar_realizer_only_where_placement_fails(monkeypatch):
+    """spectrum and enumerate_lattices run no TRO.  verify_theorem(9)
+    runs it once on each of the 222 parents of its leaves, the first
+    time a leaf asks, and once on each of the 180 leaves that get no
+    placed realizer: the 2 leaves of B_3 less its bottom, the one parent
+    without a 2-realizer, which inherit nothing, and the 178 whose
+    parent's realizer has no two suffixes that fit."""
+    from latcon import enumeration, planarity
+
+    sizes = []
+    orientation = planarity._transitive_orientation
+
+    def counted(adj):
+        sizes.append(len(adj))
+        return orientation(adj)
+
+    monkeypatch.setattr(planarity, "_transitive_orientation", counted)
+    monkeypatch.setattr(enumeration, "_lattice_cache", {})
+    enumeration.spectrum(9)
+    enumeration.enumerate_lattices(9)
+    assert sizes == []
+
+    leaves = {"placed": 0, "planar parent": 0, "non-planar parent": 0}
+    place = planarity._placed_realizer
+
+    def recorded(l, parent):
+        realizer = place(l, parent)
+        if realizer is not None:
+            leaves["placed"] += 1
+        elif planarity._parent_realizer(parent) is None:
+            leaves["non-planar parent"] += 1
+        else:
+            leaves["planar parent"] += 1
+        return realizer
+
+    monkeypatch.setattr(planarity, "_placed_realizer", recorded)
+    enumeration.verify_theorem(9)
+    assert leaves == {"placed": 898, "planar parent": 178, "non-planar parent": 2}
+    assert {size: sizes.count(size) for size in set(sizes)} == {7: 222, 9: 180}
+
+
 def test_invalid_witness_raises(monkeypatch):
     from latcon import planarity
     from latcon.poset import Embedding

@@ -457,7 +457,7 @@ def test_refinement_skips_classes_that_are_one_twin_group(monkeypatch):
     from latcon import poset as poset_mod
     from latcon.enumeration import _sweep
 
-    leaves = _sweep(9, lambda l, order: l.poset)
+    leaves = _sweep(9, lambda l, order, parent: l.poset)
     expected = []
     for p in leaves:
         colors = _refined_colors_per_round_walk(p)
@@ -599,7 +599,7 @@ def test_search_runs_for_a_minority_of_classes(monkeypatch):
         enumeration, "_relabel_with_twins", counted("relabel", poset_mod._relabel_with_twins)
     )
     monkeypatch.setattr(poset_mod, "_search", counted("search", poset_mod._search))
-    classes = enumeration._sweep(8, lambda l, order: enumeration._relabel_with_twins(l.poset, order))
+    classes = enumeration._sweep(8, lambda l, order, parent: enumeration._relabel_with_twins(l.poset, order))
     assert len(classes) == 222
     assert calls["relabel"] >= len(classes)
     assert 0 < calls["search"] < len(classes) // 2
