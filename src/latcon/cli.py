@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Lattice text format: first non-comment line is the element count n (at
-most MAX_ELEMENTS), every
+Lattice text format (at most MAX_INPUT_CHARS characters): first
+non-comment line is the element count n (at most MAX_ELEMENTS), every
 further non-empty non-# line is "i j" meaning i < j (0-indexed; the cover
 relation is recomputed, so the pairs need not be covers).
 """
@@ -37,6 +37,9 @@ if TYPE_CHECKING:
 # Largest element count a lattice file may declare, checked before anything
 # is allocated: twice the scale the bitmask posets are meant for.
 MAX_ELEMENTS = 64
+# Longest lattice text read, in characters; a MAX_ELEMENTS-element file of
+# every comparable pair is about 12 KB.
+MAX_INPUT_CHARS = 1 << 20
 
 
 class ParseError(ValueError):
@@ -100,10 +103,16 @@ def emit_dot(l: Lattice) -> str:
 
 
 def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for "-"; at most MAX_INPUT_CHARS
+    characters, one more is read to see that the input is longer."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read(MAX_INPUT_CHARS + 1)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read(MAX_INPUT_CHARS + 1)
+    if len(text) > MAX_INPUT_CHARS:
+        raise SizeError(f"{path}: input longer than the limit of {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def _write_text(path: str | None, text: str) -> None:

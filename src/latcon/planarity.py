@@ -9,12 +9,13 @@ Two independent routes:
   :func:`realizer_is_valid`; ``verify`` and the ``planar=`` and
   ``planar_graph=`` lines of ``analyze`` read it, and it also settles
   their dismantlability verdicts (see :func:`planar_and_dismantlable`).
-  ``verify`` finds most of its realizers without it: dimension does not
-  grow on subposets, and a leaf of the growth is its parent plus one
-  element x and a bottom, so where x fits into the parent's 2-realizer
-  the leaf's is placed from it and checked.  TRO runs once on each
+  Most realizers are found without it: dimension does not grow on
+  subposets, and a lattice with its bottom last and an atom x before
+  it, as every leaf of the growth, is P + x + the bottom, P its first
+  n - 2 elements.  Where x fits into P's 2-realizer, the lattice's is
+  placed from it and checked.  In ``verify``, TRO runs once on each
   parent that has leaves and on each leaf that cannot be placed, 2,439
-  times at n = 10 instead of 5,994.  A leaf of a parent without a
+  times at n = 10 instead of 5,994.  A lattice whose P has no
   2-realizer inherits nothing: TRO decides it on its own;
 * the forbidden-subposet criterion: a finite lattice is planar exactly
   when no member of the Kelly-Rival catalog embeds as a subposet into it
@@ -45,6 +46,7 @@ from .poset import (
     Embedding,
     Poset,
     _bits,
+    _poset_from_up,
     dual,
     embedding_is_valid,
     find_embedding,
@@ -239,60 +241,66 @@ def _realizer(p: Poset) -> Realizer | None:
     return realizer
 
 
-def _placed_realizer(l: Lattice, parent: Poset) -> Realizer | None:
-    """A 2-realizer of a leaf of the growth placed into its parent's, or None.
+def _placed_realizer(l: Lattice) -> Realizer | None:
+    """A 2-realizer of l placed into that of P = range(k), or None.
 
-    The leaf is parent + x + a bottom as the growth builds it: parent's
-    elements keep their labels, x is k = parent.n with the up-set U of
-    parent above it, and the bottom is k + 1.  Take parent's 2-realizer
-    (L1, L2).  Where a suffix S1 of L1 and a suffix S2 of L2 have
-    S1 & S2 = U and S1 | S2 = parent, x goes just below S1 in L1 and
-    just below S2 in L2, and the bottom first in both: above x in both
-    lies exactly U, below it in both nothing.  Each suffix of L1 that
-    holds U is tried as S1, and S2 = U | (parent - S1) must then be a
-    suffix of L2, that is one of its rows; at most k tries of O(k) mask
-    operations each.  The placed realizer is checked before it is
-    returned.
+    The placement needs l in the layout of the growth's leaves: k = n - 2,
+    the bottom is element k + 1, and x = k is an atom.  Then nothing in P
+    lies below x or the bottom, so P's up-rows are l's first k rows and l
+    is P + x + the bottom, with the up-set U of x in P above x.  Take P's
+    2-realizer (L1, L2).  Where a suffix S1 of L1 and a suffix S2 of L2
+    have S1 & S2 = U and S1 | S2 = P, x goes just below S1 in L1 and just
+    below S2 in L2, and the bottom first in both: above x in both lies
+    exactly U, below it in both only the bottom, as below an atom.  Each
+    suffix of L1 that holds U is tried as S1, and S2 = U | (P - S1) must
+    then be a suffix of L2, that is one of its rows; at most k tries of
+    O(k) mask operations each.  The placed realizer is checked before it
+    is returned.
 
-    None where parent has no 2-realizer, so that nothing non-planar is
-    inherited, or where no two suffixes fit; planar_realizer then
-    decides the leaf on its own.
+    None outside the layout, where P has no 2-realizer, so that nothing
+    non-planar is inherited, or where no two suffixes fit;
+    planar_realizer then decides l on its own.
     """
-    orders = _parent_realizer(parent)
+    p = l.poset
+    k = p.n - 2
+    full = (1 << k + 2) - 1
+    if k < 1 or p.up[k + 1] != full or p.down[k].bit_count() != 2:
+        return None
+    mask = (1 << k) - 1
+    # P's down-rows are l's less x and the bottom: P computes none, and the
+    # leaves of one parent give one key.
+    orders = _parent_realizer(p.up[:k], tuple([row & mask for row in p.down[:k]]))
     if orders is None:
         return None
     l1, l2 = orders
-    k = parent.n
-    upset = l.poset.up[k] ^ 1 << k
+    upset = p.up[k] ^ 1 << k
     for s1 in l1:
-        s2 = upset | parent.full_mask & ~s1
+        s2 = upset | mask & ~s1
         if not upset & ~s1 and s2 in l2:
             break
     else:
         return None
     # An element lies in the suffix S exactly when its row lies in S; the
     # others go below x, so x joins their rows.
-    x, everything = 1 << k, (1 << k + 2) - 1
+    x = 1 << k
     realizer = (
-        (*[row | x if row & ~s1 else row for row in l1], s1 | x, everything),
-        (*[row | x if row & ~s2 else row for row in l2], s2 | x, everything),
+        (*[row | x if row & ~s1 else row for row in l1], s1 | x, full),
+        (*[row | x if row & ~s2 else row for row in l2], s2 | x, full),
     )
-    if not realizer_is_valid(l.poset, *realizer):
+    if not realizer_is_valid(p, *realizer):
         raise RuntimeError("placement gave an invalid 2-realizer")
     return realizer
 
 
-def _parent_realizer(parent: Poset) -> Realizer | None:
-    """parent's 2-realizer, or None where it has none.
+@lru_cache(maxsize=1)
+def _parent_realizer(up: tuple[int, ...], down: tuple[int, ...]) -> Realizer | None:
+    """The 2-realizer of the poset with these up- and down-rows, or None.
 
-    Found by TRO the first time a leaf of parent asks for it, and kept in
-    parent's instance dict, as the growth keeps its down-sets there; so
-    a sweep that decides no planarity runs no TRO.
+    One entry is enough: the growth yields the leaves of one parent one
+    after another, so TRO runs once per parent, when its first leaf asks,
+    and a sweep that decides no planarity runs none.
     """
-    cache = vars(parent)
-    if "realizer" not in cache:
-        cache["realizer"] = _realizer(parent)
-    return cache["realizer"]
+    return _realizer(_poset_from_up(up, down))
 
 
 def _transitive_orientation(adj: list[int]) -> list[int] | None:
@@ -369,18 +377,16 @@ def _is_linear_order(rows: tuple[int, ...], n: int) -> bool:
 # Dismantlability
 # ---------------------------------------------------------------------------
 
-def planar_and_dismantlable(l: Lattice, parent: Poset | None = None) -> tuple[bool, bool]:
+def planar_and_dismantlable(l: Lattice) -> tuple[bool, bool]:
     """Whether l has a checked 2-realizer, and whether it is dismantlable.
 
-    A leaf of the growth comes with its parent, and its realizer is
-    placed into the parent's where it fits (see _placed_realizer);
-    elsewhere, and for a lattice without a parent, planar_realizer
+    The realizer is placed where l is in the layout of the growth's
+    leaves and fits (see _placed_realizer); elsewhere planar_realizer
     decides from scratch.  Every finite planar lattice is dismantlable
     (Kelly and Rival, "Crowns, fences, and dismantlable lattices", 1974),
     so only the others are dismantled; some of them are dismantlable
     too."""
-    placed = parent is not None and _placed_realizer(l, parent) is not None
-    planar = placed or planar_realizer(l) is not None
+    planar = _placed_realizer(l) is not None or planar_realizer(l) is not None
     return planar, planar or is_dismantlable(l)
 
 

@@ -545,7 +545,7 @@ def minimal_nonplanar(max_n: int) -> list[Poset]:
 
     kept: list[Poset] = []
 
-    def keep_if_minimal(l: Lattice, order, parent) -> None:
+    def keep_if_minimal(l: Lattice, order) -> None:
         if planar_realizer(l) is None:
             leaf = l.poset
             hosts = (leaf, dual(leaf))

@@ -9,6 +9,7 @@ import pytest
 
 from latcon.cli import (
     MAX_ELEMENTS,
+    MAX_INPUT_CHARS,
     ParseError,
     build_parser,
     emit_dot,
@@ -176,7 +177,7 @@ def test_verify_exits_1_on_violations(monkeypatch, capsys):
     counts it and exits 1."""
     from latcon import enumeration
 
-    monkeypatch.setattr(enumeration, "planar_and_dismantlable", lambda l, parent: (False, True))
+    monkeypatch.setattr(enumeration, "planar_and_dismantlable", lambda l: (False, True))
     assert main(["verify", "5"]) == 1
     out = capsys.readouterr().out
     assert "violations=5\n" in out
@@ -477,6 +478,27 @@ def test_construct_bad_parameters_exit_2(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error:"), args
     assert main(["construct", "product", str(c9), str(tmp_path / "missing.lat")]) == 2
     assert "FileNotFoundError" in capsys.readouterr().err
+
+
+def test_oversized_input_exits_2(tmp_path, monkeypatch, capsys):
+    """analyze reads at most MAX_INPUT_CHARS characters of a file or of
+    stdin: one more is refused with exit 2 and one error line, and a
+    lattice text of exactly the limit still parses."""
+    at_limit = "2\n0 1\n#"
+    at_limit += "x" * (MAX_INPUT_CHARS - len(at_limit))
+    over = at_limit + "x"
+    path = tmp_path / "input.lat"
+    for text, rc in ((over, 2), (at_limit, 0)):
+        path.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        for source in (str(path), "-"):
+            assert main(["analyze", source]) == rc, (len(text), source)
+            captured = capsys.readouterr()
+            if rc:
+                assert captured.out == ""
+                assert captured.err.startswith("error: SizeError:") and captured.err.count("\n") == 1
+            else:
+                assert "n=2\n" in captured.out and captured.err == ""
 
 
 def test_undecodable_file_exits_2(tmp_path, capsys):

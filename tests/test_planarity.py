@@ -15,10 +15,18 @@ from latcon.planarity import (
     is_dismantlable,
     is_planar_kr,
     kr_catalog,
+    planar_and_dismantlable,
     planar_realizer,
     realizer_is_valid,
 )
-from latcon.poset import canonical_form, dual, embedding_is_valid, find_embedding
+from latcon.poset import (
+    _poset_from_up,
+    canonical_form,
+    dual,
+    embedding_is_valid,
+    find_embedding,
+    poset_from_covers,
+)
 from oracles import (
     N5,
     cover_graph_edges,
@@ -109,28 +117,42 @@ def _suffixes(rows):
     return set(rows) | {0}
 
 
-def test_placement_finds_every_fitting_pair_of_suffixes():
-    """On every leaf of the sweeps n = 3..9, a realizer is placed exactly
-    when the parent has one, (L1, L2), and some suffix S1 of L1 and S2 of
-    L2 meet in the up-set of x and together hold the parent, by a search
-    over all pairs of suffixes; a placed realizer is one of the leaf.
-    Leaves of a parent without a 2-realizer get none."""
+def test_placement_finds_every_fitting_pair_of_suffixes(monkeypatch):
+    """Every leaf of the sweeps n = 3..9 is in the layout the placement
+    reads: its bottom last and an atom x before it, so it is P + x + the
+    bottom, P its first n - 2 elements.  A realizer is placed exactly when
+    P has one, (L1, L2), and some suffix S1 of L1 and S2 of L2 meet in the
+    up-set of x and together hold P, by a search over all pairs of
+    suffixes; a placed realizer is one of the leaf.  Leaves whose P has no
+    2-realizer get none.  Each P that TRO runs on carries its own
+    down-rows, so it computes none."""
     from latcon import enumeration, planarity
 
+    posets = []
+    realizer_of = planarity._realizer
+
+    def recorded(p):
+        posets.append((p, vars(p).get("down")))
+        return realizer_of(p)
+
+    monkeypatch.setattr(planarity, "_realizer", recorded)
+    planarity._parent_realizer.cache_clear()
     placed = unplaced = non_planar_parent = 0
     for n in range(3, 10):
-        for l, parent in enumeration._sweep(n, lambda l, order, parent: (l, parent)):
-            k = parent.n
+        k = n - 2
+        for l in enumeration._sweep(n, lambda l, order: l):
+            assert l.poset.up[k + 1] == l.poset.full_mask and l.poset.down[k] == 3 << k
+            parent = _poset_from_up(l.poset.up[:k])
             upset = l.poset.up[k] ^ 1 << k
-            realizer = planarity._placed_realizer(l, parent)
-            parent_realizer = planarity._realizer(parent)
+            realizer = planarity._placed_realizer(l)
+            parent_realizer = realizer_of(parent)
             if parent_realizer is None:
                 assert realizer is None
                 assert planar_realizer(l) is None
                 non_planar_parent += 1
                 continue
             l1, l2 = parent_realizer
-            assert planarity._parent_realizer(parent) == (l1, l2)
+            assert planarity._parent_realizer(parent.up, parent.down) == (l1, l2)
             fits = any(
                 s1 & s2 == upset and s1 | s2 == parent.full_mask
                 for s1 in _suffixes(l1)
@@ -143,6 +165,29 @@ def test_placement_finds_every_fitting_pair_of_suffixes():
             else:
                 unplaced += 1
     assert (placed, unplaced, non_planar_parent) == (1171, 203, 2)
+    assert posets
+    for p, down in posets:
+        assert down == _poset_from_up(p.up).down, p.up
+
+
+def test_placement_decides_lattices_the_growth_did_not_build():
+    """For every class with n <= 9 and its dual, the planar verdict of
+    planar_and_dismantlable is planar_realizer's.  Some of the duals have
+    their bottom last and an atom before it, and take the placement.  The
+    chain 3 < 0 < 2 < 1 has its bottom last, but element 2 is no atom:
+    TRO alone decides it."""
+    from latcon import planarity
+
+    placed = 0
+    for n in range(1, 10):
+        for rep in enumerate_lattices(n):
+            for l in (rep, dual_lattice(rep)):
+                assert planar_and_dismantlable(l)[0] == (planar_realizer(l) is not None), l.poset.up
+                placed += planarity._placed_realizer(l) is not None
+    assert placed > 0
+    chain = validate_lattice(poset_from_covers(4, [(3, 0), (0, 2), (2, 1)]))
+    assert planarity._placed_realizer(chain) is None
+    assert planar_and_dismantlable(chain) == (True, True)
 
 
 def test_planar_realizer_only_where_placement_fails(monkeypatch):
@@ -163,23 +208,32 @@ def test_planar_realizer_only_where_placement_fails(monkeypatch):
 
     monkeypatch.setattr(planarity, "_transitive_orientation", counted)
     monkeypatch.setattr(enumeration, "_lattice_cache", {})
+    planarity._parent_realizer.cache_clear()
     enumeration.spectrum(9)
     enumeration.enumerate_lattices(9)
     assert sizes == []
 
     leaves = {"placed": 0, "planar parent": 0, "non-planar parent": 0}
     place = planarity._placed_realizer
+    parent_realizer = planarity._parent_realizer
+    asked = []
 
-    def recorded(l, parent):
-        realizer = place(l, parent)
+    def recorded_parent(up, down):
+        asked.append(parent_realizer(up, down))
+        return asked[-1]
+
+    def recorded(l):
+        asked.clear()
+        realizer = place(l)
         if realizer is not None:
             leaves["placed"] += 1
-        elif planarity._parent_realizer(parent) is None:
+        elif asked[0] is None:
             leaves["non-planar parent"] += 1
         else:
             leaves["planar parent"] += 1
         return realizer
 
+    monkeypatch.setattr(planarity, "_parent_realizer", recorded_parent)
     monkeypatch.setattr(planarity, "_placed_realizer", recorded)
     enumeration.verify_theorem(9)
     assert leaves == {"placed": 898, "planar parent": 178, "non-planar parent": 2}
