@@ -127,8 +127,14 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _fmt_covers(covers) -> str:
-    return ",".join(f"{a}-{b}" for a, b in covers) if covers else "-"
+def _pair_names(n: int) -> list[list[str]]:
+    """The text "a-b" of every pair of elements below n, at [a][b]; a
+    report builds it once for its n and formats every cover pair from it."""
+    return [[f"{a}-{b}" for b in range(n)] for a in range(n)]
+
+
+def _fmt_covers(covers, names: list[list[str]]) -> str:
+    return ",".join([names[a][b] for a, b in covers]) if covers else "-"
 
 
 def _fmt_embedding(emb) -> str:
@@ -152,7 +158,7 @@ def _cmd_analyze(args) -> int:
     if qu is not None:
         canon, _ = canonical_relabel(qu)
         print(f"Qu_n={qu.n}")
-        print(f"Qu_covers={_fmt_covers(canon.covers)}")
+        print(f"Qu_covers={_fmt_covers(canon.covers, _pair_names(canon.n))}")
     # planar= and planar_graph= (a key kept from the graph route the
     # 2-realizer replaced) both print the dimension route's verdict.
     planar, dismantlable = planar_and_dismantlable(l)
@@ -234,8 +240,10 @@ def _cmd_construct(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .enumeration import _record_covers, _sorted_records
 
-    for record in _sorted_records(args.n):
-        print(_fmt_covers(_record_covers(record)))
+    records = _sorted_records(args.n)
+    names = _pair_names(args.n)
+    for record in records:
+        print(_fmt_covers(_record_covers(record), names))
     return 0
 
 
@@ -258,9 +266,10 @@ def _render_verify(rep: TheoremReport) -> Iterator[str]:
     yield f"many={rep.many_congruence_classes}\n"
     yield f"violations={len(rep.violations)}\n"
     yield "covers;con;planar;dismantlable;many\n"
+    names = _pair_names(rep.n)
     for r in rep.records:
         yield (
-            f"{_fmt_covers(r.covers)};{r.con};{_fmt_bool(r.planar)};"
+            f"{_fmt_covers(r.covers, names)};{r.con};{_fmt_bool(r.planar)};"
             f"{_fmt_bool(r.dismantlable)};{_fmt_bool(r.many)}\n"
         )
 

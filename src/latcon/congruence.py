@@ -8,6 +8,9 @@ relation p D q (some x has p <= q v x but not p <= q_* v x), which is
 read off the arrow relations with bitmasks, without computing any
 congruence or join table: p D q exactly when p up-arrow m and
 q down-arrow m for some meet-irreducible m (see _dependency_rows).
+One pass over the rows, lattice._irreducibles, finds the join- and
+meet-irreducibles, their masks and every up-arrow row; a second loop
+over the join-irreducibles reads the dependencies off them.
 Hereditary subsets of the quasiorder are in bijection with congruences
 (Freese, Jezek and Nation, Free Lattices, Thm 2.35), so con_count
 counts the hereditary subsets straight from the closed rows and their
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lattice import Lattice, SizeError
+from .lattice import Lattice, SizeError, _irreducibles
 from .poset import Poset, _bits, _close_rows, _count_hereditary, quotient_of_quasiorder
 
 # Largest lattice the partition oracle accepts unless told otherwise;
@@ -86,8 +89,8 @@ def jir_quasiorder(l: Lattice) -> Poset:
     refinement of con(p_*, p): the rows of _dependency_rows, with the
     i-th join-irreducible as element i and mutually related ones
     collapsed."""
-    _, above, _ = _dependency_rows(l)
-    jir = tuple(l.lower_covers)
+    jmask, above, _ = _dependency_rows(l)
+    jir = _bits(jmask)
     index = {p: i for i, p in enumerate(jir)}
     rel = [sum(1 << index[q] for q in _bits(above[p])) for p in jir]
     return quotient_of_quasiorder(len(jir), rel)
@@ -109,7 +112,8 @@ def _dependency_rows(l: Lattice) -> tuple[int, list[int], list[int]]:
     p D q holds exactly when some meet-irreducible m, with upper cover
     m*, has p up-arrow m (p <= m*, p not <= m) and q down-arrow m
     (q_* <= m, q not <= m); each p with p up-arrow m is in the mask
-    down[m*] & ~down[m], built once.  Such an m is a witness, since
+    down[m*] & ~down[m], which the pass that finds the irreducibles
+    builds (lattice._irreducibles).  Such an m is a witness, since
     q_* v m = m and m* <= q v m.  Conversely, given any witness x, take
     m maximal among the elements above q_* v x that are not above p.
     Then m is not the top, each element strictly above m is above p, and
@@ -117,14 +121,8 @@ def _dependency_rows(l: Lattice) -> tuple[int, list[int], list[int]]:
     upper cover, which is above p.  And m is not above q, or
     m = q v m >= q v x would be above p.
     """
-    up, down = l.poset.up, l.poset.down
-    lower = l.lower_covers
-    jmask = sum(1 << p for p in lower)
-    mmask = 0
-    arrow = [0] * l.n
-    for m, c in l.upper_covers.items():
-        mmask |= 1 << m
-        arrow[m] = down[c] & ~down[m]
+    up = l.poset.up
+    lower, _, jmask, mmask, arrow = _irreducibles(l)
     below = [0] * l.n
     for q, c in lower.items():
         dep = 1 << q

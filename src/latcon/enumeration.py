@@ -52,14 +52,15 @@ once and hands its per-class function two things: the lattice as grown
 and its canonical order or None.  The spectrum needs only a congruence
 count and labels none of the rest (5,710 of the 5,994 classes at
 n = 10).  Every other sweep keeps one class record per class, sorted
-by canonical form: it moves the lattice's rows and covers through its
-order, found where the growth found none, so no leaf is relabelled.
-verify_theorem computes every verdict on the lattice as grown: none
-depends on the labels.  A leaf keeps its parent's labels, with x and
-then the bottom last, so its planarity verdict reads the parent off the
-leaf and places the leaf into the parent's 2-realizer where it fits,
-running TRO on the leaf only where it does not (see
-planarity._placed_realizer): at n = 10, 2,439 TROs instead of 5,994.
+by canonical form: it moves the lattice's up-rows through its order,
+found where the growth found none, and reads the covers off the moved
+rows, already sorted, so no leaf is relabelled.  verify_theorem
+computes every verdict on the lattice as grown: none depends on the
+labels.  A leaf keeps its parent's labels, with x and then the bottom
+last, so its planarity verdict reads the parent off the leaf and places
+the leaf into the parent's 2-realizer where it fits, running TRO on the
+leaf only where it does not and the parent has a 2-realizer (see
+planarity._placed_realizer): at n = 10, 2,379 TROs instead of 5,994.
 The leaves of one parent come one after another, so the parent's
 realizer is found once, when its first leaf asks for it, and the
 spectrum and enumerate run no TRO.
@@ -93,6 +94,7 @@ from .poset import (
     Poset,
     _bits,
     _canonical_order,
+    _cover_pairs,
     _decode_rows,
     _encode_rows,
     _encoded_length,
@@ -449,15 +451,12 @@ def _form_and_covers(l: Lattice, order: Optional[tuple]) -> bytes:
     length and differ between classes, so the records sort as their
     forms do.
 
-    No leaf is relabelled: its rows and covers are moved through its
-    canonical order, found here where the growth found none, as relabel
-    would move them.
+    No leaf is relabelled: its up-rows are moved through its canonical
+    order, found here where the growth found none, as relabel would move
+    them, and the covers are read off those rows, already sorted.
     """
-    leaf = l.poset
-    position = (order or _canonical_order(leaf))[0]
-    form = _encode_rows(_permuted_rows(leaf.up, position))
-    covers = sorted([(position[a], position[b]) for a, b in leaf.covers])
-    return form + bytes([x for pair in covers for x in pair])
+    rows = _permuted_rows(l.poset.up, (order or _canonical_order(l.poset))[0])
+    return _encode_rows(rows) + bytes([x for pair in _cover_pairs(rows) for x in pair])
 
 
 def _class_record(l: Lattice, order: Optional[tuple]) -> bytes:

@@ -9,13 +9,15 @@ Validation looks up lubs only: a finite poset with a least element in
 which every pair has a lub is a lattice, since the glb of a pair is the
 lub of its common lower bounds.  The join and meet tables are built on
 first use, for the callers that read many entries.  A lattice keeps the
-up-row index validation built and, once read, its join- and
-meet-irreducibles with their covers, so every reader shares one copy.
-In a sweep only the congruence count reads them: the planarity verdict
-there is the 2-realizer, and no catalog prefilter runs.
-``_reducible_counts`` reads the numbers of join- and meet-reducible
-elements from them, for the catalog search's prefilter in
-``latcon analyze`` and for ``irreducibles``, the four counts it prints.
+up-row index validation built.  ``_irreducibles`` is the one place that
+finds the join- and meet-irreducibles: one pass over the rows gives both
+with their covers, their masks and the up-arrow row of each
+meet-irreducible.  In a sweep the congruence count calls it once per
+class, and nothing else reads irreducibles: the planarity verdict there
+is the 2-realizer, and no catalog prefilter runs.  ``lower_covers`` and
+``upper_covers`` read one pass the lattice keeps, for
+``_reducible_counts`` (the catalog search's prefilter in
+``latcon analyze``) and ``irreducibles`` (the four counts it prints).
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ class Lattice(_Immutable):
     from the poset's up- and down-rows.  ``up_index`` maps each up-row to
     its element (validate_lattice stores the one it built), and
     ``lower_covers`` and ``upper_covers`` map each join- or
-    meet-irreducible element to its one lower or upper cover.  None of
-    these is a field, so equality and the hash depend on the poset,
-    bottom and top only; the dicts are shared and must not be mutated.
+    meet-irreducible element to its one lower or upper cover, both read
+    from one kept _irreducibles pass.  None of these is a field, so
+    equality and the hash depend on the poset, bottom and top only; the
+    dicts are shared and must not be mutated.
     """
 
     poset: Poset
@@ -81,13 +84,16 @@ class Lattice(_Immutable):
         return {row: i for i, row in enumerate(self.poset.up)}
 
     @cached_property
-    def lower_covers(self) -> dict[int, int]:
-        down = self.poset.down
-        return _single_covers(down, {row: i for i, row in enumerate(down)})
+    def _irreducible_rows(self) -> tuple[dict[int, int], dict[int, int], int, int, list[int]]:
+        return _irreducibles(self)
 
-    @cached_property
+    @property
+    def lower_covers(self) -> dict[int, int]:
+        return self._irreducible_rows[0]
+
+    @property
     def upper_covers(self) -> dict[int, int]:
-        return _single_covers(self.poset.up, self.up_index)
+        return self._irreducible_rows[1]
 
     def leq(self, i: int, j: int) -> bool:
         return self.poset.leq(i, j)
@@ -118,18 +124,36 @@ def _table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([index[a & b] for b in rows]) for a in rows)
 
 
-def _single_covers(rows: tuple[int, ...], index: dict[int, int]) -> dict[int, int]:
-    """x -> c for every x whose strict row is rows[c]; index maps each row to its element.
+def _irreducibles(l: Lattice) -> tuple[dict[int, int], dict[int, int], int, int, list[int]]:
+    """One pass over the rows: the join-irreducibles with their lower
+    covers, the meet-irreducibles with their upper covers, the masks of
+    both, and the up-arrow row of each meet-irreducible m with upper
+    cover m*, down[m*] & ~down[m] (the p with p <= m* and p not <= m),
+    indexed by element and 0 for the others.
 
-    On down-rows these are the join-irreducibles with their lower covers,
-    on up-rows the meet-irreducibles with their upper covers.
+    x is join-irreducible with lower cover c exactly when its strict
+    down-set is down[c], and meet-irreducible with upper cover c when its
+    strict up-set is up[c]; each is one dict lookup.
     """
-    out = {}
-    for x, row in enumerate(rows):
-        c = index.get(row & ~(1 << x))
+    up, down = l.poset.up, l.poset.down
+    by_up = l.up_index
+    by_down = {row: i for i, row in enumerate(down)}
+    lower: dict[int, int] = {}
+    upper: dict[int, int] = {}
+    jmask = mmask = 0
+    arrow = [0] * len(up)
+    for x, row in enumerate(down):
+        bit = 1 << x
+        c = by_down.get(row ^ bit)
         if c is not None:
-            out[x] = c
-    return out
+            lower[x] = c
+            jmask |= bit
+        c = by_up.get(up[x] ^ bit)
+        if c is not None:
+            upper[x] = c
+            mmask |= bit
+            arrow[x] = down[c] & ~row
+    return lower, upper, jmask, mmask, arrow
 
 
 def validate_lattice(p: Poset) -> Lattice:

@@ -13,10 +13,12 @@ Two independent routes:
   subposets, and a lattice with its bottom last and an atom x before
   it, as every leaf of the growth, is P + x + the bottom, P its first
   n - 2 elements.  Where x fits into P's 2-realizer, the lattice's is
-  placed from it and checked.  In ``verify``, TRO runs once on each
-  parent that has leaves and on each leaf that cannot be placed, 2,439
-  times at n = 10 instead of 5,994.  A lattice whose P has no
-  2-realizer inherits nothing: TRO decides it on its own;
+  placed from it and checked.  A lattice whose P has no 2-realizer has
+  none either, since P's incomparability graph is an induced subgraph
+  of its own: it is non-planar with no TRO of its own.  In ``verify``,
+  TRO runs once on each parent that has leaves and on each leaf that
+  cannot be placed into its parent's 2-realizer, 2,379 times at n = 10
+  instead of 5,994;
 * the forbidden-subposet criterion: a finite lattice is planar exactly
   when no member of the Kelly-Rival catalog embeds as a subposet into it
   or into its dual; a non-planar verdict carries the embedding, checked
@@ -38,7 +40,7 @@ tests as a third, external cross-check.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 from ._kr_data import MEMBERS, REDUCIBLE_33_ENTRIES, _a_family
 from .lattice import Lattice, NotLatticeError, _reducible_counts, validate_lattice
@@ -241,8 +243,8 @@ def _realizer(p: Poset) -> Realizer | None:
     return realizer
 
 
-def _placed_realizer(l: Lattice) -> Realizer | None:
-    """A 2-realizer of l placed into that of P = range(k), or None.
+def _placed_realizer(l: Lattice) -> Realizer | None | Literal[False]:
+    """A 2-realizer of l placed into that of P = range(k), False or None.
 
     The placement needs l in the layout of the growth's leaves: k = n - 2,
     the bottom is element k + 1, and x = k is an atom.  Then nothing in P
@@ -257,9 +259,10 @@ def _placed_realizer(l: Lattice) -> Realizer | None:
     O(k) mask operations each.  The placed realizer is checked before it
     is returned.
 
-    None outside the layout, where P has no 2-realizer, so that nothing
-    non-planar is inherited, or where no two suffixes fit;
-    planar_realizer then decides l on its own.
+    False where P has no 2-realizer: P's incomparability graph is an
+    induced subgraph of l's, so l has none either.  None outside the
+    layout or where no two suffixes fit; planar_realizer then decides l
+    on its own.
     """
     p = l.poset
     k = p.n - 2
@@ -271,7 +274,7 @@ def _placed_realizer(l: Lattice) -> Realizer | None:
     # leaves of one parent give one key.
     orders = _parent_realizer(p.up[:k], tuple([row & mask for row in p.down[:k]]))
     if orders is None:
-        return None
+        return False
     l1, l2 = orders
     upset = p.up[k] ^ 1 << k
     for s1 in l1:
@@ -381,12 +384,16 @@ def planar_and_dismantlable(l: Lattice) -> tuple[bool, bool]:
     """Whether l has a checked 2-realizer, and whether it is dismantlable.
 
     The realizer is placed where l is in the layout of the growth's
-    leaves and fits (see _placed_realizer); elsewhere planar_realizer
+    leaves and fits, and l is non-planar with no TRO of its own where P
+    has no 2-realizer (see _placed_realizer); elsewhere planar_realizer
     decides from scratch.  Every finite planar lattice is dismantlable
     (Kelly and Rival, "Crowns, fences, and dismantlable lattices", 1974),
     so only the others are dismantled; some of them are dismantlable
     too."""
-    planar = _placed_realizer(l) is not None or planar_realizer(l) is not None
+    realizer = _placed_realizer(l)
+    if realizer is None:
+        realizer = planar_realizer(l)
+    planar = bool(realizer)
     return planar, planar or is_dismantlable(l)
 
 

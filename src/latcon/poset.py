@@ -3,10 +3,12 @@
 Relation rows are Python ints used as bitsets: bit j of ``up[i]`` says
 i <= j.  At the intended scale (n up to roughly 32) this makes closure,
 duality, ideal counting and embedding search cheap word operations, and
-it keeps every Poset hashable and immutable.  The set bits of a mask,
-which colour refinement, the enumeration's growth and the congruence
-count all walk, are read by ``_bits`` from a table of tuples for every
-mask below 2^12, which covers each sweep up to twelve elements.
+it keeps every Poset hashable and immutable.  The covers come from the
+up-rows alone (_cover_pairs), so a caller holding relabelled rows reads
+them off those rows.  The set bits of a mask, which colour refinement,
+the covers, the enumeration's growth and the congruence count all walk,
+are read by ``_bits`` from a table of tuples for every mask below 2^12,
+which covers each sweep up to twelve elements.
 
 Canonical labelling finds the twin groups, refines a vertex colouring
 by the colours above and below each vertex, then searches over the
@@ -98,16 +100,7 @@ class Poset(_Immutable):
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as sorted (lower, upper) pairs."""
-        down = self.down
-        out = []
-        for i, row in enumerate(self.up):
-            strict = row & ~(1 << i)
-            # j covers i when nothing of i's strict up-set lies below j but j;
-            # i and then j ascend, so the pairs come sorted.
-            for j in _bits(strict):
-                if strict & down[j] == 1 << j:
-                    out.append((i, j))
-        return tuple(out)
+        return tuple(_cover_pairs(self.up))
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
@@ -178,6 +171,23 @@ def poset_from_covers(n: int, pairs: Sequence[tuple[int, int]]) -> Poset:
             if up[i] >> j & 1 and up[j] >> i & 1:
                 raise CycleError(f"elements {i} and {j} are mutually related")
     return _poset_from_up(up)
+
+
+def _cover_pairs(up: Sequence[int]) -> list[tuple[int, int]]:
+    """The transitive reduction of the order with these up-rows, as
+    (lower, upper) pairs, sorted.
+
+    The upper covers of i are its strict up-set less the strict up-sets
+    of that set's members; i and then j ascend, so the pairs come sorted.
+    """
+    strict = [row ^ 1 << i for i, row in enumerate(up)]
+    minimal = []
+    for row in strict:
+        above = 0
+        for j in _bits(row):
+            above |= strict[j]
+        minimal.append(row & ~above)
+    return [(i, j) for i, row in enumerate(minimal) for j in _bits(row)]
 
 
 def _close_rows(rows: list[int], members: Sequence[int]) -> None:

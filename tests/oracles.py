@@ -69,6 +69,20 @@ def validate_lattice_eager(p: Poset) -> tuple[Table, Table, int, int]:
     return tuple(map(tuple, join)), tuple(map(tuple, meet)), bottoms[0], tops[0]
 
 
+def covers_by_down_rows(p: Poset) -> tuple[tuple[int, int], ...]:
+    """The transitive reduction as sorted (lower, upper) pairs: j covers
+    i when nothing of i's strict up-set lies below j but j.  The loop
+    Poset.covers ran, on the down-rows, before it read the up-rows alone."""
+    down = p.down
+    out = []
+    for i, row in enumerate(p.up):
+        strict = row & ~(1 << i)
+        for j in _bits(strict):
+            if strict & down[j] == 1 << j:
+                out.append((i, j))
+    return tuple(out)
+
+
 def dependency_rel_all_x(l: Lattice) -> tuple[int, ...]:
     """The rows of congruence._dependency_rows(l) on the join-irreducibles,
     the i-th as element i, with every element x tried as a witness of

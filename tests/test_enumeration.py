@@ -19,6 +19,7 @@ from latcon.poset import _bits, _encode_rows, _poset_from_up, canonical_form, ca
 from oracles import (
     count_automorphisms,
     count_isomorphism_classes,
+    covers_by_down_rows,
     enumerate_lattices_oracle,
     extend_semilattice_reference,
     is_dismantlable_restart,
@@ -351,12 +352,13 @@ def test_decoded_records_match_direct_computation(n):
 def test_leaf_order_gives_the_relabelled_form_and_covers(n):
     """For every leaf of the n-element sweep, the class record read off
     the leaf's canonical order holds the form and covers of the
-    representative _relabel_with_twins builds, and decodes to those
+    representative _relabel_with_twins builds, its covers as the
+    down-row loop of tests/oracles.py finds them, and decodes to those
     covers; a leaf that comes with an order comes with its own."""
     leaves = enumeration._sweep(n, lambda l, order: (l, order))
     for l, order in leaves:
         rep = poset_mod._relabel_with_twins(l.poset)[0]
-        record = _encode_rows(rep.up) + bytes([x for pair in rep.covers for x in pair])
+        record = _encode_rows(rep.up) + bytes([x for pair in covers_by_down_rows(rep) for x in pair])
         assert enumeration._form_and_covers(l, None) == record
         assert enumeration._record_covers(record) == rep.covers
         if order is not None:

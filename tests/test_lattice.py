@@ -19,7 +19,7 @@ from latcon.lattice import (
     validate_lattice,
 )
 from latcon.poset import canonical_form, dual, poset_from_covers
-from oracles import N5, IntervalError, is_distributive, transposes_up, validate_lattice_eager
+from oracles import N5, IntervalError, covers_by_down_rows, is_distributive, transposes_up, validate_lattice_eager
 from test_poset import all_posets_upto
 
 
@@ -136,32 +136,33 @@ def test_lazy_tables_match_eager_scan():
 
 
 def test_irreducibles_computed_once_per_class(monkeypatch):
-    """A class's record finds each side's irreducibles once: the
-    congruence count reads the covers the lattice caches, and the
-    up-row index is the one validate_lattice built; the planarity
-    verdict, a 2-realizer, reads no covers.  The counts analyze prints
-    read the same cached covers."""
-    from latcon import lattice
+    """A class's record finds its irreducibles in one pass over the rows,
+    once: the congruence count runs lattice._irreducibles itself, with
+    the up-row index validate_lattice built, and the planarity verdict,
+    a 2-realizer, reads no covers.  The four counts analyze prints read
+    both sides' covers from one such pass, which the lattice keeps."""
+    from latcon import congruence, lattice
     from latcon.enumeration import _class_record
 
     p = make_l_family(9).poset
     calls = []
-    single_covers = lattice._single_covers
+    one_pass = lattice._irreducibles
 
-    def counted(rows, index):
-        calls.append(rows)
-        return single_covers(rows, index)
+    def counted(l):
+        calls.append(l.poset)
+        return one_pass(l)
 
-    monkeypatch.setattr(lattice, "_single_covers", counted)
+    monkeypatch.setattr(lattice, "_irreducibles", counted)
+    monkeypatch.setattr(congruence, "_irreducibles", counted)
     monkeypatch.setattr(lattice.Lattice, "up_index", None)
     l = validate_lattice(p)
     assert l.up_index == {row: i for i, row in enumerate(p.up)}
     _class_record(l, None)
-    assert sorted(calls) == sorted([p.up, p.down])
+    assert calls == [p]
     calls.clear()
     l = validate_lattice(p)
     assert irreducibles(l) == (4, 4, 4, 4)
-    assert sorted(calls) == sorted([p.up, p.down])
+    assert calls == [p]
 
 
 def test_n5_tables():
@@ -220,6 +221,47 @@ def test_jred_equals_joins_of_incomparable_pairs():
         assert _reducible_counts(l) == (len(jred), len(mred))
         uneven |= len(jred) != len(mred)
     assert uneven
+
+
+def check_irreducible_pass(n, classes):
+    """The one pass of lattice._irreducibles gives what the definitions
+    give on the leaf of every class of n-element lattices, of which there
+    are `classes`, and on its dual, with the covers of the down-row loop
+    in tests/oracles.py: the elements with one lower cover, in index
+    order with that cover, and their mask; the same for upper covers; and
+    for each meet-irreducible m with upper cover m* the row of the p with
+    p <= m* and p not <= m, 0 for the other elements.  The rows
+    _dependency_rows builds from it hold join-irreducibles only."""
+    from latcon import enumeration, lattice
+    from latcon.congruence import _dependency_rows
+
+    def check(l, order):
+        for x in (l, dual_lattice(l)):
+            lower_of = [[] for _ in range(x.n)]
+            upper_of = [[] for _ in range(x.n)]
+            for a, b in covers_by_down_rows(x.poset):
+                lower_of[b].append(a)
+                upper_of[a].append(b)
+            lower = {v: c[0] for v, c in enumerate(lower_of) if len(c) == 1}
+            upper = {v: c[0] for v, c in enumerate(upper_of) if len(c) == 1}
+            arrow = [
+                sum(1 << p for p in range(x.n) if x.leq(p, upper[m]) and not x.leq(p, m)) if m in upper else 0
+                for m in range(x.n)
+            ]
+            got = lattice._irreducibles(x)
+            assert [list(got[0].items()), list(got[1].items())] == [list(lower.items()), list(upper.items())]
+            assert got[2:] == (sum(1 << v for v in lower), sum(1 << v for v in upper), arrow), x.poset.up
+            jmask, above, below = _dependency_rows(x)
+            assert not any(row & ~jmask for row in above + below), x.poset.up
+        return 1
+
+    assert sum(enumeration._sweep(n, check)) == classes
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5), (6, 15), (7, 53), (8, 222)])
+def test_irreducible_pass_matches_the_definitions(n, classes):
+    """check_irreducible_pass for n <= 8; CI runs it on the n = 11 sweep."""
+    check_irreducible_pass(n, classes)
 
 
 def test_duality_swaps_irreducibles():

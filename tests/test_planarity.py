@@ -124,8 +124,8 @@ def test_placement_finds_every_fitting_pair_of_suffixes(monkeypatch):
     P has one, (L1, L2), and some suffix S1 of L1 and S2 of L2 meet in the
     up-set of x and together hold P, by a search over all pairs of
     suffixes; a placed realizer is one of the leaf.  Leaves whose P has no
-    2-realizer get none.  Each P that TRO runs on carries its own
-    down-rows, so it computes none."""
+    2-realizer get False, and have none either.  Each P that TRO runs on
+    carries its own down-rows, so it computes none."""
     from latcon import enumeration, planarity
 
     posets = []
@@ -147,7 +147,7 @@ def test_placement_finds_every_fitting_pair_of_suffixes(monkeypatch):
             realizer = planarity._placed_realizer(l)
             parent_realizer = realizer_of(parent)
             if parent_realizer is None:
-                assert realizer is None
+                assert realizer is False
                 assert planar_realizer(l) is None
                 non_planar_parent += 1
                 continue
@@ -183,7 +183,7 @@ def test_placement_decides_lattices_the_growth_did_not_build():
         for rep in enumerate_lattices(n):
             for l in (rep, dual_lattice(rep)):
                 assert planar_and_dismantlable(l)[0] == (planar_realizer(l) is not None), l.poset.up
-                placed += planarity._placed_realizer(l) is not None
+                placed += bool(planarity._placed_realizer(l))
     assert placed > 0
     chain = validate_lattice(poset_from_covers(4, [(3, 0), (0, 2), (2, 1)]))
     assert planarity._placed_realizer(chain) is None
@@ -193,10 +193,10 @@ def test_placement_decides_lattices_the_growth_did_not_build():
 def test_planar_realizer_only_where_placement_fails(monkeypatch):
     """spectrum and enumerate_lattices run no TRO.  verify_theorem(9)
     runs it once on each of the 222 parents of its leaves, the first
-    time a leaf asks, and once on each of the 180 leaves that get no
-    placed realizer: the 2 leaves of B_3 less its bottom, the one parent
-    without a 2-realizer, which inherit nothing, and the 178 whose
-    parent's realizer has no two suffixes that fit."""
+    time a leaf asks, and once on each of the 178 leaves whose parent's
+    realizer has no two suffixes that fit.  The 2 leaves of B_3 less its
+    bottom, the one parent without a 2-realizer, inherit its
+    non-planarity and run none."""
     from latcon import enumeration, planarity
 
     sizes = []
@@ -225,11 +225,13 @@ def test_planar_realizer_only_where_placement_fails(monkeypatch):
     def recorded(l):
         asked.clear()
         realizer = place(l)
-        if realizer is not None:
+        if realizer:
             leaves["placed"] += 1
-        elif asked[0] is None:
+        elif realizer is False:
+            assert asked[0] is None
             leaves["non-planar parent"] += 1
         else:
+            assert asked[0] is not None
             leaves["planar parent"] += 1
         return realizer
 
@@ -237,7 +239,32 @@ def test_planar_realizer_only_where_placement_fails(monkeypatch):
     monkeypatch.setattr(planarity, "_placed_realizer", recorded)
     enumeration.verify_theorem(9)
     assert leaves == {"placed": 898, "planar parent": 178, "non-planar parent": 2}
-    assert {size: sizes.count(size) for size in set(sizes)} == {7: 222, 9: 180}
+    assert {size: sizes.count(size) for size in set(sizes)} == {7: 222, 9: 178}
+
+
+def test_a_lattice_whose_p_has_no_realizer_inherits_non_planarity(monkeypatch):
+    """A lattice in the leaf layout whose P has no 2-realizer is decided
+    by the one TRO on P: B_3 less its bottom as P, an atom x below the
+    up-set of one of its atoms, and the bottom last.  The verdicts are
+    planar_realizer's and is_dismantlable's."""
+    from latcon import planarity
+
+    # P: atoms 0, 1, 2 of B_3, their joins 3 = 0v1, 4 = 0v2, 5 = 1v2, top 6.
+    p_covers = [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)]
+    l = validate_lattice(poset_from_covers(9, p_covers + [(7, 0), (8, 7), (8, 1), (8, 2)]))
+    sizes = []
+    orientation = planarity._transitive_orientation
+
+    def counted(adj):
+        sizes.append(len(adj))
+        return orientation(adj)
+
+    monkeypatch.setattr(planarity, "_transitive_orientation", counted)
+    planarity._parent_realizer.cache_clear()
+    assert planarity._placed_realizer(l) is False
+    assert planar_and_dismantlable(l) == (False, is_dismantlable(l))
+    assert sizes == [7]
+    assert planar_realizer(l) is None
 
 
 def test_invalid_witness_raises(monkeypatch):

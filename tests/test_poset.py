@@ -3,10 +3,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from latcon import enumeration
+from latcon.lattice import make_boolean, make_mk
 from latcon.poset import (
     CycleError,
     Poset,
     _bits,
+    _cover_pairs,
     canonical_form,
     canonical_relabel,
     count_downsets,
@@ -16,7 +19,7 @@ from latcon.poset import (
     poset_from_covers,
     relabel,
 )
-from oracles import NotQuasiorderError, closed_masks, count_hereditary_quasi, subposet
+from oracles import NotQuasiorderError, closed_masks, count_hereditary_quasi, covers_by_down_rows, subposet
 
 N5_COVERS = [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)]
 
@@ -106,6 +109,46 @@ def test_reduction_closure_roundtrip():
         p = poset_from_covers(n, pairs)
         again = poset_from_covers(n, p.covers)
         assert again.up == p.up
+
+
+def check_cover_kernel(n, classes):
+    """The covers kernel gives the pairs of the down-row loop in
+    tests/oracles.py on the leaf of every class of n-element lattices, of
+    which there are `classes`, and on its dual."""
+
+    def check(l, order):
+        for p in (l.poset, dual(l.poset)):
+            assert tuple(_cover_pairs(p.up)) == covers_by_down_rows(p), p.up
+        return 1
+
+    assert sum(enumeration._sweep(n, check)) == classes
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 5), (6, 15), (7, 53), (8, 222)])
+def test_cover_kernel_matches_the_down_row_loop_on_lattices(n, classes):
+    """check_cover_kernel for n <= 8; CI runs it on the n = 11 sweep."""
+    check_cover_kernel(n, classes)
+
+
+def crown(k):
+    """The k-crown: minimal 0..k-1, maximal k..2k-1, i below k + i and k + (i + 1) % k."""
+    return poset_from_covers(2 * k, [(i, k + j) for i in range(k) for j in (i, (i + 1) % k)])
+
+
+def test_cover_kernel_matches_the_down_row_loop_on_other_posets():
+    """Posets that are no lattices (antichains, 2 + 2, crowns, every
+    naturally labelled poset up to five elements) and two 64-element
+    lattices, whose masks lie beyond the table _bits reads."""
+    two_plus_two = poset_from_covers(4, [(0, 1), (2, 3)])
+    posets = [antichain(1), antichain(4), two_plus_two, crown(3), crown(4), crown(5)]
+    posets += all_posets_upto(5)
+    posets += [make_mk(62).poset, make_boolean(6).poset]
+    for p in posets:
+        for q in (p, dual(p)):
+            assert q.covers == covers_by_down_rows(q), q.up
+    assert two_plus_two.covers == ((0, 1), (2, 3))
+    assert crown(3).covers == ((0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5))
+    assert len(make_boolean(6).poset.covers) == 6 * 32
 
 
 def test_dual_chain():
