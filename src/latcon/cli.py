@@ -28,7 +28,7 @@ from .lattice import (
     make_product,
     validate_lattice,
 )
-from .planarity import is_planar_kr, planar_and_dismantlable
+from .planarity import is_dismantlable, is_planar_kr, planar_realizer
 from .poset import CycleError, canonical_relabel, count_downsets, find_embedding, poset_from_covers
 
 if TYPE_CHECKING:
@@ -161,7 +161,7 @@ def _cmd_analyze(args) -> int:
         print(f"Qu_covers={_fmt_covers(canon.covers, _pair_names(canon.n))}")
     # planar= and planar_graph= (a key kept from the graph route the
     # 2-realizer replaced) both print the dimension route's verdict.
-    planar, dismantlable = planar_and_dismantlable(l)
+    planar = planar_realizer(l) is not None
     print(f"planar={_fmt_bool(planar)}")
     kr = is_planar_kr(l)
     print(f"planar_kr={_fmt_bool(kr.planar)}")
@@ -170,7 +170,7 @@ def _cmd_analyze(args) -> int:
         side = "dual" if into_dual else "direct"
         print(f"witness={name} {side} {_fmt_embedding(emb)}")
     print(f"planar_graph={_fmt_bool(planar)}")
-    print(f"dismantlable={_fmt_bool(dismantlable)}")
+    print(f"dismantlable={_fmt_bool(is_dismantlable(l))}")
     print(f"verdict={'many' if exceeds_threshold(l.n, con) else 'few'}")
     return 0
 

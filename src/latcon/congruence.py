@@ -8,9 +8,9 @@ relation p D q (some x has p <= q v x but not p <= q_* v x), which is
 read off the arrow relations with bitmasks, without computing any
 congruence or join table: p D q exactly when p up-arrow m and
 q down-arrow m for some meet-irreducible m (see _dependency_rows).
-One pass over the rows, lattice._irreducibles, finds the join- and
-meet-irreducibles, their masks and every up-arrow row; a second loop
-over the join-irreducibles reads the dependencies off them.
+One pass over the rows, which the lattice keeps and every reader
+shares, finds the join- and meet-irreducibles, their masks and every
+up-arrow row; a second loop reads the dependencies off them.
 Hereditary subsets of the quasiorder are in bijection with congruences
 (Freese, Jezek and Nation, Free Lattices, Thm 2.35), so con_count
 counts the hereditary subsets straight from the closed rows and their
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lattice import Lattice, SizeError, _irreducibles
+from .lattice import Lattice, SizeError
 from .poset import Poset, _bits, _close_rows, _count_hereditary, quotient_of_quasiorder
 
 # Largest lattice the partition oracle accepts unless told otherwise;
@@ -112,8 +112,8 @@ def _dependency_rows(l: Lattice) -> tuple[int, list[int], list[int]]:
     p D q holds exactly when some meet-irreducible m, with upper cover
     m*, has p up-arrow m (p <= m*, p not <= m) and q down-arrow m
     (q_* <= m, q not <= m); each p with p up-arrow m is in the mask
-    down[m*] & ~down[m], which the pass that finds the irreducibles
-    builds (lattice._irreducibles).  Such an m is a witness, since
+    down[m*] & ~down[m], which the lattice's kept irreducible pass
+    builds (Lattice._irreducible_rows).  Such an m is a witness, since
     q_* v m = m and m* <= q v m.  Conversely, given any witness x, take
     m maximal among the elements above q_* v x that are not above p.
     Then m is not the top, each element strictly above m is above p, and
@@ -122,7 +122,7 @@ def _dependency_rows(l: Lattice) -> tuple[int, list[int], list[int]]:
     m = q v m >= q v x would be above p.
     """
     up = l.poset.up
-    lower, _, jmask, mmask, arrow = _irreducibles(l)
+    lower, _, jmask, mmask, arrow = l._irreducible_rows
     below = [0] * l.n
     for q, c in lower.items():
         dep = 1 << q

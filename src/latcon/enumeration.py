@@ -60,10 +60,10 @@ labels.  A leaf keeps its parent's labels, with x and then the bottom
 last, so its planarity verdict reads the parent off the leaf and places
 the leaf into the parent's 2-realizer where it fits, running TRO on the
 leaf only where it does not and the parent has a 2-realizer (see
-planarity._placed_realizer): at n = 10, 2,379 TROs instead of 5,994.
-The leaves of one parent come one after another, so the parent's
-realizer is found once, when its first leaf asks for it, and the
-spectrum and enumerate run no TRO.
+planarity._placed_realizer): at n = 10, 2,379 TROs.  The leaves of
+one parent come one after another, so the parent's realizer is found
+once, when its first leaf asks for it, and the spectrum and enumerate
+run no TRO.
 
 Because acceptance needs nothing outside a parent's own subtree, the
 sweeps split the growth tree at the canonical semilattices with

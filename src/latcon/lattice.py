@@ -12,12 +12,12 @@ first use, for the callers that read many entries.  A lattice keeps the
 up-row index validation built.  ``_irreducibles`` is the one place that
 finds the join- and meet-irreducibles: one pass over the rows gives both
 with their covers, their masks and the up-arrow row of each
-meet-irreducible.  In a sweep the congruence count calls it once per
-class, and nothing else reads irreducibles: the planarity verdict there
-is the 2-realizer, and no catalog prefilter runs.  ``lower_covers`` and
-``upper_covers`` read one pass the lattice keeps, for
-``_reducible_counts`` (the catalog search's prefilter in
-``latcon analyze``) and ``irreducibles`` (the four counts it prints).
+meet-irreducible.  The lattice keeps that pass as ``_irreducible_rows``,
+its one caller, and every reader shares it, so a lattice runs one pass
+whichever reader asks first: the congruence count, the only one in a
+sweep, and ``lower_covers`` and ``upper_covers``, read by
+``_reducible_counts`` (the catalog search's prefilter in ``latcon
+analyze``) and ``irreducibles`` (the four counts it prints).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Lattice(_Immutable):
     its element (validate_lattice stores the one it built), and
     ``lower_covers`` and ``upper_covers`` map each join- or
     meet-irreducible element to its one lower or upper cover, both read
-    from one kept _irreducibles pass.  None of these is a field, so
+    from the kept ``_irreducible_rows``.  None of these is a field, so
     equality and the hash depend on the poset, bottom and top only; the
     dicts are shared and must not be mutated.
     """

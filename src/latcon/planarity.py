@@ -6,25 +6,24 @@ Two independent routes:
   is planar exactly when its order dimension is at most 2 (Baker,
   Fishburn and Roberts 1971), and then :func:`planar_realizer` returns
   two linear extensions whose intersection is the order, checked by
-  :func:`realizer_is_valid`; ``verify`` and the ``planar=`` and
-  ``planar_graph=`` lines of ``analyze`` read it, and it also settles
-  their dismantlability verdicts (see :func:`planar_and_dismantlable`).
-  Most realizers are found without it: dimension does not grow on
-  subposets, and a lattice with its bottom last and an atom x before
-  it, as every leaf of the growth, is P + x + the bottom, P its first
-  n - 2 elements.  Where x fits into P's 2-realizer, the lattice's is
-  placed from it and checked.  A lattice whose P has no 2-realizer has
-  none either, since P's incomparability graph is an induced subgraph
-  of its own: it is non-planar with no TRO of its own.  In ``verify``,
-  TRO runs once on each parent that has leaves and on each leaf that
-  cannot be placed into its parent's 2-realizer, 2,379 times at n = 10
-  instead of 5,994;
+  :func:`realizer_is_valid`; ``analyze`` reads it for its ``planar=``
+  and ``planar_graph=`` lines, one TRO per input.  Only the sweep
+  places (see :func:`planar_and_dismantlable`, which also settles its
+  dismantlability verdicts): dimension does not grow on subposets, and
+  a lattice with its bottom last and an atom x before it, as every leaf
+  of the growth, is P + x + the bottom, P its first n - 2 elements.
+  Where x fits into P's 2-realizer, the lattice's is placed from it and
+  checked.  A lattice whose P has no 2-realizer has none either, since
+  P's incomparability graph is an induced subgraph of its own: it is
+  non-planar with no TRO of its own.  TRO runs once on each parent with
+  leaves and on each leaf not placed into its parent's 2-realizer,
+  2,379 times at n = 10;
 * the forbidden-subposet criterion: a finite lattice is planar exactly
   when no member of the Kelly-Rival catalog embeds as a subposet into it
   or into its dual; a non-planar verdict carries the embedding, checked
   before it is returned.  Only ``analyze``'s ``planar_kr=`` and
-  ``witness=`` lines read it, and the tests compare it with the first
-  route.
+  ``witness=`` lines read it, its prefilter from the irreducible pass
+  the lattice keeps, and the tests compare it with the first route.
 
 The catalog is built from the table in ``_kr_data`` and the A family,
 and every entry is proven non-planar by the dimension route when it is
@@ -381,7 +380,7 @@ def _is_linear_order(rows: tuple[int, ...], n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def planar_and_dismantlable(l: Lattice) -> tuple[bool, bool]:
-    """Whether l has a checked 2-realizer, and whether it is dismantlable.
+    """A sweep leaf's verdicts: a checked 2-realizer, and dismantlability.
 
     The realizer is placed where l is in the layout of the growth's
     leaves and fits, and l is non-planar with no TRO of its own where P

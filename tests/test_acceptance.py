@@ -34,7 +34,7 @@ from latcon.planarity import (
     planar_realizer,
     realizer_is_valid,
 )
-from latcon.poset import canonical_form, count_downsets, dual, embedding_is_valid, find_embedding
+from latcon.poset import _bits, canonical_form, count_downsets, dual, embedding_is_valid, find_embedding
 from oracles import (
     N5,
     is_distributive,
@@ -171,6 +171,46 @@ def test_sweep_shortcuts_match_second_routes_at_10(report_10):
     _ok(4, "n = 10: |Con| equals the partition oracle on the 598 many-or-non-planar "
         "classes, and the dismantlable flag equals full dismantling and the planar flag "
         "planar_realizer from scratch on all 5,994")
+
+
+def _interval(l: Lattice, mask: int) -> Lattice:
+    """The interval of l whose elements are the bits of mask, as a
+    lattice: an interval is convex, so its covers are l's covers inside it."""
+    index = {x: i for i, x in enumerate(_bits(mask))}
+    return lattice_from_covers(len(index), [
+        (index[a], index[b]) for a, b in l.poset.covers if a in index and b in index
+    ])
+
+
+def check_glued_sums(report, classes, cut_classes):
+    """The records of classes with a cut, an element c other than the
+    bottom and top that is comparable to every element, checked against
+    the two intervals [0, c] and [c, 1] that l is glued from at c: |Con|
+    is the product of theirs, since a congruence of l is one of each
+    interval, and l is planar exactly when both are.  Every cut of each
+    such class is checked.  The report has `classes` classes, and
+    `cut_classes` of them have a cut."""
+    records = list(report.records)
+    assert len(records) == classes, f"{len(records)} classes"
+    found = 0
+    for r in records:
+        l = lattice_from_covers(r.n, r.covers)
+        up, down, full = l.poset.up, l.poset.down, l.poset.full_mask
+        cuts = [c for c in range(l.n) if c not in (l.bottom, l.top) and up[c] | down[c] == full]
+        found += bool(cuts)
+        for c in cuts:
+            lower, upper = _interval(l, down[c]), _interval(l, up[c])
+            assert con_count(lower) * con_count(upper) == r.con, (r.covers, c)
+            both = planar_realizer(lower) is not None and planar_realizer(upper) is not None
+            assert both == r.planar, (r.covers, c)
+    assert found == cut_classes, f"{found} classes with a cut"
+
+
+def test_glued_sums_match_their_intervals_at_10(report_10):
+    """check_glued_sums at n = 10; CI runs it at n = 11 too."""
+    check_glued_sums(report_10, classes=5994, cut_classes=2040)
+    _ok(4, "n = 10: on the 2,040 classes with a cut, |Con| is the product of the two "
+        "intervals' and the planar flag their AND")
 
 
 def _b3_between_chains(n):

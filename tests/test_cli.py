@@ -357,16 +357,37 @@ def test_analyze_builds_quasiorder_once(monkeypatch, capsys):
 
 def test_analyze_output_matches_the_benchmark_pool(monkeypatch, capsys):
     """analyze prints, byte for byte, the output whose sha256
-    perfbench/pool.json records for each of its 486 lattices."""
+    perfbench/pool.json records for each of its 486 lattices.  Each
+    input, with the catalog built beforehand, runs one TRO, for its
+    planar= line, and one irreducible pass, which every reader shares;
+    none asks for a parent's realizer, which only the sweep places
+    into."""
+    from latcon import lattice, planarity
+
     pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pool.json").read_text())
     entries = pool["n10"] + pool["big"]
     assert len(entries) == 486
+    for n in {e["n"] for e in entries}:
+        planarity.kr_catalog(n)
+    calls = {"TRO": 0, "irreducible pass": 0, "parent realizer": 0}
+
+    def counted(key, f):
+        def wrapper(*args):
+            calls[key] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(planarity, "_transitive_orientation", counted("TRO", planarity._transitive_orientation))
+    monkeypatch.setattr(lattice, "_irreducibles", counted("irreducible pass", lattice._irreducibles))
+    monkeypatch.setattr(planarity, "_parent_realizer", counted("parent realizer", planarity._parent_realizer))
     for e in entries:
         text = "".join([f"{e['n']}\n", *(f"{a} {b}\n" for a, b in e["covers"])])
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert main(["analyze", "-"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == e["stdout_sha256"], e["id"]
+    assert calls == {"TRO": 486, "irreducible pass": 486, "parent realizer": 0}
 
 
 def test_not_lattice_error_exit(tmp_path):

@@ -135,14 +135,17 @@ def test_lazy_tables_match_eager_scan():
     assert min(outcomes.values()) >= 10, outcomes
 
 
-def test_irreducibles_computed_once_per_class(monkeypatch):
-    """A class's record finds its irreducibles in one pass over the rows,
-    once: the congruence count runs lattice._irreducibles itself, with
-    the up-row index validate_lattice built, and the planarity verdict,
-    a 2-realizer, reads no covers.  The four counts analyze prints read
-    both sides' covers from one such pass, which the lattice keeps."""
-    from latcon import congruence, lattice
+def test_irreducibles_computed_once_per_class(monkeypatch, tmp_path, capsys):
+    """A lattice finds its irreducibles in one pass over the rows, once,
+    with the up-row index validate_lattice built, and keeps it for every
+    reader: a class's record runs it for the congruence count, and the
+    planarity verdict, a 2-realizer, reads no covers; the four counts
+    analyze prints and its congruence lines share one pass, and so does
+    its catalog search, once the catalog is built."""
+    from latcon import lattice
+    from latcon.cli import main, serialize_lattice
     from latcon.enumeration import _class_record
+    from latcon.planarity import kr_catalog
 
     p = make_l_family(9).poset
     calls = []
@@ -153,7 +156,6 @@ def test_irreducibles_computed_once_per_class(monkeypatch):
         return one_pass(l)
 
     monkeypatch.setattr(lattice, "_irreducibles", counted)
-    monkeypatch.setattr(congruence, "_irreducibles", counted)
     monkeypatch.setattr(lattice.Lattice, "up_index", None)
     l = validate_lattice(p)
     assert l.up_index == {row: i for i, row in enumerate(p.up)}
@@ -162,6 +164,13 @@ def test_irreducibles_computed_once_per_class(monkeypatch):
     calls.clear()
     l = validate_lattice(p)
     assert irreducibles(l) == (4, 4, 4, 4)
+    assert calls == [p]
+    path = tmp_path / "l9.lat"
+    path.write_text(serialize_lattice(l))
+    kr_catalog(p.n)
+    calls.clear()
+    assert main(["analyze", str(path)]) == 0
+    assert "Jir=4\n" in capsys.readouterr().out
     assert calls == [p]
 
 

@@ -9,6 +9,9 @@ import, and every name that a relative import inside its body imports;
 a module's other top-level statements run on import, so what they load
 is reached from the start.  The re-exports in __init__.py are not
 callers, and no other names written as strings are.
+
+A second walk finds every assert statement under src/latcon: there
+must be none.
 """
 
 import ast
@@ -126,3 +129,24 @@ def test_the_walk_flags_a_definition_without_a_caller(tmp_path):
     assert head in cli.read_text()
     cli.write_text(cli.read_text().replace(head, head + "    from .lattice import _imported_in_a_body\n\n"))
     assert _unreached(src) == ["lattice._helper", "lattice.unused"]
+
+
+def _asserts(src):
+    """The place, "file:line", of each assert statement under src."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_no_runtime_check_is_an_assert():
+    """python -O strips assert statements, so every check the program
+    relies on raises an exception of its own."""
+    assert _asserts(SRC) == []
+
+
+def test_the_walk_flags_an_assert(tmp_path):
+    (tmp_path / "checked.py").write_text("def _checked(x):\n    assert x >= 0\n    return x\n")
+    assert _asserts(tmp_path) == ["checked.py:2"]
