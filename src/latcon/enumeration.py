@@ -20,7 +20,10 @@ onto each other give isomorphic children, so one per orbit is enough.
 The parent's canonical labelling returns its twin groups (incomparable
 elements related alike to every other element: any permutation inside
 a group is an automorphism) and the other automorphisms its search
-met; together they give all of them.  The up-set walk builds only the
+met, in the parent's own labels; together they give all of them.  No
+node is relabelled: each new element is minimal and takes the next
+index, so every element comes after everything above it, and the
+up-set walk decides the elements in index order.  It builds only the
 up-sets that meet every twin group in the group's lowest elements, and
 one is tried only where x's invariant is largest and no automorphism
 followed by twin swaps maps it onto a smaller mask: one up-set per
@@ -44,8 +47,9 @@ semilattice that roots a subtree, is labelled only where acceptance
 needs it: where x ties on the invariant with a minimal element that is
 not its twin.  Otherwise every element of C with the largest value is x
 or a twin of x, all in one orbit, so C passes the acceptance test as
-built.  An accepted child grown further gets its representative from
-the same canonical order, and a root comes with the labelling made for it.
+built.  An accepted child grown further reads its twin groups and
+automorphisms off the same canonical order, and a root comes with the
+labelling made for it.
 
 The growth yields its leaves one at a time, and a sweep validates each
 once and hands its per-class function two things: the lattice as grown
@@ -60,18 +64,18 @@ labels.  A leaf keeps its parent's labels, with x and then the bottom
 last, so its planarity verdict reads the parent off the leaf and places
 the leaf into the parent's 2-realizer where it fits, running TRO on the
 leaf only where it does not and the parent has a 2-realizer (see
-planarity._placed_realizer): at n = 10, 2,379 TROs.  The leaves of
+planarity._placed_realizer): at n = 10, 2,356 TROs.  The leaves of
 one parent come one after another, so the parent's realizer is found
 once, when its first leaf asks for it, and the spectrum and enumerate
 run no TRO.
 
 Because acceptance needs nothing outside a parent's own subtree, the
-sweeps split the growth tree at the canonical semilattices with
+sweeps split the growth tree at its semilattices with
 max(1, n - 4) elements and run each subtree end to end: growth,
 validation and the per-class function.  Only the per-class results
 leave a subtree, so no sweep holds a list of lattices, and the
 subtrees can run in worker processes.  A class record is one bytes
-object: the canonical form, then the representative's covers; a
+object: the canonical form, then the covers in canonical labels; a
 theorem record adds the congruence count and a flag byte for the three
 verdicts at its end.  Forms of one size have one length and differ
 between classes, so sorting the records sorts them by form and gives
@@ -100,7 +104,6 @@ from .poset import (
     _encoded_length,
     _permuted_rows,
     _poset_from_up,
-    _relabel_with_twins,
 )
 
 HARD_MAX_N = 12
@@ -114,42 +117,38 @@ def _extend_semilattice(
     p: Poset, twins: tuple[int, ...], autos: tuple[tuple[int, ...], ...]
 ) -> list[tuple[int, list[int]]]:
     """The up-sets U worth building a child C = p + x on, x a new minimal
-    element below U, each with the rivals of x, in increasing mask order.
+    element below U, each with the rivals of x, in the walk's order.
 
-    p is a canonical semilattice with twin groups twins (masks) and
-    automorphisms autos, as _relabel_with_twins gives them.  U is kept
+    p is a semilattice of the growth, with twin groups twins (masks) and
+    automorphisms autos, as its canonical order gives them.  U is kept
     only if it meets every twin group in the group's lowest elements, no
     minimal element of p has a larger invariant than x (the rivals are
     those with an equal one), U is the least such up-set of its orbit
     under p's automorphisms, and joins in C stay total.
 
-    Being canonical, p lists every element after everything below it:
-    colours start as the ranks of (|down|, |up|), i < j in p gives
-    |down(i)| < |down(j)|, refinement ranks by the old colour first, and
-    the canonical order sorts by colour.  So the walk decides elements
-    from n - 1 down, each after its strict up-set, which it may join
-    once that set has; out before in gives increasing masks.  An element
-    decided after a twin of larger index has joined U joins too, which
-    is the twin rule.  The other tests run on the finished up-sets.
+    The growth gave each element of p the next index as a new minimal
+    element, so it comes after everything above it.  The walk decides
+    elements from 0 up, out before in, and takes one once its strict
+    up-set and its twins of lower index have: so it builds, once each,
+    the up-sets that meet every twin group in its lowest elements.  The
+    other tests run on the finished up-sets.
     """
     n, up = p.n, p.up
     size = [row.bit_count() for row in up]
-    # The twins of larger index of each element in a twin group.
-    later = {j: g >> j + 1 << j + 1 for g in twins for j in _bits(g)}
+    # What U needs before x joins: x's strict up-set and lower twins.
+    need = [row ^ 1 << x for x, row in enumerate(up)]
+    for g in twins:
+        for j in _bits(g):
+            need[j] |= g & (1 << j) - 1
     # Each up-set U is one int: its mask, with the sum of |up(j)| over j
-    # in U above bit n.  Where a later twin of x is in U, x is not left
-    # out, and it can join: the twin's strict up-set is x's.
+    # in U above bit n.
     walk = [0]
-    for x in range(n - 1, -1, -1):
-        bit = 1 << x
-        rest = up[x] ^ bit
-        take = size[x] << n | bit
-        forced = later.get(x, 0)
+    for x in range(n):
+        take = size[x] << n | 1 << x
         nxt = []
         for cur in walk:
-            if not cur & forced:
-                nxt.append(cur)
-            if not rest & ~cur:
+            nxt.append(cur)
+            if not need[x] & ~cur:
                 nxt.append(cur + take)
         walk = nxt
     # The invariant of a minimal element y, (|up(y)|, sum of |up(j)| over
@@ -227,6 +226,18 @@ def _joins_total(up: tuple[int, ...], upset: int) -> bool:
     return True
 
 
+def _node(p: Poset, order: Optional[tuple] = None) -> tuple[Poset, tuple, tuple]:
+    """p with its twin groups of two or more elements, as masks, and the
+    automorphisms its labelling met, in p's own labels: together they
+    give all of them (see _canonical_order), read off p's canonical
+    order, found here when not given."""
+    _, group, autos = order or _canonical_order(p)
+    masks: dict[int, int] = {}
+    for v, g in enumerate(group):
+        masks[g] = masks.get(g, 0) | 1 << v
+    return p, tuple(g for g in masks.values() if g & g - 1), tuple(map(tuple, autos))
+
+
 def _grow(
     p: Poset,
     twins: tuple[int, ...],
@@ -236,19 +247,17 @@ def _grow(
 ) -> Iterator[tuple[Poset, Optional[tuple]]]:
     """Yield (child, order) once per class grown from p.
 
-    p is a canonical semilattice representative with fewer than m
-    elements; twins and autos are its twin groups of two or more
-    elements, as masks, and the automorphisms its labelling met.  One
-    up-set is tried per orbit of p's automorphisms (see
-    _extend_semilattice), and a child C = p + x is kept only if x lies in
-    the orbit of C's canonical deletion under C's automorphisms, which
-    C's canonical order returns; no two kept children are isomorphic (see
-    the module docstring).  Smaller children are grown further from
-    their representatives.  Children with m elements are yielded as
-    built, with their down-sets: with a bottom added as (m+1)-element
-    lattices, or as they are when bottom is False.  They keep p's labels:
-    x is element p.n, and a bottom p.n + 1.  The children of one p come
-    one after another.
+    p is a semilattice of the growth with fewer than m elements; twins
+    and autos are its twin groups of two or more elements, as masks,
+    and the automorphisms its labelling met (see _node).  One up-set is
+    tried per orbit of p's automorphisms (see _extend_semilattice), and
+    a child C = p + x is kept only if x lies in the orbit of C's
+    canonical deletion under C's automorphisms, which C's canonical
+    order returns; no two kept children are isomorphic (see the module
+    docstring).  Every child keeps p's labels, x as element p.n, and has
+    its down-sets; smaller ones are grown further, and those with m
+    elements are yielded, with a bottom p.n + 1 unless bottom is False.
+    The children of one p come one after another.
 
     Each child is labelled at most once.  order is the child's
     _canonical_order, or None where x ties with nothing but its own
@@ -283,7 +292,7 @@ def _grow(
         if last:
             yield child, order
         else:
-            yield from _grow(*_relabel_with_twins(child, order), m, bottom)
+            yield from _grow(*_node(child, order), m, bottom)
 
 
 def _check_size(n: int) -> None:
@@ -294,27 +303,29 @@ def _check_size(n: int) -> None:
 
 
 def _parents(n: int) -> list[tuple[Poset, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """The roots of the sweep's subtrees: canonical max(1, n-4)-element
-    semilattices, each with its twin groups and automorphisms.
+    """The roots of the sweep's subtrees: the max(1, n-4)-element
+    semilattices of the growth, one per class, each with its twin groups
+    and automorphisms.
 
     Every class of n-element lattices (n >= 3) is grown from exactly one
     of them, so their subtrees can run independently.  Each is labelled
-    once, from the canonical order its acceptance found where it needed
-    one.
+    once: _node reads the canonical order its acceptance found, or finds
+    it where acceptance needed none.
     """
     root = _poset_from_up([1])
     k = max(1, n - 4)
     if k == 1:
         return [(root, (), ())]
-    return [_relabel_with_twins(child, order) for child, order in _grow(root, (), (), k, bottom=False)]
+    return [_node(child, order) for child, order in _grow(root, (), (), k, bottom=False)]
 
 
 def _subtree(task: tuple) -> list[T]:
     """per_class(validate_lattice(leaf), order) for every n-element leaf
     grown from one root of _parents, each as _grow yields it, so the
     leaves of one parent reach per_class one after another; task is
-    (root, twins, autos, n, per_class), the root labelled as _parents
-    left it."""
+    (root, twins, autos, n, per_class), as _parents gives the root: in
+    the labels it was grown with, its twin groups and automorphisms read
+    off its canonical order."""
     root, twins, autos, n, per_class = task
     return [per_class(validate_lattice(leaf), order) for leaf, order in _grow(root, twins, autos, n - 1)]
 

@@ -83,9 +83,13 @@ class Lattice(_Immutable):
     def up_index(self) -> dict[int, int]:
         return {row: i for i, row in enumerate(self.poset.up)}
 
-    @cached_property
-    def _irreducible_rows(self) -> tuple[dict[int, int], dict[int, int], int, int, list[int]]:
-        return _irreducibles(self)
+    def __getattr__(self, name: str):
+        # Reached only for names missing from the instance dict: the first
+        # read of _irreducible_rows runs the pass and keeps it there, unlocked.
+        if name != "_irreducible_rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = self.__dict__[name] = _irreducibles(self)
+        return rows
 
     @property
     def lower_covers(self) -> dict[int, int]:

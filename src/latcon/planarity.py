@@ -17,7 +17,7 @@ Two independent routes:
   P's incomparability graph is an induced subgraph of its own: it is
   non-planar with no TRO of its own.  TRO runs once on each parent with
   leaves and on each leaf not placed into its parent's 2-realizer,
-  2,379 times at n = 10;
+  2,356 times at n = 10;
 * the forbidden-subposet criterion: a finite lattice is planar exactly
   when no member of the Kelly-Rival catalog embeds as a subposet into it
   or into its dual; a non-planar verdict carries the embedding, checked

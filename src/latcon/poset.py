@@ -60,15 +60,16 @@ class Poset(_Immutable):
     ``up[i]`` has bit j set iff i <= j (reflexive, so bit i is always set).
     Element labels are the indices 0..n-1 and carry no meaning beyond
     identity; use :func:`canonical_form` for label-free comparison.
-    Equality and the hash read ``n`` and ``up`` only, not the cached
-    properties.
+    Equality and the hash read ``n`` and ``up`` only, not ``full_mask``,
+    the set of all elements, or the cached properties.
     """
 
     n: int
     up: tuple[int, ...]
+    full_mask: int
 
     def __init__(self, n: int, up: tuple[int, ...]):
-        self.__dict__.update(n=n, up=up)
+        self.__dict__.update(n=n, up=up, full_mask=(1 << n) - 1)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -80,10 +81,6 @@ class Poset(_Immutable):
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
-
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -434,38 +431,6 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
         return p, ()
     inverse = _canonical_order(p)[0]
     return relabel(p, inverse), tuple(inverse)
-
-
-def _relabel_with_twins(
-    p: Poset, order: Optional[tuple[list[int], list[int], list[list[int]]]] = None
-) -> tuple[Poset, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The representative of canonical_relabel(p), the twin groups of two
-    or more vertices, and the automorphisms the search met, all in the
-    representative's labels; order is _canonical_order(p), found here
-    when not given.
-
-    Each group is a mask.  Swapping two twins is an automorphism, and
-    every automorphism of the representative is a permutation inside the
-    twin groups composed with exactly one of the listed automorphisms or
-    with the identity (see _canonical_order).  The representative carries
-    p's down-sets, permuted, where p holds them.
-    """
-    n = p.n
-    inverse, group, autos = order or _canonical_order(p)
-    twins: tuple[int, ...] = ()
-    if len(set(group)) < n:
-        masks: dict[int, int] = {}
-        for v, g in enumerate(group):
-            masks[g] = masks.get(g, 0) | 1 << inverse[v]
-        twins = tuple(m for m in masks.values() if m & (m - 1))
-    moved = []
-    for sigma in autos:
-        # Vertex v of p is inverse[v] in the representative.
-        image = [0] * n
-        for v, w in enumerate(sigma):
-            image[inverse[v]] = inverse[w]
-        moved.append(tuple(image))
-    return relabel(p, inverse), twins, tuple(moved)
 
 
 def _canonical_order(p: Poset) -> tuple[list[int], list[int], list[list[int]]]:

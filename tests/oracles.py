@@ -508,8 +508,9 @@ def extend_semilattice_reference(
     """What enumeration._extend_semilattice returns, by a chain of
     filters over every nonempty up-set, none of them built into the walk.
 
-    The up-sets come in closed_masks order over p's lowest-index-first
-    linear extension, reversed.  A twin outside U with a smaller index
+    The up-sets come in closed_masks order over p's elements in index
+    order, which the growth makes a linear extension of the dual: every
+    element comes after everything above it.  A twin outside U with a smaller index
     than one inside it drops U; so does a minimal element outside U with
     a larger invariant (|up|, sum of |up(j)| over j in up) than x's, an
     automorphism followed by twin swaps that maps U onto a smaller mask,
@@ -525,7 +526,7 @@ def extend_semilattice_reference(
     minimal = [i for i in range(n) if p.down[i] == 1 << i]
     lowest = [(g, [sum(1 << b for b in _bits(g)[:c]) for c in range(g.bit_count() + 1)]) for g in twins]
     out = []
-    for upset in closed_masks(up, p._linear_extension[::-1])[1:]:
+    for upset in closed_masks(up, range(n))[1:]:
         if any(g & ~upset & (1 << (g & upset).bit_length()) - 1 for g in twins):
             continue
         members = _bits(upset)

@@ -261,13 +261,16 @@ def test_sweep_from_the_root(n):
 
 
 def test_parents_are_the_smaller_semilattice_classes():
-    """The parents of n are the canonical (n-4)-element semilattices, one
-    per class of (n-3)-element lattices, each with its twin groups."""
+    """The parents of n are (n-4)-element semilattices, one per class of
+    (n-3)-element lattices: each with a bottom added is a lattice, and no
+    two have one canonical form.  Each comes with its twin groups, in its
+    own labels."""
     for n in range(6, 13):
         parents = enumeration._parents(n)
         assert all(p.n == n - 4 for p, _, _ in parents)
-        assert len({_encode_rows(p.up) for p, _, _ in parents}) == len(parents) == KNOWN_COUNTS[n - 3]
-        assert all(canonical_relabel(p)[0] == p for p, _, _ in parents)
+        for p, _, _ in parents:
+            validate_lattice(_poset_from_up(list(p.up) + [(1 << p.n + 1) - 1]))
+        assert len({canonical_form(p) for p, _, _ in parents}) == len(parents) == KNOWN_COUNTS[n - 3]
         assert all(set(twins) == twin_groups_bruteforce(p) for p, twins, _ in parents)
 
 
@@ -352,12 +355,12 @@ def test_decoded_records_match_direct_computation(n):
 def test_leaf_order_gives_the_relabelled_form_and_covers(n):
     """For every leaf of the n-element sweep, the class record read off
     the leaf's canonical order holds the form and covers of the
-    representative _relabel_with_twins builds, its covers as the
+    representative canonical_relabel builds, its covers as the
     down-row loop of tests/oracles.py finds them, and decodes to those
     covers; a leaf that comes with an order comes with its own."""
     leaves = enumeration._sweep(n, lambda l, order: (l, order))
     for l, order in leaves:
-        rep = poset_mod._relabel_with_twins(l.poset)[0]
+        rep = canonical_relabel(l.poset)[0]
         record = _encode_rows(rep.up) + bytes([x for pair in covers_by_down_rows(rep) for x in pair])
         assert enumeration._form_and_covers(l, None) == record
         assert enumeration._record_covers(record) == rep.covers
@@ -410,62 +413,61 @@ def test_verify_dismantles_only_the_classes_without_a_realizer(monkeypatch):
 def test_children_get_their_down_sets_from_the_parent(monkeypatch):
     """Every poset the growth labels carries down-sets equal to the ones
     computed from its rows, at the inner levels and at the last, where the
-    bottom is added, and so does every representative it builds and every
-    leaf it emits, with an order or as built.  The subtree roots come
-    labelled, so nothing is labelled from its rows alone, and no lattice
-    leaf is relabelled."""
+    bottom is added, and so does every node it extends but the
+    one-element root, as the up-set walk gets it, and every leaf it
+    emits, with an order or as built.  The subtree roots come labelled,
+    so nothing is labelled from its rows alone."""
     labelled = []
-    reps = []
+    nodes = []
     canonical_order = poset_mod._canonical_order
-    relabel_with_twins = enumeration._relabel_with_twins
+    extend = enumeration._extend_semilattice
 
     def order(p):
         labelled.append((p, vars(p).get("down")))
         return canonical_order(p)
 
-    def record(p, order=None):
-        node = relabel_with_twins(p, order)
-        reps.append((node[0], vars(node[0]).get("down")))
-        return node
+    def record(p, twins, autos):
+        nodes.append((p, vars(p).get("down")))
+        return extend(p, twins, autos)
 
     for module in (enumeration, poset_mod):
         monkeypatch.setattr(module, "_canonical_order", order)
-    monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
+    monkeypatch.setattr(enumeration, "_extend_semilattice", record)
     leaves = enumeration._sweep(8, lambda l, order: (l.poset, order, vars(l.poset).get("down")))
     assert len(leaves) == KNOWN_COUNTS[8]
     assert any(order is None for _, order, _ in leaves)
     assert any(order is not None for _, order, _ in leaves)
     assert {p.n for p, _ in labelled} == {2, 3, 4, 5, 6, 8}
-    assert {p.n for p, _ in reps} == {2, 3, 4, 5, 6}
-    for p, down in labelled + reps + [(leaf, down) for leaf, _, down in leaves]:
+    assert [p.up for p, _ in nodes if p.n == 1] == [(1,)]
+    nodes = [(p, down) for p, down in nodes if p.n > 1]
+    assert {p.n for p, _ in nodes} == {2, 3, 4, 5, 6}
+    for p, down in labelled + nodes + [(leaf, down) for leaf, _, down in leaves]:
         assert down == _poset_from_up(p.up).down
 
 
-def _labelled_in_sweeps(
-    monkeypatch, sizes, per_class=lambda l, order: enumeration._relabel_with_twins(l.poset, order)
-):
-    """(rep, twins, autos, searched) for every representative the sweeps
-    of these sizes build with this per-class function: the semilattice
-    children and roots, and the lattices, which the default relabels from
-    the order the growth found or from none.  searched says whether
-    _search ran on the poset; where it did not, the labelling must return
-    no automorphisms."""
+def _labelled_in_sweeps(monkeypatch, sizes, per_class=lambda l, order: enumeration._node(l.poset, order)):
+    """(p, twins, autos, searched) for every node whose twin groups and
+    automorphisms the sweeps of these sizes read, with this per-class
+    function: the semilattice children and roots, and the lattices, which
+    the default reads from the order the growth found or from none, all
+    in their own labels.  searched says whether _search ran on the
+    poset; where it did not, the labelling must return no automorphisms."""
     calls = []
-    relabel_with_twins = enumeration._relabel_with_twins
+    node = enumeration._node
     search = poset_mod._search
     searched = {}
 
     def record(p, order=None):
-        rep, twins, autos = relabel_with_twins(p, order)
+        p, twins, autos = node(p, order)
         assert id(p) in searched or autos == ()
-        calls.append((rep, twins, autos, id(p) in searched))
-        return rep, twins, autos
+        calls.append((p, twins, autos, id(p) in searched))
+        return p, twins, autos
 
     def recorded_search(p, *args):
         searched[id(p)] = p
         return search(p, *args)
 
-    monkeypatch.setattr(enumeration, "_relabel_with_twins", record)
+    monkeypatch.setattr(enumeration, "_node", record)
     monkeypatch.setattr(poset_mod, "_search", recorded_search)
     for n in sizes:
         assert len(enumeration._sweep(n, per_class)) == KNOWN_COUNTS[n]
@@ -473,8 +475,8 @@ def _labelled_in_sweeps(
 
 
 def _labelling_counts(monkeypatch, run, n):
-    """The canonical orders found and the representatives built by run(n)."""
-    count = {"orders": 0, "reps": 0}
+    """The canonical orders found and the posets relabelled by run(n)."""
+    count = {"orders": 0, "relabels": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -486,51 +488,51 @@ def _labelling_counts(monkeypatch, run, n):
     with monkeypatch.context() as patch:
         for module in (enumeration, poset_mod):
             patch.setattr(module, "_canonical_order", counted("orders", module._canonical_order))
-        patch.setattr(enumeration, "_relabel_with_twins", counted("reps", enumeration._relabel_with_twins))
+        patch.setattr(poset_mod, "relabel", counted("relabels", poset_mod.relabel))
         patch.setattr(enumeration, "_lattice_cache", {})
         run(n)
     return count
 
 
-def test_twin_groups_are_automorphisms_of_the_representative(monkeypatch):
-    """Every twin group returned beside a representative is a twin class
-    of that representative, in its labels, and each transposition inside
-    it maps the representative onto itself; so does every automorphism
-    returned beside it, a permutation other than the identity: for every
-    class with n <= 8 and every semilattice it is grown from but the
-    one-element root."""
+def test_twin_groups_are_automorphisms_of_each_node(monkeypatch):
+    """Every twin group read off a node's canonical order is a twin class
+    of that node, in its own labels, and each transposition inside it
+    maps the node onto itself; so does every automorphism read beside
+    it, a permutation other than the identity: for every class with
+    n <= 8 and every semilattice it is grown from but the one-element
+    root."""
     calls = _labelled_in_sweeps(monkeypatch, range(3, 9))
-    assert {rep.n for rep, _, _, _ in calls} == set(range(2, 9))
+    assert {p.n for p, _, _, _ in calls} == set(range(2, 9))
     assert any(autos and twins for _, twins, autos, _ in calls)
-    for rep, twins, autos, _ in calls:
-        assert set(twins) == twin_groups_bruteforce(rep)
+    for p, twins, autos, _ in calls:
+        assert set(twins) == twin_groups_bruteforce(p)
         assert len(set(twins)) == len(twins)
         for g in twins:
             members = _bits(g)
             for u in members:
                 for v in members:
-                    swap = list(range(rep.n))
+                    swap = list(range(p.n))
                     swap[u], swap[v] = v, u
-                    assert relabel(rep, swap) == rep
+                    assert relabel(p, swap) == p
         for sigma in autos:
-            assert sorted(sigma) == list(range(rep.n)) and sigma != tuple(range(rep.n))
-            assert relabel(rep, sigma) == rep
+            assert sorted(sigma) == list(range(p.n)) and sigma != tuple(range(p.n))
+            assert relabel(p, sigma) == p
 
 
 def test_twin_permutations_and_listed_automorphisms_give_all_of_them(monkeypatch):
-    """Every automorphism of a representative is a permutation inside its
-    twin groups composed with exactly one listed automorphism or with the
+    """Every automorphism of a node is a permutation inside its twin
+    groups composed with exactly one listed automorphism or with the
     identity, so an exhaustive count equals the product of |G|! times one
     more than the number listed.  Where no search ran, none are listed:
     the twin permutations are all of them."""
     calls = _labelled_in_sweeps(monkeypatch, range(3, 9))
-    small = {_encode_rows(call[0].up): call for call in calls if call[0].n <= 7}
+    small = {canonical_form(call[0]): call for call in calls if call[0].n <= 7}
     assert sum(not searched for _, _, _, searched in small.values()) > 100
     assert sum(searched for _, _, _, searched in small.values()) > 5
     assert sum(bool(autos) for _, _, autos, _ in small.values()) > 5
-    for rep, twins, autos, _ in small.values():
+    for p, twins, autos, _ in small.values():
         twin_order = prod(factorial(g.bit_count()) for g in twins)
-        assert count_automorphisms(rep) == twin_order * (1 + len(autos))
+        assert count_automorphisms(p) == twin_order * (1 + len(autos))
 
 
 def test_sweep_labels_one_extension_per_automorphism_orbit(monkeypatch):
@@ -550,16 +552,23 @@ def test_sweep_labels_one_extension_per_automorphism_orbit(monkeypatch):
 
 def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
     """At n = 9, spectrum finds the canonical orders of the semilattices
-    and only of the lattices whose acceptance needed one, 390 in all,
-    and builds the representatives of the 298 semilattices it grows
-    further or roots a subtree at.  enumerate_lattices and
-    verify_theorem build the same ones and find only the canonical order
-    of the 1,012 lattices accepted unlabelled: each class once, 1,402 in
-    all, as a sweep that labels every class does.  No node is labelled
-    twice: a subtree labels nothing before it extends its root, which
-    _parents labelled."""
-    for run, orders in ((spectrum, 390), (enumerate_lattices, 1402), (verify_theorem, 1402)):
-        assert _labelling_counts(monkeypatch, run, 9) == {"orders": orders, "reps": 298}, run.__name__
+    and only of the lattices whose acceptance needed one, 390 in all.
+    enumerate_lattices, the enumerate command and verify_theorem find
+    those and the canonical order of the 1,012 lattices accepted
+    unlabelled: each class once, 1,402 in all, as a sweep that labels
+    every class does.  None of them relabels a poset: every node keeps
+    the labels it was grown with.  No node is labelled twice: a subtree
+    labels nothing before it extends its root, which _parents labelled."""
+    from latcon import cli
+
+    runs = (
+        (spectrum, 390),
+        (enumerate_lattices, 1402),
+        (lambda n: cli.main(["enumerate", str(n)]), 1402),
+        (verify_theorem, 1402),
+    )
+    for run, orders in runs:
+        assert _labelling_counts(monkeypatch, run, 9) == {"orders": orders, "relabels": 0}
     events = []
 
     def logged(name, f):
@@ -571,7 +580,6 @@ def test_spectrum_labels_only_where_acceptance_needs_it(monkeypatch):
 
     for module in (enumeration, poset_mod):
         monkeypatch.setattr(module, "_canonical_order", logged("label", module._canonical_order))
-    monkeypatch.setattr(enumeration, "_relabel_with_twins", logged("label", enumeration._relabel_with_twins))
     monkeypatch.setattr(enumeration, "_extend_semilattice", logged("extend", enumeration._extend_semilattice))
     monkeypatch.setattr(enumeration, "_subtree", logged("subtree", enumeration._subtree))
     spectrum(9)
@@ -607,7 +615,7 @@ def test_growth_needs_the_automorphisms_and_the_twin_test(monkeypatch):
 
 def sweep_parents(n):
     """(p, twins, autos) for every call of _extend_semilattice in the
-    n-element sweep, and the number of classes the sweep gives.  The
+    n-element sweep, and the leaves the sweep gives, as posets.  The
     sweep for n grows every parent the sweeps for smaller sizes grow."""
     calls = []
     extend = enumeration._extend_semilattice
@@ -618,8 +626,15 @@ def sweep_parents(n):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration, "_extend_semilattice", record)
-        classes = len(enumeration._sweep(n, lambda l, order: None))
-    return calls, classes
+        leaves = enumeration._sweep(n, lambda l, order: l.poset)
+    return calls, leaves
+
+
+def in_growth_order(p):
+    """Whether bit j of up[i] is set only for j <= i: every element comes
+    after everything above it, as each element the growth adds is
+    minimal and takes the next index."""
+    return all(row >> i + 1 == 0 for i, row in enumerate(p.up))
 
 
 def check_extension_upsets(n, parents, classes):
@@ -628,13 +643,15 @@ def check_extension_upsets(n, parents, classes):
     the same order, for every parent of the n-element sweep, which has
     `parents` parents and gives `classes` classes: the up-sets with their
     rivals, some parents with twins, some with automorphisms, some
-    up-sets with rivals."""
-    calls, found = sweep_parents(n)
-    assert (len(calls), found) == (parents, classes), f"{len(calls)} parents, {found} classes"
+    up-sets with rivals.  Every parent is in growth order, which the walk
+    relies on."""
+    calls, leaves = sweep_parents(n)
+    assert (len(calls), len(leaves)) == (parents, classes), f"{len(calls)} parents, {len(leaves)} classes"
     assert any(twins for _, twins, _ in calls)
     assert any(autos for _, _, autos in calls)
     tried = []
     for p, twins, autos in calls:
+        assert in_growth_order(p), p.up
         got = enumeration._extend_semilattice(p, twins, autos)
         assert got == extend_semilattice_reference(p, twins, autos), p.up
         tried += got
@@ -648,12 +665,16 @@ def test_extension_upsets_match_the_filter_chain():
     check_extension_upsets(9, parents=299, classes=KNOWN_COUNTS[9])
 
 
-def test_sweep_parents_are_linearly_ordered():
-    """Every parent the growth extends lists each element after everything
-    below it: bit j of up[i] set implies i <= j.  The up-set walk relies
-    on it (see _extend_semilattice)."""
-    for p, _, _ in sweep_parents(9)[0]:
-        assert all(i <= j for i in range(p.n) for j in _bits(p.up[i])), p.up
+def test_growth_lists_every_element_after_everything_above_it():
+    """Every node the up-set walk is called on, and every leaf the growth
+    yields, keeps the labels it was grown with: bit j of up[i] is set
+    only for j <= i, and the leaf's bottom comes last.  The up-set walk
+    relies on it (see _extend_semilattice)."""
+    calls, leaves = sweep_parents(9)
+    assert (len(calls), len(leaves)) == (299, KNOWN_COUNTS[9])
+    for p in [p for p, _, _ in calls] + leaves:
+        assert in_growth_order(p), p.up
+    assert all(leaf.up[-1] == leaf.full_mask for leaf in leaves)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

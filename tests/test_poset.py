@@ -340,10 +340,17 @@ def _iter_upsets_recursion(p):
 
 
 def test_closed_masks_keep_the_upset_order():
-    """On a canonical representative, deciding the elements from n - 1
-    down, as the growth's up-set walk does, gives the empty set, then the
-    up-sets in the old recursion's order, which is increasing mask order."""
+    """On a poset whose every element comes after everything above it, as
+    in each node of the growth, deciding the elements from 0 up, as the
+    growth's up-set walk does, gives the empty set first and then every
+    other up-set once.  On a canonical representative, deciding them from
+    n - 1 down gives the empty set, then the up-sets in the old
+    recursion's order, which is increasing mask order."""
     for p in all_posets_upto(6):
+        grown = dual(p)
+        masks = closed_masks(grown.up, range(grown.n))
+        upsets = [m for m in range(1 << p.n) if all(grown.up[x] & ~m == 0 for x in _bits(m))]
+        assert masks[0] == 0 and sorted(masks) == upsets
         rep = canonical_relabel(p)[0]
         masks = closed_masks(rep.up, range(rep.n - 1, -1, -1))
         assert masks == [0] + _iter_upsets_recursion(rep) == sorted(masks)
@@ -629,7 +636,7 @@ def test_search_runs_for_a_minority_of_classes(monkeypatch):
     from latcon import enumeration
     from latcon import poset as poset_mod
 
-    calls = {"relabel": 0, "search": 0}
+    calls = {"order": 0, "search": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -638,22 +645,21 @@ def test_search_runs_for_a_minority_of_classes(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        enumeration, "_relabel_with_twins", counted("relabel", poset_mod._relabel_with_twins)
-    )
+    for module in (enumeration, poset_mod):
+        monkeypatch.setattr(module, "_canonical_order", counted("order", poset_mod._canonical_order))
     monkeypatch.setattr(poset_mod, "_search", counted("search", poset_mod._search))
-    classes = enumeration._sweep(8, lambda l, order: enumeration._relabel_with_twins(l.poset, order))
+    classes = enumeration._sweep(8, lambda l, order: order or enumeration._canonical_order(l.poset))
     assert len(classes) == 222
-    assert calls["relabel"] >= len(classes)
+    assert calls["order"] >= len(classes)
     assert 0 < calls["search"] < len(classes) // 2
 
 
 def test_labelling_lists_every_automorphism_once():
-    """Every automorphism of a representative is a permutation inside its
-    twin groups composed with exactly one automorphism that
-    _relabel_with_twins lists, or with the identity: an exhaustive count
-    equals the product of |G|! times one more than the number listed, and
-    each listed one maps the representative onto itself.  The inputs
+    """Every automorphism of a poset is a permutation inside its twin
+    groups composed with exactly one automorphism that _canonical_order
+    lists, or with the identity: an exhaustive count equals the product
+    of |G|! times one more than the number listed, and each listed one
+    maps the poset onto itself.  The inputs
     include a 10-element lattice whose search meets a leaf equal to its
     best so far and then a smaller best, whose equal leaves no longer
     give automorphisms."""
@@ -674,10 +680,10 @@ def test_labelling_lists_every_automorphism_once():
         posets.append(relabel(poset_from_covers(n, pairs), rng.sample(range(n), n)))
     listed = 0
     for p in posets:
-        rep, twins, autos = poset_mod._relabel_with_twins(p)
+        _, group, autos = poset_mod._canonical_order(p)
         for sigma in autos:
-            assert sorted(sigma) == list(range(p.n)) and relabel(rep, sigma) == rep
-        twin_order = prod(factorial(g.bit_count()) for g in twins)
-        assert count_automorphisms(rep) == twin_order * (1 + len(autos))
+            assert sorted(sigma) == list(range(p.n)) and relabel(p, sigma) == p
+        twin_order = prod(factorial(group.count(g)) for g in set(group))
+        assert count_automorphisms(p) == twin_order * (1 + len(autos))
         listed += len(autos)
     assert listed > 20
