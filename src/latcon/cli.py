@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .congruence import ORACLE_MAX_N, con_count_oracle, exceeds_threshold, jir_quasiorder
 from .lattice import (
@@ -133,8 +133,10 @@ def _pair_names(n: int) -> list[list[str]]:
     return [[f"{a}-{b}" for b in range(n)] for a in range(n)]
 
 
-def _fmt_covers(covers, names: list[list[str]]) -> str:
-    return ",".join([names[a][b] for a, b in covers]) if covers else "-"
+def _fmt_covers(covers: Sequence[int], names: list[list[str]]) -> str:
+    """Cover pairs given flat, lower then upper, as "a-b,c-d", or "-"."""
+    ends = iter(covers)
+    return ",".join([names[a][b] for a, b in zip(ends, ends)]) if covers else "-"
 
 
 def _fmt_embedding(emb) -> str:
@@ -158,7 +160,7 @@ def _cmd_analyze(args) -> int:
     if qu is not None:
         canon, _ = canonical_relabel(qu)
         print(f"Qu_n={qu.n}")
-        print(f"Qu_covers={_fmt_covers(canon.covers, _pair_names(canon.n))}")
+        print(f"Qu_covers={_fmt_covers([x for c in canon.covers for x in c], _pair_names(canon.n))}")
     # planar= and planar_graph= (a key kept from the graph route the
     # 2-realizer replaced) both print the dimension route's verdict.
     planar = planar_realizer(l) is not None
@@ -260,18 +262,21 @@ def _cmd_spectrum(args) -> int:
 
 
 def _render_verify(rep: TheoremReport) -> Iterator[str]:
-    """The verify report, one newline-terminated line at a time."""
+    """The verify report, one newline-terminated line at a time; a class
+    line reads its packed record's cover bytes, count and flag byte."""
+    from .enumeration import _DISMANTLABLE, _MANY, _PLANAR, _theorem_fields
+
     yield f"verify n={rep.n}\n"
     yield f"classes={rep.classes_checked}\n"
     yield f"many={rep.many_congruence_classes}\n"
     yield f"violations={len(rep.violations)}\n"
     yield "covers;con;planar;dismantlable;many\n"
     names = _pair_names(rep.n)
-    for r in rep.records:
-        yield (
-            f"{_fmt_covers(r.covers, names)};{r.con};{_fmt_bool(r.planar)};"
-            f"{_fmt_bool(r.dismantlable)};{_fmt_bool(r.many)}\n"
-        )
+    # The line ending of each of the eight flag bytes, made once.
+    endings = ["".join(f";{_fmt_bool(f & b)}" for b in (_PLANAR, _DISMANTLABLE, _MANY)) + "\n" for f in range(8)]
+    for record in rep.packed:
+        covers, con, flags = _theorem_fields(record)
+        yield f"{_fmt_covers(covers, names)};{con}{endings[flags]}"
 
 
 def _cmd_verify(args) -> int:

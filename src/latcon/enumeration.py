@@ -431,20 +431,24 @@ class TheoremReport(NamedTuple):
 _PLANAR, _DISMANTLABLE, _MANY = 1, 2, 4
 
 
-def _record_covers(record: bytes) -> tuple[tuple[int, int], ...]:
-    """The covers a class record holds; a theorem record less its last
-    five bytes is one."""
-    covers = record[_encoded_length(record[0]) :]
-    return tuple(zip(covers[::2], covers[1::2]))
+def _record_covers(record: bytes) -> bytes:
+    """The covers a class record holds, as byte pairs (lower, upper)."""
+    return record[_encoded_length(record[0]) :]
+
+
+def _theorem_fields(record: bytes) -> tuple[bytes, int, int]:
+    """A theorem record's covers, as byte pairs, congruence count and flag
+    byte: it is a class record, then 4 bytes and 1."""
+    return _record_covers(record[:-5]), int.from_bytes(record[-5:-1], "big"), record[-1]
 
 
 def _unpack(record: bytes) -> ClassRecord:
     """The ClassRecord a theorem record holds."""
-    flags = record[-1]
+    covers, con, flags = _theorem_fields(record)
     return ClassRecord(
-        covers=_record_covers(record[:-5]),
+        covers=tuple(zip(covers[::2], covers[1::2])),
         n=record[0],
-        con=int.from_bytes(record[-5:-1], "big"),
+        con=con,
         planar=bool(flags & _PLANAR),
         dismantlable=bool(flags & _DISMANTLABLE),
         many=bool(flags & _MANY),

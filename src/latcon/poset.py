@@ -10,16 +10,15 @@ the covers, the enumeration's growth and the congruence count all walk,
 are read by ``_bits`` from a table of tuples for every mask below 2^12,
 which covers each sweep up to twelve elements.
 
-Canonical labelling finds the twin groups, refines a vertex colouring
-by the colours above and below each vertex, then searches over the
-orders that sort the colour classes, cutting every branch whose
-relation matrix already exceeds the best leaf found so far (as in
-nauty: McKay and Piperno, "Practical graph isomorphism, II", 2014).
-Refinement skips a class that is a single twin group, and the search
-never branches within a twin group.  When every class is one, every
-such order gives the same relation matrix, so the search is skipped
-and the vertices are ordered by colour, then by index.  In the
-enumeration's lattices this is the common case.
+Canonical labelling finds the twin groups, colours the vertices by
+their (|down|, |up|) keys, refines the colouring by the colours above
+and below each vertex, then searches over the orders that sort the
+colour classes, cutting every branch whose relation matrix already
+exceeds the best leaf found so far (as in nauty: McKay and Piperno,
+"Practical graph isomorphism, II", 2014).  A class holds whole twin
+groups; where each is one group, no refinement runs, and where each
+refined class is one, no search.  Of the 7,509 labellings of the
+n = 10 theorem sweep, 4,358 refine nothing and 697 search.
 
 The labelling also returns the automorphisms its search meets, which
 tell the enumeration which of a parent's extensions give isomorphic
@@ -241,9 +240,10 @@ def _refined_colors(p: Poset, group: list[int]) -> list[int]:
     signature, until no colour class splits.  Every signature begins with
     the old colour, so that rank is the number of distinct signatures in
     the classes of smaller colour plus the rank within the vertex's own
-    class.  Twins (group holds their ids) have equal signatures in every
-    round, so signatures are built only for the classes that are not a
-    single twin group, and no round runs where there are none.
+    class, and the colours keep the order of the initial ranks.  Twins
+    (group holds their ids) have equal signatures in every round, so
+    signatures are built only for the classes that are not a single twin
+    group; _canonical_order calls this only where there is one.
     """
     n = p.n
     up, down = p.up, p.down
@@ -356,16 +356,30 @@ def _search(p: Poset, colors: list[int], group: list[int]) -> tuple[list[int], l
     A branch is cut as soon as its matrix prefix exceeds the best leaf
     found so far; a prefix equal to the best's is never cut, so every
     leaf with the least matrix is reached.
+
+    The matrix entries of the vertex v at position pos are the pairs
+    (u <= v, v <= u) for the u placed before it, in order.  Colours keep
+    the order of the (|down|, |up|) ranks and u < v implies
+    |down u| < |down v|, so v <= u never holds: the entries are the int
+    prefix[v], whose bit n - 1 - i says the vertex at position i is below
+    v.  The first placed is the most significant bit, so the ints of the
+    candidates at pos compare as their entry lists do: the same cuts,
+    best leaf and ties.  Placing a vertex sets its bit in the prefix of
+    everything above it; removing it clears the bit.
     """
     n = p.n
     class_of_pos = sorted(colors)
-    up = p.up
+    cells: list[list[int]] = [[] for _ in range(class_of_pos[-1] + 1)]
+    for v in range(n):
+        cells[colors[v]].append(v)
+    above = [_bits(row & ~(1 << v)) for v, row in enumerate(p.up)]
 
+    prefix = [0] * n
     best_flat: list[int] = []
     best_perm: list[int] = []
     placed: list[int] = []
     in_place = [False] * n
-    flat: list[int] = []
+    flat = [0] * n
     ties: list[list[int]] = []
 
     def search(pos: int, equal: bool) -> bool:
@@ -383,31 +397,33 @@ def _search(p: Poset, colors: list[int], group: list[int]) -> tuple[list[int], l
                 best_perm[:] = placed
                 ties.clear()
             return not equal
-        want = class_of_pos[pos]
+        bit = 1 << n - 1 - pos
         seen_groups = set()
-        base = len(flat)
         found = False
-        for v in range(n):
-            if in_place[v] or colors[v] != want or group[v] in seen_groups:
+        for v in cells[class_of_pos[pos]]:
+            if in_place[v] or group[v] in seen_groups:
                 continue
             seen_groups.add(group[v])
-            chunk = [(up[u] >> v & 1) << 1 | (up[v] >> u & 1) for u in placed]
+            chunk = prefix[v]
             now_equal = False
             if equal:
-                ref = best_flat[base : base + pos]
+                ref = best_flat[pos]
                 if chunk > ref:
                     continue
                 now_equal = chunk == ref
-            flat.extend(chunk)
+            flat[pos] = chunk
             placed.append(v)
             in_place[v] = True
+            for w in above[v]:
+                prefix[w] |= bit
             if search(pos + 1, now_equal):
                 # The new best leaf starts with flat, so the branches
                 # after this one are compared against it.
                 found = equal = True
+            for w in above[v]:
+                prefix[w] ^= bit
             in_place[v] = False
             placed.pop()
-            del flat[base:]
         return found
 
     search(0, False)
@@ -420,12 +436,8 @@ def canonical_relabel(p: Poset) -> tuple[Poset, tuple[int, ...]]:
     The representative minimizes the relation matrix over all labelings
     that sort the refined colour classes, so two posets get the same
     representative iff they are order-isomorphic.  Twin groups are never
-    branched over, which keeps highly symmetric posets cheap.
-
-    When every colour class is a single twin group (a single vertex
-    included), all those labelings give the same matrix and the search
-    would follow one path, so no search runs: the vertices are ordered by
-    colour, then by index, exactly as the search would place them.
+    branched over, which keeps highly symmetric posets cheap; where every
+    class is one group no search runs (see _canonical_order).
     """
     if p.n == 0:
         return p, ()
@@ -442,6 +454,12 @@ def _canonical_order(p: Poset) -> tuple[list[int], list[int], list[list[int]]]:
     that needs only the representative's rows or covers can move p's own
     through the positions instead.
 
+    Twins share their (|down|, |up|) key, so where there are as many keys
+    as twin groups each key class is one group and every order sorting
+    the keys gives one matrix: the order is a stable sort by key.
+    Otherwise the colours are refined, and the search runs if a class
+    still holds two groups or more.
+
     Each leaf of the search with the canonical matrix gives the
     automorphism sigma with sigma[order[i]] = leaf[i].  These are all of
     them up to twin permutations: an automorphism keeps the colours, so
@@ -452,19 +470,22 @@ def _canonical_order(p: Poset) -> tuple[list[int], list[int], list[list[int]]]:
     one.  Where no search ran, every colour class is one twin group, so
     the twin permutations are all of the automorphisms.
     """
+    n = p.n
     group = _twin_groups(p)
-    colors = _refined_colors(p, group)
+    groups = len(set(group))
+    keys = [(d.bit_count(), u.bit_count()) for d, u in zip(p.down, p.up)]
+    colors = keys if len(set(keys)) == groups else _refined_colors(p, group)
     autos: list[list[int]] = []
-    if len(set(group)) != max(colors) + 1:
+    if colors is not keys and max(colors) + 1 < groups:
         order, leaves = _search(p, colors, group)
         for leaf in leaves:
-            sigma = [0] * p.n
+            sigma = [0] * n
             for v, w in zip(order, leaf):
                 sigma[v] = w
             autos.append(sigma)
     else:
-        order = sorted(range(p.n), key=colors.__getitem__)
-    inverse = [0] * p.n
+        order = sorted(range(n), key=colors.__getitem__)
+    inverse = [0] * n
     for pos, v in enumerate(order):
         inverse[v] = pos
     return inverse, group, autos

@@ -249,6 +249,60 @@ def test_enumerate_output(capsys):
         assert capsys.readouterr().out.splitlines() == lines
 
 
+def _render_verify_from_class_records(rep, records):
+    """The verify report as it was formatted from decoded ClassRecords,
+    kept as the reference for the rendering from packed records."""
+    def fmt(b):
+        return "true" if b else "false"
+
+    lines = [
+        f"verify n={rep.n}\n",
+        f"classes={rep.classes_checked}\n",
+        f"many={rep.many_congruence_classes}\n",
+        f"violations={len(rep.violations)}\n",
+        "covers;con;planar;dismantlable;many\n",
+    ]
+    names = [[f"{a}-{b}" for b in range(rep.n)] for a in range(rep.n)]
+    for r in records:
+        covers = ",".join([names[a][b] for a, b in r.covers]) if r.covers else "-"
+        lines.append(f"{covers};{r.con};{fmt(r.planar)};{fmt(r.dismantlable)};{fmt(r.many)}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_verify_lines_read_off_the_packed_records(n):
+    """The report formatted straight from the packed records equals the
+    one formatted from their decoded ClassRecords, with one worker and
+    with two."""
+    from latcon.cli import _render_verify
+    from latcon.enumeration import verify_theorem
+
+    for jobs in (1, 2):
+        rep = verify_theorem(n, jobs=jobs)
+        assert "".join(_render_verify(rep)) == _render_verify_from_class_records(rep, rep.records)
+
+
+def test_verify_lines_of_every_flag_byte_and_the_largest_count():
+    """On a hand-built report whose records hold each of the eight flag
+    bytes and the counts 0, 1 and 2^32 - 1, the lines equal those of the
+    ClassRecords the records were packed from."""
+    from latcon.cli import _render_verify
+    from latcon.enumeration import ClassRecord, TheoremReport, _form_and_covers, enumerate_lattices
+
+    lattices = enumerate_lattices(5)
+    records, packed = [], []
+    for flags in range(8):
+        l = lattices[flags % len(lattices)]
+        con = (0, 1, 2**32 - 1)[flags % 3]
+        records.append(
+            ClassRecord(l.poset.covers, 5, con, bool(flags & 1), bool(flags & 2), bool(flags & 4))
+        )
+        packed.append(_form_and_covers(l, None) + con.to_bytes(4, "big") + bytes((flags,)))
+    rep = TheoremReport(n=5, classes_checked=8, many_congruence_classes=4, violations=(), packed=tuple(packed))
+    assert "".join(_render_verify(rep)) == _render_verify_from_class_records(rep, records)
+    assert list(rep.records) == records
+
+
 # sha256 of the stdout of each command at n = 9: a change to the
 # canonical labels, the enumeration order or the report shows here.
 GOLDEN_STDOUT_9 = {

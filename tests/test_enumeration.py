@@ -356,14 +356,14 @@ def test_leaf_order_gives_the_relabelled_form_and_covers(n):
     """For every leaf of the n-element sweep, the class record read off
     the leaf's canonical order holds the form and covers of the
     representative canonical_relabel builds, its covers as the
-    down-row loop of tests/oracles.py finds them, and decodes to those
-    covers; a leaf that comes with an order comes with its own."""
+    down-row loop of tests/oracles.py finds them, and holds those covers
+    as its cover bytes; a leaf that comes with an order comes with its own."""
     leaves = enumeration._sweep(n, lambda l, order: (l, order))
     for l, order in leaves:
         rep = canonical_relabel(l.poset)[0]
         record = _encode_rows(rep.up) + bytes([x for pair in covers_by_down_rows(rep) for x in pair])
         assert enumeration._form_and_covers(l, None) == record
-        assert enumeration._record_covers(record) == rep.covers
+        assert enumeration._record_covers(record) == bytes([x for pair in rep.covers for x in pair])
         if order is not None:
             assert order == poset_mod._canonical_order(l.poset)
             assert enumeration._form_and_covers(l, order) == record

@@ -499,31 +499,34 @@ def test_refined_colors_match_per_round_walk(monkeypatch):
 
 
 def test_refinement_skips_classes_that_are_one_twin_group(monkeypatch):
-    """Twins have equal signatures in every round, so refinement builds no
-    signature for a class that is a single twin group, and where every
-    initial (|down|, |up|) class is one it reads no neighbour row and runs
-    no round: on 698 of the 1,078 leaves of the n = 9 sweep.  The colours
-    stay those of the per-round walk."""
+    """Twins share their (|down|, |up|) key, so each key class is a union
+    of twin groups, and where there are as many keys as groups every
+    class is one.  There _canonical_order sorts by key and reads no
+    neighbour row: it calls neither _refined_colors nor _search, on 698
+    of the 1,078 leaves of the n = 9 sweep.  Elsewhere it refines, and
+    the order is that of the full search."""
     from latcon import poset as poset_mod
     from latcon.enumeration import _sweep
 
     leaves = _sweep(9, lambda l, order: l.poset)
     expected = []
     for p in leaves:
-        colors = _refined_colors_per_round_walk(p)
-        group = _twin_groups_pairwise(p, colors)
+        group = _twin_groups_pairwise(p, _refined_colors_per_round_walk(p))
         cells = {}
         for v in range(p.n):
             cells.setdefault((p.down[v].bit_count(), p.up[v].bit_count()), set()).add(group[v])
-        expected.append((colors, all(len(groups) == 1 for groups in cells.values())))
-    reads = []
-    bits = poset_mod._bits
-    monkeypatch.setattr(poset_mod, "_bits", lambda mask: reads.append(mask) or bits(mask))
-    for p, (colors, settled) in zip(leaves, expected):
-        reads.clear()
-        assert poset_mod._refined_colors(p, poset_mod._twin_groups(p)) == colors
-        assert (not reads) == settled
-    assert (len(leaves), sum(settled for _, settled in expected)) == (1078, 698)
+        expected.append(all(len(groups) == 1 for groups in cells.values()))
+    calls = []
+    for name in ("_bits", "_refined_colors", "_search"):
+        f = getattr(poset_mod, name)
+        monkeypatch.setattr(poset_mod, name, lambda *args, name=name, f=f: calls.append(name) or f(*args))
+    for p, settled in zip(leaves, expected):
+        calls.clear()
+        positions = poset_mod._canonical_order(p)[0]
+        assert (not calls) == settled
+        assert settled or "_refined_colors" in calls
+        assert tuple(positions) == _canonical_relabel_full_search(p)[1]
+    assert (len(leaves), sum(expected)) == (1078, 698)
 
 
 def _twin_groups_pairwise(p, colors):
@@ -630,6 +633,70 @@ def test_canonical_relabel_matches_full_search(monkeypatch):
             assert len(set(_twin_groups_pairwise(p, colors))) == len(set(colors))
     assert all(any(s is p for s in searched) for p in posets[-len(non_twin):])
     assert 0 < len(searched) < len(posets) // 4
+
+
+def test_canonical_positions_extend_the_order_and_colours_are_antichains():
+    """The search's one-int prefixes rest on two facts: the canonical
+    positions form a linear extension (u < v puts u first), and two
+    vertices of one refined colour are incomparable.  Checked on every
+    lattice class n <= 8 relabelled at random, on every poset of
+    all_posets_upto(6), and on 300 random posets of up to 12 elements
+    and their duals."""
+    from latcon import poset as poset_mod
+    from latcon.enumeration import enumerate_lattices
+
+    rng = random.Random(34)
+    posets = [relabel(l.poset, rng.sample(range(n), n)) for n in range(1, 9) for l in enumerate_lattices(n)]
+    posets += all_posets_upto(6)
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        perm = rng.sample(range(n), n)
+        q = poset_from_covers(n, [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3])
+        posets += [q, dual(q)]
+    for p in posets:
+        position = poset_mod._canonical_order(p)[0]
+        colors = poset_mod._refined_colors(p, poset_mod._twin_groups(p))
+        for u in range(p.n):
+            for v in _bits(p.up[u] & ~(1 << u)):
+                assert position[u] < position[v] and colors[u] != colors[v]
+
+
+def check_canonical_orders(n, orders, refinements, searches):
+    """Every poset _canonical_order is given during verify_theorem(n), the
+    growth's inner nodes (semilattices) and its lattices alike, gets the
+    full search's representative and permutation from canonical_relabel,
+    and the pairwise twin groups.  Pins how many labellings the sweep
+    makes, how many of them refine and how many search."""
+    from unittest import mock
+
+    from latcon import poset as poset_mod
+
+    rows = []
+    calls = {"_refined_colors": 0, "_search": 0}
+
+    def counted(name):
+        f = getattr(poset_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    order = enumeration._canonical_order
+    with mock.patch.object(enumeration, "_canonical_order", lambda p: rows.append(p.up) or order(p)):
+        with mock.patch.multiple(poset_mod, **{name: counted(name) for name in calls}):
+            enumeration.verify_theorem(n)
+    assert (len(rows), calls["_refined_colors"], calls["_search"]) == (orders, refinements, searches)
+    for up in rows:
+        p = poset_mod._poset_from_up(up)
+        assert canonical_relabel(p) == _canonical_relabel_full_search(p)
+        group = poset_mod._canonical_order(p)[1]
+        assert group == _twin_groups_pairwise(p, _refined_colors_per_round_walk(p))
+
+
+def test_every_labelling_of_the_sweep_matches_the_full_search():
+    check_canonical_orders(9, orders=1402, refinements=476, searches=140)
 
 
 def test_search_runs_for_a_minority_of_classes(monkeypatch):
